@@ -4,7 +4,7 @@
 
 Run from the root of a checkout:
 
-    python3 perfbench/run.py --workload paper10k --seed 1 --seconds 25 --trace 0
+    python3 perfbench/run.py --workload rknn1k --seed 1 --seconds 45 --trace 0
 
 Builds the updb library and the benchmark runner from source into
 .bench_build/perfbench (CMake, Release), runs the known-answer self-test
