@@ -31,9 +31,10 @@ int main() {
           ubs[i] = lbs[i] + width * rng.NextDouble();
         }
         Stopwatch sw1;
-        UncertainGeneratingFunction ugf;
-        for (size_t i = 0; i < n; ++i) ugf.Multiply(lbs[i], ubs[i]);
-        const CountDistributionBounds ub = ugf.Bounds();
+        UgfBatch ugf;
+        ugf.Begin(UgfBatch::kNoTruncation, 1);
+        for (size_t i = 0; i < n; ++i) ugf.MultiplyFactors(&lbs[i], &ubs[i]);
+        const CountDistributionBounds ub = ugf.Bounds(0);
         ugf_sec += sw1.ElapsedSeconds();
         Stopwatch sw2;
         const CountDistributionBounds pb = RegularGfPairBounds(lbs, ubs);

@@ -27,21 +27,24 @@ int main() {
       }
       double full_sec = 0.0, trunc_sec = 0.0, max_diff = 0.0;
       for (size_t rep = 0; rep < repeats; ++rep) {
+        ProbabilityBounds pf[UgfBatch::kLanes], pt[UgfBatch::kLanes];
         Stopwatch sw1;
-        UncertainGeneratingFunction full;
-        for (size_t i = 0; i < c; ++i) full.Multiply(lbs[i], ubs[i]);
-        const ProbabilityBounds pf = full.ProbLessThan(k);
+        UgfBatch full;
+        full.Begin(UgfBatch::kNoTruncation, 1);
+        for (size_t i = 0; i < c; ++i) full.MultiplyFactors(&lbs[i], &ubs[i]);
+        full.ProbLessThanAll(k, pf);
         full_sec += sw1.ElapsedSeconds();
 
         Stopwatch sw2;
-        UncertainGeneratingFunction trunc(k);
-        for (size_t i = 0; i < c; ++i) trunc.Multiply(lbs[i], ubs[i]);
-        const ProbabilityBounds pt = trunc.ProbLessThan(k);
+        UgfBatch trunc;
+        trunc.Begin(k, 1);
+        for (size_t i = 0; i < c; ++i) trunc.MultiplyFactors(&lbs[i], &ubs[i]);
+        trunc.ProbLessThanAll(k, pt);
         trunc_sec += sw2.ElapsedSeconds();
 
         max_diff = std::max(
-            max_diff, std::max(std::abs(pf.lb - pt.lb),
-                               std::abs(pf.ub - pt.ub)));
+            max_diff, std::max(std::abs(pf[0].lb - pt[0].lb),
+                               std::abs(pf[0].ub - pt[0].ub)));
       }
       std::printf("%zu,%zu,%.6f,%.6f,%.1fx,%.2e\n", c, k,
                   full_sec / repeats, trunc_sec / repeats,

@@ -1,17 +1,22 @@
-// IDCA hot-path benchmark: quantifies the PR-1 optimizations (flat-buffer
-// UGF workspace, monotone verdict cache, parallel pair loop) and the SIMD
+// IDCA hot-path benchmark: quantifies the PR-1 optimizations (flat UGF
+// workspace, monotone verdict cache, parallel pair loop) and the SIMD
 // kernel dispatch layered on top of them.
 //
 // Series (CSV to stdout; pass a path argument to also write the summary
 // as JSON, the format committed as BENCH_idca_hotpath.json):
 //
-//   ugf_multiply      flat-buffer workspace reuse vs the nested-vector
-//                     reference (the seed representation), building the
-//                     full product + Bounds() per repetition — once pinned
-//                     to the scalar kernel table and once on the vector
-//                     (AVX2+FMA) table.
+//   ugf_multiply      the UgfBatch workspace (reused across reps) vs the
+//                     nested-vector reference (the seed representation),
+//                     building the full product + bounds per repetition.
+//                     Per-lane microseconds with 1 active lane (three
+//                     padding lanes, the single-sequence shape) and with
+//                     all 4 lanes active (the IDCA chunk shape), each once
+//                     pinned to the scalar kernel table and once on the
+//                     vector (AVX2+FMA) table. padding_cost = lane1 / lane4
+//                     per-lane vector time: what a single-sequence caller
+//                     pays for the idle lanes.
 //   idca_refinement   one untruncated domination-count computation, new
-//                     engine (flat UGF + verdict cache + batched lanes,
+//                     engine (UgfBatch + verdict cache + batched lanes,
 //                     1 thread) vs a faithful in-bench reimplementation of
 //                     the seed's refinement loop; the engine timed under
 //                     both dispatch tables.
@@ -32,6 +37,7 @@
 #include <vector>
 
 #include "bench_util.h"
+#include "gf/ugf_reference.h"
 #include "updb.h"
 
 namespace updb {
@@ -47,18 +53,24 @@ using workload::SyntheticConfig;
 struct UgfSeries {
   size_t n = 0;
   double nested_us = 0.0;
-  double scalar_us = 0.0;  // flat UGF pinned to the scalar kernel table
-  double vector_us = 0.0;  // flat UGF on the auto-selected (SIMD) table
-  double speedup = 0.0;       // nested / vector
-  double simd_speedup = 0.0;  // scalar / vector
+  // Per-lane microseconds of one UgfBatch pass.
+  double lane1_scalar_us = 0.0;  // 1 active lane, scalar kernel table
+  double lane1_vector_us = 0.0;  // 1 active lane, auto-selected table
+  double lane4_scalar_us = 0.0;  // 4 active lanes, scalar kernel table
+  double lane4_vector_us = 0.0;  // 4 active lanes, auto-selected table
+  double speedup = 0.0;       // nested / lane1_vector
+  double simd_speedup = 0.0;  // lane1_scalar / lane1_vector
+  double padding_cost = 0.0;  // lane1_vector / lane4_vector
 };
 
 UgfSeries BenchUgf(size_t n, int reps) {
+  constexpr size_t kLanes = UgfBatch::kLanes;
   Rng rng(101);
-  std::vector<ProbabilityBounds> factors(n);
-  for (auto& f : factors) {
-    const double lb = rng.NextDouble();
-    f = ProbabilityBounds{lb, lb + (1.0 - lb) * rng.NextDouble()};
+  // Factor i of lane l at [i * kLanes + l]; lane 0 is also the nested run.
+  std::vector<double> lb4(n * kLanes), ub4(n * kLanes);
+  for (size_t i = 0; i < n * kLanes; ++i) {
+    lb4[i] = rng.NextDouble();
+    ub4[i] = lb4[i] + (1.0 - lb4[i]) * rng.NextDouble();
   }
   UgfSeries out;
   out.n = n;
@@ -67,29 +79,41 @@ UgfSeries BenchUgf(size_t n, int reps) {
   Stopwatch timer;
   for (int rep = 0; rep < reps; ++rep) {
     NestedVectorUgf nested;  // fresh rows every factor — the seed's cost
-    for (const auto& f : factors) nested.Multiply(f);
+    for (size_t i = 0; i < n; ++i) {
+      nested.Multiply(lb4[i * kLanes], ub4[i * kLanes]);
+    }
     sink += nested.Bounds().lb(n / 2);
   }
   out.nested_us = timer.ElapsedSeconds() * 1e6 / reps;
 
-  UncertainGeneratingFunction flat;
-  auto time_flat = [&](bool force_scalar) {
+  UgfBatch batch;
+  CountDistributionBounds bounds = CountDistributionBounds::Zero(n + 1);
+  auto time_batch = [&](bool force_scalar, size_t lanes) {
     gf::ForceScalarKernels(force_scalar);
-    // Warm-up rep so buffer growth is off the clock for both modes.
-    flat.Reset();
-    for (const auto& f : factors) flat.Multiply(f);
+    auto pass = [&] {
+      // Same workspace across reps: the IDCA reuse pattern.
+      batch.Begin(UgfBatch::kNoTruncation, lanes);
+      for (size_t i = 0; i < n; ++i) {
+        batch.MultiplyFactors(lb4.data() + i * kLanes, ub4.data() + i * kLanes);
+      }
+      batch.FinishBounds();
+      for (size_t l = 0; l < lanes; ++l) {
+        batch.EmitBounds(l, &bounds);
+        sink += bounds.lb(n / 2);
+      }
+    };
+    pass();  // warm-up, so buffer growth is off the clock
     timer.Reset();
-    for (int rep = 0; rep < reps; ++rep) {
-      flat.Reset();  // same workspace across reps: the IDCA reuse pattern
-      for (const auto& f : factors) flat.Multiply(f);
-      sink += flat.Bounds().lb(n / 2);
-    }
-    return timer.ElapsedSeconds() * 1e6 / reps;
+    for (int rep = 0; rep < reps; ++rep) pass();
+    return timer.ElapsedSeconds() * 1e6 / reps / static_cast<double>(lanes);
   };
-  out.scalar_us = time_flat(true);
-  out.vector_us = time_flat(false);
-  out.speedup = out.nested_us / out.vector_us;
-  out.simd_speedup = out.scalar_us / out.vector_us;
+  out.lane1_scalar_us = time_batch(true, 1);
+  out.lane4_scalar_us = time_batch(true, kLanes);
+  out.lane1_vector_us = time_batch(false, 1);
+  out.lane4_vector_us = time_batch(false, kLanes);
+  out.speedup = out.nested_us / out.lane1_vector_us;
+  out.simd_speedup = out.lane1_scalar_us / out.lane1_vector_us;
+  out.padding_cost = out.lane1_vector_us / out.lane4_vector_us;
   if (sink < -1.0) std::printf("#impossible\n");  // keep `sink` alive
   return out;
 }
@@ -172,21 +196,24 @@ CountDistributionBounds SeedStyleRefine(const UncertainDatabase& db,
 int main(int argc, char** argv) {
   using namespace updb;
   bench::PrintBanner("bench_hotpath_scaling",
-                     "flat UGF + verdict cache + parallel pair loop + SIMD");
+                     "UgfBatch + verdict cache + parallel pair loop + SIMD");
   const unsigned hw = std::thread::hardware_concurrency();
   std::printf("# hardware_threads=%u\n", hw);
   std::printf("# kernel_dispatch=%s\n", gf::ActiveKernelName());
 
   // ---- UGF multiplication series.
-  std::printf("series,n,nested_us,scalar_us,vector_us,speedup,simd_speedup\n");
+  std::printf(
+      "series,n,nested_us,lane1_scalar_us,lane1_vector_us,lane4_scalar_us,"
+      "lane4_vector_us,speedup,simd_speedup,padding_cost\n");
   std::vector<UgfSeries> ugf_series;
   for (size_t n : {size_t{32}, size_t{64}, size_t{128}}) {
     const int reps = n <= 64 ? 400 : 150;
     ugf_series.push_back(BenchUgf(n, reps));
     const UgfSeries& s = ugf_series.back();
-    std::printf("ugf_multiply,%zu,%.2f,%.2f,%.2f,%.2fx,%.2fx\n", s.n,
-                s.nested_us, s.scalar_us, s.vector_us, s.speedup,
-                s.simd_speedup);
+    std::printf("ugf_multiply,%zu,%.2f,%.2f,%.2f,%.2f,%.2f,%.2fx,%.2fx,%.2fx\n",
+                s.n, s.nested_us, s.lane1_scalar_us, s.lane1_vector_us,
+                s.lane4_scalar_us, s.lane4_vector_us, s.speedup,
+                s.simd_speedup, s.padding_cost);
   }
 
   // ---- IDCA refinement: seed style vs new engine, single thread.
@@ -293,10 +320,14 @@ int main(int argc, char** argv) {
       const UgfSeries& s = ugf_series[i];
       std::fprintf(f,
                    "    {\"n\": %zu, \"nested_us\": %.2f, "
-                   "\"scalar_us\": %.2f, \"vector_us\": %.2f, "
-                   "\"speedup\": %.2f, \"simd_speedup\": %.2f}%s\n",
-                   s.n, s.nested_us, s.scalar_us, s.vector_us, s.speedup,
-                   s.simd_speedup, i + 1 < ugf_series.size() ? "," : "");
+                   "\"lane1_scalar_us\": %.2f, \"lane1_vector_us\": %.2f, "
+                   "\"lane4_scalar_us\": %.2f, \"lane4_vector_us\": %.2f, "
+                   "\"speedup\": %.2f, \"simd_speedup\": %.2f, "
+                   "\"padding_cost\": %.2f}%s\n",
+                   s.n, s.nested_us, s.lane1_scalar_us, s.lane1_vector_us,
+                   s.lane4_scalar_us, s.lane4_vector_us, s.speedup,
+                   s.simd_speedup, s.padding_cost,
+                   i + 1 < ugf_series.size() ? "," : "");
     }
     std::fprintf(f, "  ],\n");
     std::fprintf(f,

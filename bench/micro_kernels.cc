@@ -1,6 +1,6 @@
 // Google-benchmark microbenchmarks for the hot kernels: the two
-// domination criteria, generating-function expansion, UGF multiplication,
-// decomposition deepening and R-tree kNN.
+// domination criteria, generating-function expansion, batched UGF
+// multiplication, decomposition deepening and R-tree kNN.
 
 #include <benchmark/benchmark.h>
 
@@ -81,49 +81,9 @@ BENCHMARK_CAPTURE(BM_PoissonBinomial, vector, false)
     ->Range(16, 1024)
     ->Complexity();
 
-void BM_UgfFull(benchmark::State& state, bool force_scalar) {
-  ScopedDispatch dispatch(force_scalar);
-  const size_t n = static_cast<size_t>(state.range(0));
-  Rng rng(4);
-  std::vector<double> lbs(n), ubs(n);
-  for (size_t i = 0; i < n; ++i) {
-    lbs[i] = rng.NextDouble() * 0.5;
-    ubs[i] = lbs[i] + 0.5 * rng.NextDouble();
-  }
-  for (auto _ : state) {
-    UncertainGeneratingFunction ugf;
-    for (size_t i = 0; i < n; ++i) ugf.Multiply(lbs[i], ubs[i]);
-    benchmark::DoNotOptimize(ugf.Bounds());
-  }
-  state.SetLabel(gf::ActiveKernelName());
-}
-BENCHMARK_CAPTURE(BM_UgfFull, scalar, true)->Range(8, 128);
-BENCHMARK_CAPTURE(BM_UgfFull, vector, false)->Range(8, 128);
-
-void BM_UgfTruncated(benchmark::State& state, bool force_scalar) {
-  ScopedDispatch dispatch(force_scalar);
-  const size_t n = static_cast<size_t>(state.range(0));
-  const size_t k = 10;
-  Rng rng(5);
-  std::vector<double> lbs(n), ubs(n);
-  for (size_t i = 0; i < n; ++i) {
-    lbs[i] = rng.NextDouble() * 0.5;
-    ubs[i] = lbs[i] + 0.5 * rng.NextDouble();
-  }
-  for (auto _ : state) {
-    UncertainGeneratingFunction ugf(k);
-    for (size_t i = 0; i < n; ++i) ugf.Multiply(lbs[i], ubs[i]);
-    benchmark::DoNotOptimize(ugf.ProbLessThan(k));
-  }
-  state.SetLabel(gf::ActiveKernelName());
-}
-BENCHMARK_CAPTURE(BM_UgfTruncated, scalar, true)->Range(8, 128);
-BENCHMARK_CAPTURE(BM_UgfTruncated, vector, false)->Range(8, 128);
-
 void BM_UgfBatch4(benchmark::State& state, bool force_scalar) {
   // Four candidate factor sequences advanced in lockstep through one SoA
   // workspace — the shape the IDCA refinement loop stages per chunk.
-  // Compare per-lane cost against BM_UgfFull at the same n.
   ScopedDispatch dispatch(force_scalar);
   const size_t n = static_cast<size_t>(state.range(0));
   Rng rng(4);

@@ -319,7 +319,7 @@ IdcaResult IdcaEngine::Run(const Pdf& target, const Pdf& reference,
   cache::VerdictMemoTally memo_tally;
   const size_t threads = ThreadPool::EffectiveParallelism(config_.num_threads);
   const size_t ugf_truncation =
-      predicate ? m : UncertainGeneratingFunction::kNoTruncation;
+      predicate ? m : UgfBatch::kNoTruncation;
 
   // Level-0 verdict state: one pair (whole B, whole R); every candidate's
   // root node is undecided — that is precisely what the filter left open.

@@ -28,7 +28,6 @@
 
 #include "domination/pdom.h"
 #include "gf/count_bounds.h"
-#include "gf/ugf.h"
 #include "index/rtree.h"
 #include "obs/trace.h"
 #include "uncertain/database.h"

@@ -1,127 +1,51 @@
 #include "gf/kernels.h"
 
 #include <atomic>
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
+
+#include "gf/kernel_bodies.h"
 
 namespace updb::gf {
 
 namespace {
 
-// ---- scalar kernel bodies. Each is the literal contract definition; the
-// AVX2 table must reproduce these bit-for-bit.
+/// The scalar table's lane type: four doubles, every operation a plain
+/// per-lane loop. Fma is std::fma per lane, correctly rounded like the
+/// vector fmadd.
+struct ScalarLanes {
+  double v[kSoaLanes];
 
-void ConvRowScalar(double* dst, const double* below, const double* left,
-                   const double* self, size_t n, double w_x, double w_y,
-                   double w_1) {
-  for (size_t j = 0; j < n; ++j) {
-    dst[j] = ConvCell(below[j], left[j], self[j], w_x, w_y, w_1);
+  static ScalarLanes Zero() { return Broadcast(0.0); }
+  static ScalarLanes Broadcast(double w) { return {{w, w, w, w}}; }
+  static ScalarLanes Load(const double* p) {
+    return {{p[0], p[1], p[2], p[3]}};
   }
-}
-
-void ConvRowNbScalar(double* dst, const double* left, const double* self,
-                     size_t n, double w_y, double w_1) {
-  for (size_t j = 0; j < n; ++j) {
-    dst[j] = ConvCell(0.0, left[j], self[j], 0.0, w_y, w_1);
+  void Store(double* p) const {
+    for (size_t l = 0; l < kSoaLanes; ++l) p[l] = v[l];
   }
-}
-
-void ScaleRowScalar(double* dst, const double* src, size_t n, double w) {
-  for (size_t j = 0; j < n; ++j) dst[j] = src[j] * w;
-}
-
-void SubRowScalar(double* dst, const double* src, size_t n) {
-  for (size_t j = 0; j < n; ++j) dst[j] -= src[j];
-}
-
-void AxpyScalar(double* dst, const double* src, size_t n, double w) {
-  for (size_t j = 0; j < n; ++j) dst[j] = std::fma(src[j], w, dst[j]);
-}
-
-void ShiftMulAddScalar(double* x, size_t n, double a, double b) {
-  for (size_t k = n; k-- > 1;) x[k] = std::fma(x[k - 1], a, x[k] * b);
-  if (n > 0) x[0] *= b;
-}
-
-// Distinct named wrappers (not the inline helpers' own addresses): each
-// table must point at code generated in its own translation unit, so the
-// scalar table never executes instructions the baseline target lacks.
-double ConvCellScalar(double below, double left, double self, double w_x,
-                      double w_y, double w_1) {
-  return ConvCell(below, left, self, w_x, w_y, w_1);
-}
-
-double BucketCellScalar(double below0, double below1, double left,
-                        double self, double w_x, double w_y, double w_1) {
-  return BucketCell(below0, below1, left, self, w_x, w_y, w_1);
-}
-
-void ConvCells4Scalar(double* dst, const double* below, const double* left,
-                      const double* self, size_t ncells, const double* w_x4,
-                      const double* w_y4, const double* w_14) {
-  for (size_t c = 0; c < ncells; ++c) {
+  friend ScalarLanes operator+(ScalarLanes a, ScalarLanes b) {
+    for (size_t l = 0; l < kSoaLanes; ++l) a.v[l] += b.v[l];
+    return a;
+  }
+  friend ScalarLanes operator-(ScalarLanes a, ScalarLanes b) {
+    for (size_t l = 0; l < kSoaLanes; ++l) a.v[l] -= b.v[l];
+    return a;
+  }
+  friend ScalarLanes operator*(ScalarLanes a, ScalarLanes b) {
+    for (size_t l = 0; l < kSoaLanes; ++l) a.v[l] *= b.v[l];
+    return a;
+  }
+  friend ScalarLanes Fma(ScalarLanes a, ScalarLanes b, ScalarLanes c) {
     for (size_t l = 0; l < kSoaLanes; ++l) {
-      const size_t i = c * kSoaLanes + l;
-      dst[i] = ConvCell(below[i], left[i], self[i], w_x4[l], w_y4[l], w_14[l]);
+      c.v[l] = std::fma(a.v[l], b.v[l], c.v[l]);
     }
+    return c;
   }
-}
-
-void ConvCells4NbScalar(double* dst, const double* left, const double* self,
-                        size_t ncells, const double* w_y4,
-                        const double* w_14) {
-  for (size_t c = 0; c < ncells; ++c) {
-    for (size_t l = 0; l < kSoaLanes; ++l) {
-      const size_t i = c * kSoaLanes + l;
-      dst[i] = ConvCell(0.0, left[i], self[i], 0.0, w_y4[l], w_14[l]);
-    }
-  }
-}
-
-void ScaleCells4Scalar(double* dst, const double* src, size_t ncells,
-                       const double* w4) {
-  for (size_t c = 0; c < ncells; ++c) {
-    for (size_t l = 0; l < kSoaLanes; ++l) {
-      const size_t i = c * kSoaLanes + l;
-      dst[i] = src[i] * w4[l];
-    }
-  }
-}
-
-void BlockSum4Scalar(const double* x, size_t ncells, double* out4) {
-  double acc[4][kSoaLanes] = {};
-  for (size_t c = 0; c < ncells; ++c) {
-    for (size_t l = 0; l < kSoaLanes; ++l) {
-      acc[c & 3][l] += x[c * kSoaLanes + l];
-    }
-  }
-  for (size_t l = 0; l < kSoaLanes; ++l) {
-    out4[l] = (acc[0][l] + acc[1][l]) + (acc[2][l] + acc[3][l]);
-  }
-}
-
-void SubCells4Scalar(double* dst, const double* src, size_t ncells) {
-  SubRowScalar(dst, src, ncells * kSoaLanes);
-}
-
-void BucketCells4Scalar(double* dst, const double* below0,
-                        const double* below1, const double* left,
-                        const double* self, const double* w_x4,
-                        const double* w_y4, const double* w_14) {
-  for (size_t l = 0; l < kSoaLanes; ++l) {
-    dst[l] = BucketCell(below0[l], below1[l], left[l], self[l], w_x4[l],
-                        w_y4[l], w_14[l]);
-  }
-}
-
-constexpr GfKernels kScalarTable = {
-    "scalar",          ConvRowScalar,      ConvRowNbScalar,
-    ScaleRowScalar,    BlockSumScalar,     SubRowScalar,
-    AxpyScalar,        ShiftMulAddScalar,  ConvCellScalar,
-    BucketCellScalar,  ConvCells4Scalar,   ConvCells4NbScalar,
-    ScaleCells4Scalar, BlockSum4Scalar,    SubCells4Scalar,
-    BucketCells4Scalar,
 };
+
+constexpr GfKernels kScalarTable = MakeKernels<ScalarLanes>("scalar");
 
 bool EnvForcesScalar() {
   const char* env = std::getenv("UPDB_FORCE_SCALAR");

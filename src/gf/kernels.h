@@ -1,37 +1,40 @@
 // Copyright 2026 The updb Authors.
-// Runtime-dispatched compute kernels for the probability layer: the UGF
-// coefficient convolution, the Bounds/ProbLessThan prefix reductions, the
-// Poisson-binomial in-place convolution and the CountDistributionBounds
-// element-wise accumulations all route through one function-pointer table
-// (GfKernels). One table is the portable scalar implementation; a second,
-// compiled in its own translation unit with -mavx2 -mfma (gf/kernels_avx2.cc),
-// is selected at startup when cpuid reports AVX2+FMA. `UPDB_FORCE_SCALAR=1`
-// (or ForceScalarKernels(true)) pins the scalar table; the selected table's
-// name is surfaced through /statusz and the updb_cli banners.
+// Runtime-dispatched compute kernels for the probability layer: the UgfBatch
+// coefficient convolution and bound reductions, the CountDistributionBounds
+// prefix reductions and element-wise accumulations, and the
+// Poisson-binomial in-place convolution all route through one
+// function-pointer table (GfKernels). One table is the portable scalar
+// implementation; a second, compiled in its own translation unit with
+// -mavx2 -mfma (gf/kernels_avx2.cc), is selected at startup when cpuid
+// reports AVX2+FMA. `UPDB_FORCE_SCALAR=1` (or ForceScalarKernels(true))
+// pins the scalar table; the selected table's name is surfaced through
+// /statusz and the updb_cli banners.
 //
 // ## The blocked accumulation order (bit-identity contract)
 //
 // Floating-point addition is not associative, so the repo fixes ONE
-// accumulation order and implements it identically in the scalar kernels,
-// the AVX2+FMA kernels, the per-lane batched (SoA) kernels, and the
-// nested-vector reference oracle. Equivalence tests therefore compare with
-// EXPECT_EQ, never tolerances:
+// accumulation order. Each kernel body is written once, as a template over
+// a 4-lane type (gf/kernel_bodies.h), and both tables instantiate it: the
+// scalar table with a plain 4-double struct, the AVX2+FMA table with an
+// __m256d wrapper. The nested-vector reference oracle (gf/ugf_reference.cc)
+// transcribes the same order cell by cell. Equivalence tests therefore
+// compare with EXPECT_EQ, never tolerances:
 //
 //  1. Convolution cells are *gathered*: each destination cell is computed
 //     from its (at most three) source cells in one fused chain
 //
 //         t = fma(self, w1, fma(left, wy, below * wx))
 //
-//     with an absent source contributing exactly +0.0 (ConvCell below;
-//     truncated-mode tail buckets use the longer fixed chain BucketCell).
-//     fma() is correctly rounded, so the scalar std::fma chain and the
-//     vector _mm256_fmadd_pd chain produce the same bits on every input,
-//     and there is no cross-cell accumulation to reassociate at all.
+//     with an absent source contributing exactly +0.0 (truncated-mode tail
+//     buckets use a longer fixed chain, see bucket_cells4). fma() is
+//     correctly rounded, so the per-lane std::fma chain and the vector
+//     _mm256_fmadd_pd chain produce the same bits on every input, and
+//     there is no cross-cell accumulation to reassociate at all.
 //  2. Row reductions use a 4-way interleaved blocked sum: element j is
 //     added into accumulator j mod 4 (in ascending j order) and the four
-//     accumulators combine as (a0 + a1) + (a2 + a3). One 4-lane vector
-//     accumulator with the same final combine is bit-identical by
-//     construction — and so is the per-lane form the SoA batch uses.
+//     accumulators combine as (a0 + a1) + (a2 + a3). One 4-lane
+//     accumulator with the same final combine is that order by
+//     construction — and so is the per-lane form the SoA kernels use.
 //  3. Weighted accumulation (axpy) is element-wise dst = fma(src, w, dst);
 //     range subtraction is element-wise dst -= src. Element-wise ops are
 //     trivially order-free.
@@ -45,7 +48,6 @@
 #ifndef UPDB_GF_KERNELS_H_
 #define UPDB_GF_KERNELS_H_
 
-#include <cmath>
 #include <cstddef>
 
 namespace updb::gf {
@@ -54,85 +56,29 @@ namespace updb::gf {
 /// vector of doubles. SoA buffers store cell c of lane l at [c*4 + l].
 inline constexpr size_t kSoaLanes = 4;
 
-/// Contract item 1: the gathered convolution cell. Absent sources must be
-/// passed as exactly 0.0.
-inline double ConvCell(double below, double left, double self, double w_x,
-                       double w_y, double w_1) {
-  return std::fma(self, w_1, std::fma(left, w_y, below * w_x));
-}
-
-/// Truncated-mode tail-bucket cell: absorbs the clamped x-steps of the two
-/// below-row columns spilling into the bucket, the clamped y-step of the
-/// preceding column, and the cell's own stay/y terms — in that fixed order.
-inline double BucketCell(double below0, double below1, double left,
-                         double self, double w_x, double w_y, double w_1) {
-  double t = below0 * w_x;
-  t = std::fma(below1, w_x, t);
-  t = std::fma(left, w_y, t);
-  t = std::fma(self, w_1, t);
-  t = std::fma(self, w_y, t);
-  return t;
-}
-
-/// Contract item 2: final combine of the four interleaved accumulators.
-inline double CombineBlockSums(const double acc[4]) {
-  return (acc[0] + acc[1]) + (acc[2] + acc[3]);
-}
-
-/// Contract item 2 in scalar form — the definition the vector kernels and
-/// the reference oracle must reproduce bit-for-bit.
-inline double BlockSumScalar(const double* x, size_t n) {
-  double acc[4] = {0.0, 0.0, 0.0, 0.0};
-  for (size_t j = 0; j < n; ++j) acc[j & 3] += x[j];
-  return CombineBlockSums(acc);
-}
-
 /// The dispatch table. Every entry implements the blocked accumulation
 /// order above; tables differ only in instruction selection.
 struct GfKernels {
   /// Selected-path name, e.g. "scalar" or "avx2+fma".
   const char* name;
 
-  // ---- row kernels (dense interior of one coefficient row).
-  /// dst[j] = ConvCell(below[j], left[j], self[j]) for j in [0, n).
-  void (*conv_row)(double* dst, const double* below, const double* left,
-                   const double* self, size_t n, double w_x, double w_y,
-                   double w_1);
-  /// dst[j] = ConvCell(0, left[j], self[j]) for j in [0, n) (row 0 has no
-  /// below-row).
-  void (*conv_row_nb)(double* dst, const double* left, const double* self,
-                      size_t n, double w_y, double w_1);
-  /// dst[j] = src[j] * w for j in [0, n) (a fresh row fed only by x-steps:
-  /// ConvCell(src, 0, 0) reduces to exactly src * w_x).
-  void (*scale_row)(double* dst, const double* src, size_t n, double w);
+  // ---- contiguous-row kernels.
   /// Blocked 4-way interleaved sum of x[0..n).
   double (*block_sum)(const double* x, size_t n);
-  /// dst[j] -= src[j] for j in [0, n).
-  void (*sub_row)(double* dst, const double* src, size_t n);
   /// dst[j] = fma(src[j], w, dst[j]) for j in [0, n).
   void (*axpy)(double* dst, const double* src, size_t n, double w);
   /// In-place descending two-term convolution (Poisson binomial):
   /// x[k] = fma(x[k-1], a, x[k] * b) for k = n-1..1, then x[0] *= b.
   void (*shift_mul_add)(double* x, size_t n, double a, double b);
 
-  // ---- single-cell kernels (row-edge peeling). Arithmetic identical to
-  // the inline ConvCell/BucketCell helpers; routed through the table so
-  // the hot edge cells of every row execute in the vector translation
-  // unit, where std::fma inlines to an FMA instruction instead of the
-  // libm call baseline TUs emit.
-  double (*conv_cell)(double below, double left, double self, double w_x,
-                      double w_y, double w_1);
-  double (*bucket_cell)(double below0, double below1, double left,
-                        double self, double w_x, double w_y, double w_1);
-
   // ---- SoA kernels (kSoaLanes lanes per cell, per-lane weights). Every
   // cell is exactly one vector, so there is never a remainder to peel.
-  /// Per cell c, lane l: dst[c*4+l] =
-  /// ConvCell(below[c*4+l], left[c*4+l], self[c*4+l]) with lane weights.
+  /// Per cell c, lane l, with i = c*4+l: the contract item 1 gather
+  /// dst[i] = fma(self[i], w_1[l], fma(left[i], w_y[l], below[i] * w_x[l])).
   void (*conv_cells4)(double* dst, const double* below, const double* left,
                       const double* self, size_t ncells, const double* w_x4,
                       const double* w_y4, const double* w_14);
-  /// No-below variant of conv_cells4.
+  /// No-below variant of conv_cells4 (below * w_x taken as +0.0).
   void (*conv_cells4_nb)(double* dst, const double* left, const double* self,
                          size_t ncells, const double* w_y4,
                          const double* w_14);
@@ -143,8 +89,12 @@ struct GfKernels {
   void (*block_sum4)(const double* x, size_t ncells, double* out4);
   /// Per cell c, lane l: dst[c*4+l] -= src[c*4+l].
   void (*sub_cells4)(double* dst, const double* src, size_t ncells);
-  /// One tail-bucket cell (4 lanes): dst[l] = BucketCell(below0[l],
-  /// below1[l], left[l], self[l]) with lane weights.
+  /// One truncated-mode tail-bucket cell (4 lanes). It absorbs the clamped
+  /// x-steps of the two below-row columns spilling into the bucket, the
+  /// clamped y-step of the preceding column, and the cell's own stay/y
+  /// terms, chained in that fixed order:
+  /// t = below0*w_x; t = fma(below1, w_x, t); t = fma(left, w_y, t);
+  /// t = fma(self, w_1, t); dst = fma(self, w_y, t).
   void (*bucket_cells4)(double* dst, const double* below0,
                         const double* below1, const double* left,
                         const double* self, const double* w_x4,

@@ -1,16 +1,12 @@
 // Copyright 2026 The updb Authors.
-// AVX2+FMA implementations of the GfKernels table. This is the only
+// The AVX2+FMA GfKernels table: the kernel bodies of gf/kernel_bodies.h
+// instantiated over one __m256d per 4-lane value. This is the only
 // translation unit compiled with -mavx2 -mfma (set per-file in
 // CMakeLists.txt), so nothing here may be called unless cpuid reported
 // AVX2+FMA — the dispatch in gf/kernels.cc guarantees that.
 //
-// Every kernel reproduces the blocked accumulation order documented in
-// gf/kernels.h bit-for-bit: gathered convolution cells are fused-multiply-add
-// chains (std::fma and _mm256_fmadd_pd are both correctly rounded, so the
-// scalar tails below can use the very same ConvCell/BucketCell helpers as
-// the scalar table), and row sums keep element j in accumulator j mod 4 —
-// which is exactly what one 4-lane vector accumulator over aligned 4-chunks
-// does, with the (a0+a1)+(a2+a3) combine applied at the end.
+// _mm256_fmadd_pd is correctly rounded exactly like std::fma, so this table
+// and the scalar one produce identical bits from the same body.
 
 #include "gf/kernels.h"
 
@@ -18,213 +14,36 @@
 
 #include <immintrin.h>
 
+#include "gf/kernel_bodies.h"
+
 namespace updb::gf {
 
 namespace {
 
-void ConvRowAvx2(double* dst, const double* below, const double* left,
-                 const double* self, size_t n, double w_x, double w_y,
-                 double w_1) {
-  const __m256d vx = _mm256_set1_pd(w_x);
-  const __m256d vy = _mm256_set1_pd(w_y);
-  const __m256d v1 = _mm256_set1_pd(w_1);
-  size_t j = 0;
-  for (; j + 4 <= n; j += 4) {
-    __m256d t = _mm256_mul_pd(_mm256_loadu_pd(below + j), vx);
-    t = _mm256_fmadd_pd(_mm256_loadu_pd(left + j), vy, t);
-    t = _mm256_fmadd_pd(_mm256_loadu_pd(self + j), v1, t);
-    _mm256_storeu_pd(dst + j, t);
+/// The vector table's lane type. Lives in this TU's anonymous namespace
+/// so every kernel instantiated over it has internal linkage.
+struct Avx2Lanes {
+  __m256d v;
+
+  static Avx2Lanes Zero() { return {_mm256_setzero_pd()}; }
+  static Avx2Lanes Broadcast(double w) { return {_mm256_set1_pd(w)}; }
+  static Avx2Lanes Load(const double* p) { return {_mm256_loadu_pd(p)}; }
+  void Store(double* p) const { _mm256_storeu_pd(p, v); }
+  friend Avx2Lanes operator+(Avx2Lanes a, Avx2Lanes b) {
+    return {_mm256_add_pd(a.v, b.v)};
   }
-  for (; j < n; ++j) {
-    dst[j] = ConvCell(below[j], left[j], self[j], w_x, w_y, w_1);
+  friend Avx2Lanes operator-(Avx2Lanes a, Avx2Lanes b) {
+    return {_mm256_sub_pd(a.v, b.v)};
   }
-}
-
-void ConvRowNbAvx2(double* dst, const double* left, const double* self,
-                   size_t n, double w_y, double w_1) {
-  const __m256d vy = _mm256_set1_pd(w_y);
-  const __m256d v1 = _mm256_set1_pd(w_1);
-  const __m256d zero = _mm256_setzero_pd();
-  size_t j = 0;
-  for (; j + 4 <= n; j += 4) {
-    __m256d t = _mm256_fmadd_pd(_mm256_loadu_pd(left + j), vy, zero);
-    t = _mm256_fmadd_pd(_mm256_loadu_pd(self + j), v1, t);
-    _mm256_storeu_pd(dst + j, t);
+  friend Avx2Lanes operator*(Avx2Lanes a, Avx2Lanes b) {
+    return {_mm256_mul_pd(a.v, b.v)};
   }
-  for (; j < n; ++j) {
-    dst[j] = ConvCell(0.0, left[j], self[j], 0.0, w_y, w_1);
+  friend Avx2Lanes Fma(Avx2Lanes a, Avx2Lanes b, Avx2Lanes c) {
+    return {_mm256_fmadd_pd(a.v, b.v, c.v)};
   }
-}
-
-void ScaleRowAvx2(double* dst, const double* src, size_t n, double w) {
-  const __m256d vw = _mm256_set1_pd(w);
-  size_t j = 0;
-  for (; j + 4 <= n; j += 4) {
-    _mm256_storeu_pd(dst + j, _mm256_mul_pd(_mm256_loadu_pd(src + j), vw));
-  }
-  for (; j < n; ++j) dst[j] = src[j] * w;
-}
-
-double BlockSumAvx2(const double* x, size_t n) {
-  __m256d vacc = _mm256_setzero_pd();
-  size_t j = 0;
-  for (; j + 4 <= n; j += 4) {
-    vacc = _mm256_add_pd(vacc, _mm256_loadu_pd(x + j));
-  }
-  alignas(32) double acc[4];
-  _mm256_store_pd(acc, vacc);
-  for (; j < n; ++j) acc[j & 3] += x[j];
-  return CombineBlockSums(acc);
-}
-
-void SubRowAvx2(double* dst, const double* src, size_t n) {
-  size_t j = 0;
-  for (; j + 4 <= n; j += 4) {
-    _mm256_storeu_pd(
-        dst + j,
-        _mm256_sub_pd(_mm256_loadu_pd(dst + j), _mm256_loadu_pd(src + j)));
-  }
-  for (; j < n; ++j) dst[j] -= src[j];
-}
-
-void AxpyAvx2(double* dst, const double* src, size_t n, double w) {
-  const __m256d vw = _mm256_set1_pd(w);
-  size_t j = 0;
-  for (; j + 4 <= n; j += 4) {
-    _mm256_storeu_pd(dst + j, _mm256_fmadd_pd(_mm256_loadu_pd(src + j), vw,
-                                              _mm256_loadu_pd(dst + j)));
-  }
-  for (; j < n; ++j) dst[j] = std::fma(src[j], w, dst[j]);
-}
-
-void ShiftMulAddAvx2(double* x, size_t n, double a, double b) {
-  if (n == 0) return;
-  const __m256d va = _mm256_set1_pd(a);
-  const __m256d vb = _mm256_set1_pd(b);
-  // Descending so each x[k-1] is read before it is overwritten; a vector
-  // step writes x[k-3..k] from the pre-step x[k-4..k].
-  size_t k = n - 1;
-  while (k >= 4) {
-    const __m256d self = _mm256_loadu_pd(x + k - 3);
-    const __m256d left = _mm256_loadu_pd(x + k - 4);
-    _mm256_storeu_pd(x + k - 3,
-                     _mm256_fmadd_pd(left, va, _mm256_mul_pd(self, vb)));
-    k -= 4;
-  }
-  for (; k >= 1; --k) x[k] = std::fma(x[k - 1], a, x[k] * b);
-  x[0] *= b;
-}
-
-// Same arithmetic as the inline helpers, generated in THIS translation
-// unit so the std::fma chains compile to vfmadd instructions — the point
-// of routing row-edge cells through the table.
-double ConvCellAvx2(double below, double left, double self, double w_x,
-                    double w_y, double w_1) {
-  return ConvCell(below, left, self, w_x, w_y, w_1);
-}
-
-double BucketCellAvx2(double below0, double below1, double left, double self,
-                      double w_x, double w_y, double w_1) {
-  return BucketCell(below0, below1, left, self, w_x, w_y, w_1);
-}
-
-void ConvCells4Avx2(double* dst, const double* below, const double* left,
-                    const double* self, size_t ncells, const double* w_x4,
-                    const double* w_y4, const double* w_14) {
-  const __m256d vx = _mm256_loadu_pd(w_x4);
-  const __m256d vy = _mm256_loadu_pd(w_y4);
-  const __m256d v1 = _mm256_loadu_pd(w_14);
-  for (size_t c = 0; c < ncells; ++c) {
-    const size_t i = c * kSoaLanes;
-    __m256d t = _mm256_mul_pd(_mm256_loadu_pd(below + i), vx);
-    t = _mm256_fmadd_pd(_mm256_loadu_pd(left + i), vy, t);
-    t = _mm256_fmadd_pd(_mm256_loadu_pd(self + i), v1, t);
-    _mm256_storeu_pd(dst + i, t);
-  }
-}
-
-void ConvCells4NbAvx2(double* dst, const double* left, const double* self,
-                      size_t ncells, const double* w_y4, const double* w_14) {
-  const __m256d vy = _mm256_loadu_pd(w_y4);
-  const __m256d v1 = _mm256_loadu_pd(w_14);
-  const __m256d zero = _mm256_setzero_pd();
-  for (size_t c = 0; c < ncells; ++c) {
-    const size_t i = c * kSoaLanes;
-    __m256d t = _mm256_fmadd_pd(_mm256_loadu_pd(left + i), vy, zero);
-    t = _mm256_fmadd_pd(_mm256_loadu_pd(self + i), v1, t);
-    _mm256_storeu_pd(dst + i, t);
-  }
-}
-
-void ScaleCells4Avx2(double* dst, const double* src, size_t ncells,
-                     const double* w4) {
-  const __m256d vw = _mm256_loadu_pd(w4);
-  for (size_t c = 0; c < ncells; ++c) {
-    const size_t i = c * kSoaLanes;
-    _mm256_storeu_pd(dst + i, _mm256_mul_pd(_mm256_loadu_pd(src + i), vw));
-  }
-}
-
-void BlockSum4Avx2(const double* x, size_t ncells, double* out4) {
-  __m256d acc0 = _mm256_setzero_pd();
-  __m256d acc1 = _mm256_setzero_pd();
-  __m256d acc2 = _mm256_setzero_pd();
-  __m256d acc3 = _mm256_setzero_pd();
-  size_t c = 0;
-  for (; c + 4 <= ncells; c += 4) {
-    const size_t i = c * kSoaLanes;
-    acc0 = _mm256_add_pd(acc0, _mm256_loadu_pd(x + i));
-    acc1 = _mm256_add_pd(acc1, _mm256_loadu_pd(x + i + kSoaLanes));
-    acc2 = _mm256_add_pd(acc2, _mm256_loadu_pd(x + i + 2 * kSoaLanes));
-    acc3 = _mm256_add_pd(acc3, _mm256_loadu_pd(x + i + 3 * kSoaLanes));
-  }
-  for (; c < ncells; ++c) {
-    const __m256d v = _mm256_loadu_pd(x + c * kSoaLanes);
-    switch (c & 3) {
-      case 0:
-        acc0 = _mm256_add_pd(acc0, v);
-        break;
-      case 1:
-        acc1 = _mm256_add_pd(acc1, v);
-        break;
-      case 2:
-        acc2 = _mm256_add_pd(acc2, v);
-        break;
-      default:
-        acc3 = _mm256_add_pd(acc3, v);
-        break;
-    }
-  }
-  _mm256_storeu_pd(out4, _mm256_add_pd(_mm256_add_pd(acc0, acc1),
-                                       _mm256_add_pd(acc2, acc3)));
-}
-
-void SubCells4Avx2(double* dst, const double* src, size_t ncells) {
-  SubRowAvx2(dst, src, ncells * kSoaLanes);
-}
-
-void BucketCells4Avx2(double* dst, const double* below0, const double* below1,
-                      const double* left, const double* self,
-                      const double* w_x4, const double* w_y4,
-                      const double* w_14) {
-  const __m256d vx = _mm256_loadu_pd(w_x4);
-  const __m256d vy = _mm256_loadu_pd(w_y4);
-  const __m256d v1 = _mm256_loadu_pd(w_14);
-  const __m256d vs = _mm256_loadu_pd(self);
-  __m256d t = _mm256_mul_pd(_mm256_loadu_pd(below0), vx);
-  t = _mm256_fmadd_pd(_mm256_loadu_pd(below1), vx, t);
-  t = _mm256_fmadd_pd(_mm256_loadu_pd(left), vy, t);
-  t = _mm256_fmadd_pd(vs, v1, t);
-  t = _mm256_fmadd_pd(vs, vy, t);
-  _mm256_storeu_pd(dst, t);
-}
-
-constexpr GfKernels kAvx2Table = {
-    "avx2+fma",       ConvRowAvx2,      ConvRowNbAvx2,   ScaleRowAvx2,
-    BlockSumAvx2,     SubRowAvx2,       AxpyAvx2,        ShiftMulAddAvx2,
-    ConvCellAvx2,     BucketCellAvx2,   ConvCells4Avx2,  ConvCells4NbAvx2,
-    ScaleCells4Avx2,  BlockSum4Avx2,    SubCells4Avx2,   BucketCells4Avx2,
 };
+
+constexpr GfKernels kAvx2Table = MakeKernels<Avx2Lanes>("avx2+fma");
 
 }  // namespace
 

@@ -5,11 +5,20 @@
 
 #include "common/check.h"
 
-// Structure mirror of gf/ugf.cc: the same out-of-place gathered passes and
-// the same blocked reductions, with every cell widened to kLanes doubles
-// and every scalar weight widened to a per-lane weight vector. Edges with
-// an absent source pass a zero lane-vector instead of peeling a scalar
-// ConvCell, so the whole pass stays in the SoA kernels.
+// Implementation notes.
+//
+// The expansion recurrence for one factor (w_x = p_lb, w_y = p_ub - p_lb,
+// w_1 = 1 - p_ub) is
+//
+//   next[i][j] = cur[i][j]*w_1 + cur[i-1][j]*w_x + cur[i][j-1]*w_y,
+//
+// with truncated mode clamping j into the per-row tail bucket and i into
+// the overflow cell. Both modes run out-of-place (flat_ -> scratch_, then
+// swap) so each destination cell is *gathered* from its sources in the one
+// fused chain the kernel contract fixes (gf/kernels.h), every cell kLanes
+// doubles wide with per-lane weight vectors. Edges with an absent source
+// pass a zero lane-vector, so the whole pass stays in the SoA kernels.
+// Bounds and ProbLessThanAll reduce rows with the contract's blocked sums.
 
 namespace updb {
 
@@ -35,9 +44,10 @@ void UgfBatch::Begin(size_t truncate_at, size_t active_lanes) {
   num_rows_ = 1;
   bounds_ready_ = false;
   for (size_t l = 0; l < kLanes; ++l) overflow_[l] = 0.0;
-  // Same reuse rule as the scalar UGF: equalize the double-buffer
-  // capacities here so replays at or below the high-water mark never
-  // allocate inside MultiplyFactors.
+  // The buffers alternate roles across multiplies, so after a pass one of
+  // them is a triangle smaller than the other. Equalize capacities here
+  // (never inside MultiplyFactors) so replays at or below the high-water
+  // mark never allocate, whichever buffer ends up as the scratch.
   const size_t cap = std::max(flat_.capacity(), scratch_.capacity());
   flat_.reserve(cap);
   scratch_.reserve(cap);
@@ -200,6 +210,11 @@ void UgfBatch::MultiplyTruncated(const double* w_x4, const double* w_y4,
 }
 
 void UgfBatch::FinishBounds() {
+  // Upper bounds via a difference array: a cell c_{i,j} admits every rank
+  // in [i, i+j] (bucket cells: [i, end of the rank window]), so it
+  // range-adds its mass — one blocked row sum into diff[rank of i], one
+  // element-wise row subtraction off the range ends. A prefix sum then
+  // yields all upper bounds in O(cells + ranks).
   const GfKernels& K = ActiveKernels();
   const size_t nr = num_ranks();
   diff_.assign((nr + 1) * kLanes, 0.0);
@@ -255,6 +270,13 @@ void UgfBatch::EmitBounds(size_t lane, CountDistributionBounds* out) const {
     out->Set(x, bounds_lb_[x * kLanes + lane], bounds_ub_[x * kLanes + lane]);
   }
   out->Normalize();
+}
+
+CountDistributionBounds UgfBatch::Bounds(size_t lane) {
+  if (!bounds_ready_) FinishBounds();
+  CountDistributionBounds out = CountDistributionBounds::Zero(num_ranks());
+  EmitBounds(lane, &out);
+  return out;
 }
 
 void UgfBatch::ProbLessThanAll(size_t m, ProbabilityBounds* out) const {

@@ -4,20 +4,47 @@
 #include <cmath>
 
 #include "common/check.h"
-#include "gf/kernels.h"
 
 // The oracle is written as the most literal possible transcription of the
 // blocked accumulation order in gf/kernels.h: every destination cell is one
 // uniform gather (ConvCell / BucketCell with absent sources passed as 0.0)
 // and every row reduction is BlockSumScalar. No dispatch, no fast paths, no
-// flat storage — yet bit-identical to UncertainGeneratingFunction and
-// UgfBatch on every input, because they all share that one order.
+// flat storage, no lanes — yet bit-identical to UgfBatch under either
+// dispatch table on every input, because both follow that one order.
 
 namespace updb {
 
-using gf::BlockSumScalar;
-using gf::BucketCell;
-using gf::ConvCell;
+namespace {
+
+/// Contract item 1: the gathered convolution cell. Absent sources are
+/// passed as exactly 0.0.
+double ConvCell(double below, double left, double self, double w_x,
+                double w_y, double w_1) {
+  return std::fma(self, w_1, std::fma(left, w_y, below * w_x));
+}
+
+/// Truncated-mode tail-bucket cell: absorbs the clamped x-steps of the two
+/// below-row columns spilling into the bucket, the clamped y-step of the
+/// preceding column, and the cell's own stay/y terms — in that fixed order.
+double BucketCell(double below0, double below1, double left, double self,
+                  double w_x, double w_y, double w_1) {
+  double t = below0 * w_x;
+  t = std::fma(below1, w_x, t);
+  t = std::fma(left, w_y, t);
+  t = std::fma(self, w_1, t);
+  t = std::fma(self, w_y, t);
+  return t;
+}
+
+/// Contract item 2: element j into accumulator j mod 4, combined as
+/// (a0 + a1) + (a2 + a3).
+double BlockSumScalar(const double* x, size_t n) {
+  double acc[4] = {0.0, 0.0, 0.0, 0.0};
+  for (size_t j = 0; j < n; ++j) acc[j & 3] += x[j];
+  return (acc[0] + acc[1]) + (acc[2] + acc[3]);
+}
+
+}  // namespace
 
 NestedVectorUgf::NestedVectorUgf(size_t truncate_at)
     : truncate_at_(truncate_at) {
@@ -98,9 +125,9 @@ void NestedVectorUgf::Multiply(double p_lb, double p_ub) {
   num_factors_ = n_new;
 }
 
-// The bound computations below mirror the flat-buffer implementation
-// reduction for reduction (same difference-array construction, same blocked
-// row sums) so the two stay bit-identical; only the storage differs.
+// The bound computations below mirror UgfBatch reduction for reduction
+// (same difference-array construction, same blocked row sums) so the two
+// stay bit-identical; only the storage differs.
 
 CountDistributionBounds NestedVectorUgf::Bounds() const {
   const size_t num_ranks =

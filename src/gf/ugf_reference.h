@@ -1,17 +1,17 @@
 // Copyright 2026 The updb Authors.
 // Reference implementation of the uncertain generating function backed by
-// nested std::vector storage — the representation the flat-buffer
-// UncertainGeneratingFunction replaced. It allocates a brand-new row set on
+// nested std::vector storage — the seed's representation, which the flat
+// SoA UgfBatch workspace replaced. It allocates a brand-new row set on
 // every Multiply and takes no degenerate-factor fast paths, which makes it
 //
 //   * the oracle for the equivalence tests: it transcribes the blocked
-//     accumulation order of gf/kernels.h literally (gathered ConvCell /
-//     BucketCell cells, BlockSumScalar row reductions), so the flat scalar
-//     path, the AVX2 path and the SoA batch must all match it bit for bit
-//     on arbitrary factor sequences, and
+//     accumulation order of gf/kernels.h literally (gathered cells, 4-way
+//     interleaved row sums), so UgfBatch must match it bit for bit under
+//     both dispatch tables on arbitrary factor sequences, and
 //   * the baseline for bench_hotpath_scaling's "vs seed" speedup series.
 //
-// Not for production use; the flat-buffer UGF is strictly faster.
+// Not part of the public API (updb.h does not export it); tests and benches
+// include it directly. UgfBatch is strictly faster.
 
 #ifndef UPDB_GF_UGF_REFERENCE_H_
 #define UPDB_GF_UGF_REFERENCE_H_
@@ -32,7 +32,7 @@ class NestedVectorUgf {
   explicit NestedVectorUgf(size_t truncate_at = kNoTruncation);
 
   /// Multiplies in one factor; allocates a fresh row set (the cost the
-  /// flat-buffer implementation eliminates).
+  /// flat UgfBatch workspace eliminates).
   void Multiply(double p_lb, double p_ub);
   void Multiply(const ProbabilityBounds& b) { Multiply(b.lb, b.ub); }
 

@@ -2,6 +2,7 @@
 
 #include <bit>
 #include <cinttypes>
+#include <cmath>
 #include <cstdio>
 
 #include "io/dataset_io.h"
@@ -74,6 +75,9 @@ Status ValidateCommon(const QueryRequest& request,
   if (request.budget.max_iterations < 0) {
     return Status::InvalidArgument("negative iteration budget");
   }
+  if (std::isnan(request.budget.deadline_ms)) {
+    return Status::InvalidArgument("NaN deadline");
+  }
   if (request.budget.deadline_ms < 0.0) {
     return Status::InvalidArgument("negative deadline");
   }
@@ -81,7 +85,9 @@ Status ValidateCommon(const QueryRequest& request,
     case QueryKind::kThresholdKnn:
     case QueryKind::kThresholdRknn:
       if (request.k < 1) return Status::InvalidArgument("k must be >= 1");
-      if (request.tau < 0.0 || request.tau > 1.0) {
+      // Written so NaN fails too: a NaN tau would pass a plain range
+      // test, never decide, and burn the whole iteration budget.
+      if (!(request.tau >= 0.0 && request.tau <= 1.0)) {
         return Status::InvalidArgument("tau must be in [0, 1]");
       }
       break;

@@ -163,12 +163,13 @@ struct QueryResponse {
 };
 
 /// Validates a request against a database: non-null query PDF of matching
-/// dimensionality, k >= 1 and tau in [0, 1] for threshold kinds, a valid
-/// target id for inverse ranking (dense-range semantics — use the
-/// snapshot overload when stable ids may diverge), non-negative budget
-/// fields. An empty database is not an error for most kinds (the service
-/// answers with an empty payload so an unpublished store can come up);
-/// only inverse ranking fails then, since no target id can be valid.
+/// dimensionality, k >= 1 and tau in [0, 1] (NaN and infinities
+/// rejected) for threshold kinds, a valid target id for inverse ranking
+/// (dense-range semantics — use the snapshot overload when stable ids may
+/// diverge), non-negative, non-NaN budget fields. An empty database is
+/// not an error for most kinds (the service answers with an empty payload
+/// so an unpublished store can come up); only inverse ranking fails then,
+/// since no target id can be valid.
 Status ValidateRequest(const QueryRequest& request,
                        const UncertainDatabase& db);
 

@@ -22,9 +22,7 @@
 #include "gf/count_bounds.h"
 #include "gf/kernels.h"
 #include "gf/poisson_binomial.h"
-#include "gf/ugf.h"
 #include "gf/ugf_batch.h"
-#include "gf/ugf_reference.h"
 #include "index/rtree.h"
 #include "io/dataset_io.h"
 #include "mc/monte_carlo.h"

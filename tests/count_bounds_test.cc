@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <utility>
+#include <vector>
 
 #include "common/random.h"
 #include "gf/kernels.h"
@@ -195,6 +197,41 @@ TEST(CountBoundsTest, KernelDispatchParityOnReductions) {
     }
   }
   gf::ForceScalarKernels(was_scalar);
+}
+
+TEST(CountBoundsTest, RowKernelsMatchTheContractDefinitions) {
+  // Both tables instantiate one kernel body, so table-vs-table parity
+  // cannot see a change to the order itself. This pins block_sum and axpy
+  // of every available table to the literal definitions in gf/kernels.h:
+  // element j into accumulator j mod 4, combined (a0 + a1) + (a2 + a3);
+  // dst[j] = fma(src[j], w, dst[j]).
+  std::vector<const gf::GfKernels*> tables = {&gf::ScalarKernels()};
+  if (gf::VectorKernelsAvailable()) tables.push_back(gf::Avx2Kernels());
+  Rng rng(1201);
+  for (size_t n = 0; n <= 41; ++n) {
+    std::vector<double> x(n), dst(n);
+    for (size_t j = 0; j < n; ++j) {
+      x[j] = rng.NextDouble() * (j % 3 == 0 ? 1e-9 : 1.0);
+      dst[j] = rng.NextDouble();
+    }
+    const double w = rng.NextDouble();
+    double acc[4] = {0.0, 0.0, 0.0, 0.0};
+    for (size_t j = 0; j < n; ++j) acc[j & 3] += x[j];
+    const double want_sum = (acc[0] + acc[1]) + (acc[2] + acc[3]);
+    std::vector<double> want_axpy = dst;
+    for (size_t j = 0; j < n; ++j) {
+      want_axpy[j] = std::fma(x[j], w, want_axpy[j]);
+    }
+    for (const gf::GfKernels* k : tables) {
+      EXPECT_EQ(k->block_sum(x.data(), n), want_sum)
+          << k->name << " n=" << n;
+      std::vector<double> got = dst;
+      k->axpy(got.data(), x.data(), n, w);
+      for (size_t j = 0; j < n; ++j) {
+        ASSERT_EQ(got[j], want_axpy[j]) << k->name << " n=" << n;
+      }
+    }
+  }
 }
 
 }  // namespace

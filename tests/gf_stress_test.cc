@@ -8,10 +8,15 @@
 
 #include "common/random.h"
 #include "gf/poisson_binomial.h"
-#include "gf/ugf.h"
+#include "gf/ugf_batch.h"
+#include "single_lane_ugf.h"
 
 namespace updb {
 namespace {
+
+using test_util::Multiply;
+using test_util::ProbLessThan;
+using test_util::SingleLaneUgf;
 
 struct Bracket {
   double lb, ub;
@@ -31,13 +36,13 @@ TEST(UgfStressTest, FactorOrderDoesNotMatter) {
   for (int trial = 0; trial < 20; ++trial) {
     const size_t n = 2 + rng.NextBounded(10);
     auto brackets = RandomBrackets(n, rng);
-    UncertainGeneratingFunction forward;
-    for (const auto& b : brackets) forward.Multiply(b.lb, b.ub);
+    UgfBatch forward = SingleLaneUgf();
+    for (const auto& b : brackets) Multiply(forward, b.lb, b.ub);
     rng.Shuffle(brackets);
-    UncertainGeneratingFunction shuffled;
-    for (const auto& b : brackets) shuffled.Multiply(b.lb, b.ub);
-    const CountDistributionBounds a = forward.Bounds();
-    const CountDistributionBounds c = shuffled.Bounds();
+    UgfBatch shuffled = SingleLaneUgf();
+    for (const auto& b : brackets) Multiply(shuffled, b.lb, b.ub);
+    const CountDistributionBounds a = forward.Bounds(0);
+    const CountDistributionBounds c = shuffled.Bounds(0);
     for (size_t k = 0; k <= n; ++k) {
       EXPECT_NEAR(a.lb(k), c.lb(k), 1e-12);
       EXPECT_NEAR(a.ub(k), c.ub(k), 1e-12);
@@ -47,18 +52,18 @@ TEST(UgfStressTest, FactorOrderDoesNotMatter) {
 
 TEST(UgfStressTest, ManyFactorsRemainNormalized) {
   Rng rng(223);
-  UncertainGeneratingFunction ugf;
+  UgfBatch ugf = SingleLaneUgf();
   const size_t n = 300;
   for (size_t i = 0; i < n; ++i) {
     const double lb = rng.NextDouble() * 0.3;
-    ugf.Multiply(lb, lb + 0.1);
+    Multiply(ugf, lb, lb + 0.1);
   }
   double total = 0.0;
   for (size_t i = 0; i <= n; ++i) {
-    for (size_t j = 0; i + j <= n; ++j) total += ugf.Coefficient(i, j);
+    for (size_t j = 0; i + j <= n; ++j) total += ugf.Coefficient(0, i, j);
   }
   EXPECT_NEAR(total, 1.0, 1e-6);
-  const CountDistributionBounds b = ugf.Bounds();
+  const CountDistributionBounds b = ugf.Bounds(0);
   double lb_sum = 0.0;
   for (size_t k = 0; k <= n; ++k) lb_sum += b.lb(k);
   EXPECT_LE(lb_sum, 1.0 + 1e-6);
@@ -70,16 +75,16 @@ TEST(UgfStressTest, TruncatedOrderInvariance) {
     const size_t n = 5 + rng.NextBounded(20);
     const size_t k = 1 + rng.NextBounded(6);
     auto brackets = RandomBrackets(n, rng);
-    UncertainGeneratingFunction a(k);
-    for (const auto& b : brackets) a.Multiply(b.lb, b.ub);
+    UgfBatch a = SingleLaneUgf(k);
+    for (const auto& b : brackets) Multiply(a, b.lb, b.ub);
     rng.Shuffle(brackets);
-    UncertainGeneratingFunction c(k);
-    for (const auto& b : brackets) c.Multiply(b.lb, b.ub);
-    const ProbabilityBounds pa = a.ProbLessThan(k);
-    const ProbabilityBounds pc = c.ProbLessThan(k);
+    UgfBatch c = SingleLaneUgf(k);
+    for (const auto& b : brackets) Multiply(c, b.lb, b.ub);
+    const ProbabilityBounds pa = ProbLessThan(a, k);
+    const ProbabilityBounds pc = ProbLessThan(c, k);
     EXPECT_NEAR(pa.lb, pc.lb, 1e-12);
     EXPECT_NEAR(pa.ub, pc.ub, 1e-12);
-    EXPECT_NEAR(a.OverflowMass(), c.OverflowMass(), 1e-12);
+    EXPECT_NEAR(a.OverflowMass(0), c.OverflowMass(0), 1e-12);
   }
 }
 
@@ -89,11 +94,11 @@ TEST(UgfStressTest, MonotoneInK) {
   for (int trial = 0; trial < 20; ++trial) {
     const size_t n = 3 + rng.NextBounded(12);
     const auto brackets = RandomBrackets(n, rng);
-    UncertainGeneratingFunction ugf;
-    for (const auto& b : brackets) ugf.Multiply(b.lb, b.ub);
+    UgfBatch ugf = SingleLaneUgf();
+    for (const auto& b : brackets) Multiply(ugf, b.lb, b.ub);
     ProbabilityBounds prev{0.0, 0.0};
     for (size_t m = 0; m <= n + 1; ++m) {
-      const ProbabilityBounds p = ugf.ProbLessThan(m);
+      const ProbabilityBounds p = ProbLessThan(ugf, m);
       EXPECT_GE(p.lb, prev.lb - 1e-12) << "m=" << m;
       EXPECT_GE(p.ub, prev.ub - 1e-12) << "m=" << m;
       prev = p;
@@ -110,14 +115,14 @@ TEST(UgfStressTest, AllThreeConstructionsNest) {
     const size_t n = 1 + rng.NextBounded(12);
     const auto brackets = RandomBrackets(n, rng);
     std::vector<double> lbs(n), ubs(n), truth(n);
-    UncertainGeneratingFunction ugf;
+    UgfBatch ugf = SingleLaneUgf();
     for (size_t i = 0; i < n; ++i) {
       lbs[i] = brackets[i].lb;
       ubs[i] = brackets[i].ub;
       truth[i] = lbs[i] + (ubs[i] - lbs[i]) * rng.NextDouble();
-      ugf.Multiply(lbs[i], ubs[i]);
+      Multiply(ugf, lbs[i], ubs[i]);
     }
-    const CountDistributionBounds u = ugf.Bounds();
+    const CountDistributionBounds u = ugf.Bounds(0);
     const CountDistributionBounds pair = RegularGfPairBounds(lbs, ubs);
     const std::vector<double> pdf = PoissonBinomialPdf(truth);
     EXPECT_TRUE(u.Brackets(pdf, 1e-9));
@@ -163,12 +168,12 @@ TEST(PoissonBinomialStressTest, PrefixConsistentAcrossK) {
 
 TEST(UgfEdgeTest, ZeroWidthAtBoundaries) {
   // Brackets exactly at {0,0} and {1,1} interleaved with unknowns.
-  UncertainGeneratingFunction ugf;
-  ugf.Multiply(0.0, 0.0);
-  ugf.Multiply(1.0, 1.0);
-  ugf.Multiply(0.0, 1.0);
-  ugf.Multiply(1.0, 1.0);
-  const CountDistributionBounds b = ugf.Bounds();
+  UgfBatch ugf = SingleLaneUgf();
+  Multiply(ugf, 0.0, 0.0);
+  Multiply(ugf, 1.0, 1.0);
+  Multiply(ugf, 0.0, 1.0);
+  Multiply(ugf, 1.0, 1.0);
+  const CountDistributionBounds b = ugf.Bounds(0);
   // Two definite + one unknown: count in {2, 3}.
   EXPECT_DOUBLE_EQ(b.ub(0), 0.0);
   EXPECT_DOUBLE_EQ(b.ub(1), 0.0);
@@ -176,10 +181,10 @@ TEST(UgfEdgeTest, ZeroWidthAtBoundaries) {
   EXPECT_DOUBLE_EQ(b.ub(2), 1.0);
   EXPECT_DOUBLE_EQ(b.ub(3), 1.0);
   EXPECT_DOUBLE_EQ(b.ub(4), 0.0);
-  const ProbabilityBounds lt3 = ugf.ProbLessThan(3);
+  const ProbabilityBounds lt3 = ProbLessThan(ugf, 3);
   EXPECT_DOUBLE_EQ(lt3.lb, 0.0);
   EXPECT_DOUBLE_EQ(lt3.ub, 1.0);
-  const ProbabilityBounds lt2 = ugf.ProbLessThan(2);
+  const ProbabilityBounds lt2 = ProbLessThan(ugf, 2);
   EXPECT_DOUBLE_EQ(lt2.ub, 0.0);
 }
 

@@ -182,5 +182,33 @@ TEST(PoissonBinomialTest, KernelDispatchParityOnPdfAndPrefix) {
   gf::ForceScalarKernels(was_scalar);
 }
 
+TEST(PoissonBinomialTest, ShiftMulAddMatchesTheContractDefinition) {
+  // Both tables instantiate one kernel body, so table-vs-table parity
+  // cannot see a change to the order itself. This pins shift_mul_add of
+  // every available table to the literal definition in gf/kernels.h:
+  // x[k] = fma(x[k-1], a, x[k] * b) for k = n-1..1, then x[0] *= b.
+  std::vector<const gf::GfKernels*> tables = {&gf::ScalarKernels()};
+  if (gf::VectorKernelsAvailable()) tables.push_back(gf::Avx2Kernels());
+  Rng rng(283);
+  for (size_t n = 0; n <= 41; ++n) {
+    std::vector<double> x(n);
+    for (double& v : x) v = rng.NextDouble();
+    const double a = rng.NextDouble();
+    const double b = 1.0 - a;
+    std::vector<double> want = x;
+    for (size_t k = n; k-- > 1;) {
+      want[k] = std::fma(want[k - 1], a, want[k] * b);
+    }
+    if (n > 0) want[0] *= b;
+    for (const gf::GfKernels* t : tables) {
+      std::vector<double> got = x;
+      t->shift_mul_add(got.data(), n, a, b);
+      for (size_t k = 0; k < n; ++k) {
+        ASSERT_EQ(got[k], want[k]) << t->name << " n=" << n << " k=" << k;
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace updb

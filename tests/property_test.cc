@@ -6,6 +6,7 @@
 
 #include <tuple>
 
+#include "single_lane_ugf.h"
 #include "updb.h"
 
 namespace updb {
@@ -175,14 +176,16 @@ INSTANTIATE_TEST_SUITE_P(Depths, PDomDepthTest, ::testing::Values(0, 1, 2, 3));
 class UgfEnumerationTest : public ::testing::TestWithParam<size_t> {};
 
 TEST_P(UgfEnumerationTest, CoefficientsMatchThreeStateEnumeration) {
+  using test_util::Multiply;
+  using test_util::SingleLaneUgf;
   const size_t n = GetParam();
   Rng rng(900 + n);
   std::vector<double> lbs(n), ubs(n);
-  UncertainGeneratingFunction ugf;
+  UgfBatch ugf = SingleLaneUgf();
   for (size_t i = 0; i < n; ++i) {
     lbs[i] = rng.NextDouble();
     ubs[i] = lbs[i] + (1.0 - lbs[i]) * rng.NextDouble();
-    ugf.Multiply(lbs[i], ubs[i]);
+    Multiply(ugf, lbs[i], ubs[i]);
   }
   // Enumerate all 3^n assignments (definite-1, definite-0, unknown).
   std::vector<std::vector<double>> expected(n + 1,
@@ -213,7 +216,7 @@ TEST_P(UgfEnumerationTest, CoefficientsMatchThreeStateEnumeration) {
   }
   for (size_t i = 0; i <= n; ++i) {
     for (size_t j = 0; i + j <= n; ++j) {
-      EXPECT_NEAR(ugf.Coefficient(i, j), expected[i][j], 1e-12)
+      EXPECT_NEAR(ugf.Coefficient(0, i, j), expected[i][j], 1e-12)
           << "i=" << i << " j=" << j;
     }
   }

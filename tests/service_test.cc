@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <limits>
 #include <memory>
 #include <string_view>
 #include <thread>
@@ -393,6 +394,44 @@ TEST(QueryServiceTest, RejectsInvalidRequests) {
   EXPECT_EQ(service.Submit(std::move(bad_k)).status().code(),
             StatusCode::kInvalidArgument);
   EXPECT_EQ(service.metrics().Snapshot().invalid, 3u);
+}
+
+TEST(QueryServiceTest, NonFiniteTauAndNanDeadlineAreInvalid) {
+  // A NaN tau slips past a plain range test and then can never decide, so
+  // the request would burn its whole iteration budget to answer
+  // kUndecided; a NaN deadline would be silently ignored. Both kinds of
+  // threshold request must instead be refused at admission, which a trace
+  // replay records as a kInvalid response.
+  const auto db = MakeDb(10, 0.05);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  std::vector<QueryRequest> trace;
+  for (double tau : {nan, inf, -inf}) {
+    trace.push_back(KnnRequest(MakeQuery(0.5, 0.5, 0.05), 1, tau, 2));
+    QueryRequest rknn = KnnRequest(MakeQuery(0.5, 0.5, 0.05), 1, tau, 2);
+    rknn.kind = QueryKind::kThresholdRknn;
+    trace.push_back(std::move(rknn));
+  }
+  for (QueryKind kind : {QueryKind::kThresholdKnn, QueryKind::kThresholdRknn,
+                         QueryKind::kExpectedRank}) {
+    QueryRequest req = KnnRequest(MakeQuery(0.5, 0.5, 0.05), 1, 0.5, 2);
+    req.kind = kind;
+    req.budget.deadline_ms = nan;
+    trace.push_back(std::move(req));
+  }
+  // A well-formed request in the same trace still answers.
+  trace.push_back(KnnRequest(MakeQuery(0.5, 0.5, 0.05), 1, 0.5, 2));
+
+  QueryService service(PinnedSnapshot(db), {});
+  const ReplayResult result = ReplayTrace(service, trace, /*qps=*/0.0);
+  ASSERT_EQ(result.responses.size(), trace.size());
+  for (size_t i = 0; i + 1 < trace.size(); ++i) {
+    EXPECT_EQ(result.responses[i].status, ResponseStatus::kInvalid)
+        << "i=" << i;
+  }
+  EXPECT_EQ(result.responses.back().status, ResponseStatus::kOk);
+  EXPECT_EQ(result.invalid, trace.size() - 1);
+  EXPECT_EQ(service.metrics().Snapshot().invalid, trace.size() - 1);
 }
 
 TEST(QueryServiceTest, MetricsSnapshotAndJson) {

@@ -1,5 +1,5 @@
-// Verifies the UGF engines' zero-allocation contract: once a workspace has
-// been grown to its high-water mark and rewound with Reset()/Begin(),
+// Verifies the UGF workspace's zero-allocation contract: once a UgfBatch
+// has been grown to its high-water mark and rewound with Begin(),
 // replaying a factor sequence of the same (or smaller) size calls the
 // allocator exactly zero times. This is the property that lets the IDCA
 // refinement loop reuse one workspace across every (B', R') partition pair
@@ -20,7 +20,6 @@
 
 #include "common/random.h"
 #include "gf/aligned_vec.h"
-#include "gf/ugf.h"
 #include "gf/ugf_batch.h"
 
 namespace {
@@ -67,10 +66,10 @@ namespace {
 
 /// Replays `factors` into the workspace and returns the number of heap
 /// allocations the replay performed.
-size_t AllocationsDuringReplay(UncertainGeneratingFunction& ugf,
+size_t AllocationsDuringReplay(UgfBatch& ugf,
                                const std::vector<ProbabilityBounds>& factors) {
   const size_t before = g_allocations.load(std::memory_order_relaxed);
-  for (const ProbabilityBounds& f : factors) ugf.Multiply(f);
+  for (const ProbabilityBounds& f : factors) ugf.MultiplyFactors(&f.lb, &f.ub);
   return g_allocations.load(std::memory_order_relaxed) - before;
 }
 
@@ -95,22 +94,24 @@ std::vector<ProbabilityBounds> RandomFactors(size_t n, uint64_t seed) {
 
 TEST(UgfAllocTest, UntruncatedMultiplyIsAllocationFreeOnReuse) {
   const std::vector<ProbabilityBounds> factors = RandomFactors(96, 211);
-  UncertainGeneratingFunction ugf;
+  UgfBatch ugf;
+  ugf.Begin(UgfBatch::kNoTruncation, 1);
   // Warm-up pass: grows the workspace to its high-water mark.
-  for (const ProbabilityBounds& f : factors) ugf.Multiply(f);
-  ugf.Reset();
+  AllocationsDuringReplay(ugf, factors);
+  ugf.Begin(UgfBatch::kNoTruncation, 1);
   EXPECT_EQ(AllocationsDuringReplay(ugf, factors), 0u);
-  // And again — Reset() itself must not shrink anything.
-  ugf.Reset();
+  // And again — Begin() itself must not shrink anything.
+  ugf.Begin(UgfBatch::kNoTruncation, 1);
   EXPECT_EQ(AllocationsDuringReplay(ugf, factors), 0u);
 }
 
 TEST(UgfAllocTest, TruncatedMultiplyIsAllocationFreeOnReuse) {
   const std::vector<ProbabilityBounds> factors = RandomFactors(96, 223);
   for (size_t k : {size_t{1}, size_t{3}, size_t{9}}) {
-    UncertainGeneratingFunction ugf(k);
-    for (const ProbabilityBounds& f : factors) ugf.Multiply(f);
-    ugf.Reset();
+    UgfBatch ugf;
+    ugf.Begin(k, 1);
+    AllocationsDuringReplay(ugf, factors);
+    ugf.Begin(k, 1);
     EXPECT_EQ(AllocationsDuringReplay(ugf, factors), 0u) << "k=" << k;
   }
 }
@@ -118,9 +119,10 @@ TEST(UgfAllocTest, TruncatedMultiplyIsAllocationFreeOnReuse) {
 TEST(UgfAllocTest, SmallerReplayAfterLargeWarmupIsAllocationFree) {
   const std::vector<ProbabilityBounds> big = RandomFactors(120, 227);
   const std::vector<ProbabilityBounds> small = RandomFactors(40, 229);
-  UncertainGeneratingFunction ugf;
-  for (const ProbabilityBounds& f : big) ugf.Multiply(f);
-  ugf.Reset();
+  UgfBatch ugf;
+  ugf.Begin(UgfBatch::kNoTruncation, 1);
+  AllocationsDuringReplay(ugf, big);
+  ugf.Begin(UgfBatch::kNoTruncation, 1);
   EXPECT_EQ(AllocationsDuringReplay(ugf, small), 0u);
 }
 

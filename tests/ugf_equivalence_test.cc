@@ -1,7 +1,6 @@
-// Bit-identity of every UGF implementation against every other: the flat
-// workspace UGF (gf/ugf.h), the nested-vector reference oracle
-// (gf/ugf_reference.h) and the lane-batched SoA engine (gf/ugf_batch.h)
-// all follow the blocked accumulation order of gf/kernels.h, so every
+// Bit-identity of the library's UGF workspace (UgfBatch, gf/ugf_batch.h)
+// against the nested-vector reference oracle (gf/ugf_reference.h). Both
+// follow the blocked accumulation order of gf/kernels.h, so every
 // comparison here is exact (EXPECT_EQ on doubles) — no tolerances. Every
 // check runs under both dispatch tables (ForceScalarKernels on/off), which
 // is the contract the AVX2+FMA kernels are held to: identical bits to the
@@ -9,9 +8,9 @@
 //
 // Coverage: every factor-sequence size 1..130 (untruncated and a spread of
 // truncation depths including k = 1), the degenerate (0,0)/(1,1) fast
-// paths in isolation and interleaved, batch lane counts 1..4 with
-// deliberately mixed degenerate/general lanes, and a seeded randomized
-// long-run stress mix.
+// paths in isolation and interleaved, lane counts 1..4 with deliberately
+// mixed degenerate/general lanes, workspace reuse across Begin(), and a
+// seeded randomized long-run stress mix.
 
 #include <gtest/gtest.h>
 
@@ -20,7 +19,6 @@
 
 #include "common/random.h"
 #include "gf/kernels.h"
-#include "gf/ugf.h"
 #include "gf/ugf_batch.h"
 #include "gf/ugf_reference.h"
 
@@ -31,6 +29,8 @@ struct Factor {
   double lb;
   double ub;
 };
+
+using Sequences = std::vector<std::vector<Factor>>;
 
 /// Draws a factor: ~20% definite non-dominator (0,0), ~20% definite
 /// dominator (1,1), ~20% exact (p,p), rest a general bracket.
@@ -71,68 +71,26 @@ void ForEachDispatchMode(Fn&& fn) {
   gf::ForceScalarKernels(was_scalar);
 }
 
-void ExpectIdentical(const UncertainGeneratingFunction& flat,
-                     const NestedVectorUgf& ref, size_t max_rank) {
-  ASSERT_EQ(flat.num_factors(), ref.num_factors());
-  EXPECT_EQ(flat.OverflowMass(), ref.OverflowMass());
-  for (size_t i = 0; i <= max_rank; ++i) {
-    for (size_t j = 0; j <= max_rank - i; ++j) {
-      ASSERT_EQ(flat.Coefficient(i, j), ref.Coefficient(i, j))
-          << "i=" << i << " j=" << j;
-    }
-  }
-  const CountDistributionBounds fb = flat.Bounds();
-  const CountDistributionBounds rb = ref.Bounds();
-  ASSERT_EQ(fb.num_ranks(), rb.num_ranks());
-  for (size_t x = 0; x < fb.num_ranks(); ++x) {
-    ASSERT_EQ(fb.lb(x), rb.lb(x)) << "x=" << x;
-    ASSERT_EQ(fb.ub(x), rb.ub(x)) << "x=" << x;
-  }
-}
-
-/// Full flat-vs-reference check of one factor sequence under one
-/// truncation setting, including ProbLessThan at every admissible m.
-void CheckFlatAgainstReference(const std::vector<Factor>& factors, size_t k) {
-  const bool truncated = k != UncertainGeneratingFunction::kNoTruncation;
-  UncertainGeneratingFunction flat(k);
-  NestedVectorUgf ref(k);
-  for (const Factor& f : factors) {
-    flat.Multiply(f.lb, f.ub);
-    ref.Multiply(f.lb, f.ub);
-  }
-  ExpectIdentical(flat, ref, truncated ? k : factors.size());
-  const size_t m_max = truncated ? k : factors.size() + 1;
-  for (size_t m = 0; m <= m_max; ++m) {
-    const ProbabilityBounds pf = flat.ProbLessThan(m);
-    const ProbabilityBounds pr = ref.ProbLessThan(m);
-    ASSERT_EQ(pf.lb, pr.lb) << "m=" << m;
-    ASSERT_EQ(pf.ub, pr.ub) << "m=" << m;
-  }
-}
-
-/// Runs `lanes` factor sequences through one UgfBatch and through `lanes`
-/// scalar flat UGFs; every lane must reproduce its scalar UGF bit for bit
-/// in coefficients, overflow, per-rank bounds and ProbLessThan.
-void CheckBatchAgainstFlat(const std::vector<std::vector<Factor>>& seqs,
-                           size_t k) {
+/// Runs `seqs` (1..kLanes equal-length factor sequences) through `batch`
+/// and through one NestedVectorUgf each; every lane must reproduce its
+/// oracle bit for bit in coefficients, overflow, per-rank bounds and
+/// ProbLessThan at every admissible m.
+void CheckBatchAgainstReference(UgfBatch& batch, const Sequences& seqs,
+                                size_t k) {
   const size_t lanes = seqs.size();
   const size_t n = seqs[0].size();
-  const bool truncated = k != UncertainGeneratingFunction::kNoTruncation;
+  const bool truncated = k != UgfBatch::kNoTruncation;
 
-  UgfBatch batch;
-  batch.Begin(truncated ? k : UgfBatch::kNoTruncation, lanes);
-  std::vector<UncertainGeneratingFunction> singles(lanes);
-  for (size_t l = 0; l < lanes; ++l) {
-    singles[l].Reset(truncated ? k
-                               : UncertainGeneratingFunction::kNoTruncation);
-  }
+  batch.Begin(k, lanes);
+  std::vector<NestedVectorUgf> refs;
+  for (size_t l = 0; l < lanes; ++l) refs.emplace_back(k);
   for (size_t i = 0; i < n; ++i) {
     double lb4[UgfBatch::kLanes] = {};
     double ub4[UgfBatch::kLanes] = {};
     for (size_t l = 0; l < lanes; ++l) {
       lb4[l] = seqs[l][i].lb;
       ub4[l] = seqs[l][i].ub;
-      singles[l].Multiply(seqs[l][i].lb, seqs[l][i].ub);
+      refs[l].Multiply(seqs[l][i].lb, seqs[l][i].ub);
     }
     batch.MultiplyFactors(lb4, ub4);
   }
@@ -140,42 +98,48 @@ void CheckBatchAgainstFlat(const std::vector<std::vector<Factor>>& seqs,
   ASSERT_EQ(batch.num_factors(), n);
   const size_t nr = batch.num_ranks();
   batch.FinishBounds();
-  ProbabilityBounds lt[UgfBatch::kLanes];
   const size_t max_rank = truncated ? k : n;
   for (size_t l = 0; l < lanes; ++l) {
-    EXPECT_EQ(batch.OverflowMass(l), singles[l].OverflowMass()) << "l=" << l;
+    ASSERT_EQ(refs[l].num_factors(), n);
+    EXPECT_EQ(batch.OverflowMass(l), refs[l].OverflowMass()) << "l=" << l;
     for (size_t i = 0; i <= max_rank; ++i) {
       for (size_t j = 0; j <= max_rank - i; ++j) {
-        ASSERT_EQ(batch.Coefficient(l, i, j), singles[l].Coefficient(i, j))
+        ASSERT_EQ(batch.Coefficient(l, i, j), refs[l].Coefficient(i, j))
             << "l=" << l << " i=" << i << " j=" << j;
       }
     }
     CountDistributionBounds bb = CountDistributionBounds::Zero(nr);
     batch.EmitBounds(l, &bb);
-    const CountDistributionBounds sb = singles[l].Bounds();
-    ASSERT_EQ(sb.num_ranks(), nr);
+    const CountDistributionBounds rb = refs[l].Bounds();
+    ASSERT_EQ(rb.num_ranks(), nr);
     for (size_t x = 0; x < nr; ++x) {
-      ASSERT_EQ(bb.lb(x), sb.lb(x)) << "l=" << l << " x=" << x;
-      ASSERT_EQ(bb.ub(x), sb.ub(x)) << "l=" << l << " x=" << x;
+      ASSERT_EQ(bb.lb(x), rb.lb(x)) << "l=" << l << " x=" << x;
+      ASSERT_EQ(bb.ub(x), rb.ub(x)) << "l=" << l << " x=" << x;
     }
   }
+  ProbabilityBounds lt[UgfBatch::kLanes];
   const size_t m_max = truncated ? k : n + 1;
   for (size_t m = 0; m <= m_max; ++m) {
     batch.ProbLessThanAll(m, lt);
     for (size_t l = 0; l < lanes; ++l) {
-      const ProbabilityBounds ps = singles[l].ProbLessThan(m);
-      ASSERT_EQ(lt[l].lb, ps.lb) << "l=" << l << " m=" << m;
-      ASSERT_EQ(lt[l].ub, ps.ub) << "l=" << l << " m=" << m;
+      const ProbabilityBounds pr = refs[l].ProbLessThan(m);
+      ASSERT_EQ(lt[l].lb, pr.lb) << "l=" << l << " m=" << m;
+      ASSERT_EQ(lt[l].ub, pr.ub) << "l=" << l << " m=" << m;
     }
   }
+}
+
+void CheckBatchAgainstReference(const Sequences& seqs, size_t k) {
+  UgfBatch batch;
+  CheckBatchAgainstReference(batch, seqs, k);
 }
 
 TEST(UgfEquivalenceTest, EverySizeUntruncated) {
   ForEachDispatchMode([] {
     for (size_t n = 1; n <= 130; ++n) {
       Rng rng(1000 + n);
-      CheckFlatAgainstReference(DrawSequence(rng, n),
-                                UncertainGeneratingFunction::kNoTruncation);
+      CheckBatchAgainstReference({DrawSequence(rng, n)},
+                                 UgfBatch::kNoTruncation);
       if (HasFatalFailure()) return;
     }
   });
@@ -187,7 +151,7 @@ TEST(UgfEquivalenceTest, EverySizeTruncated) {
       Rng rng(5000 + n);
       const std::vector<Factor> factors = DrawSequence(rng, n);
       for (size_t k : {size_t{1}, size_t{2}, size_t{7}, n / 2 + 1, n + 1}) {
-        CheckFlatAgainstReference(factors, k);
+        CheckBatchAgainstReference({factors}, k);
         if (HasFatalFailure()) return;
       }
     }
@@ -195,12 +159,13 @@ TEST(UgfEquivalenceTest, EverySizeTruncated) {
 }
 
 TEST(UgfEquivalenceTest, DegenerateFastPathSequences) {
-  // All-(0,0), all-(1,1) and strict alternations exercise the flat and
-  // batch symbolic fast paths; a degenerate prefix before a general tail
-  // exercises the transition out of them.
+  // All-(0,0), all-(1,1) and strict alternations exercise the symbolic
+  // fast paths; a degenerate prefix before a general tail exercises the
+  // transition out of them. Each shape also runs beside a general lane,
+  // where the degenerate factors multiply through materially instead.
   ForEachDispatchMode([] {
     for (size_t n : {size_t{1}, size_t{2}, size_t{5}, size_t{33}}) {
-      std::vector<std::vector<Factor>> shapes;
+      Sequences shapes;
       shapes.push_back(std::vector<Factor>(n, Factor{0.0, 0.0}));
       shapes.push_back(std::vector<Factor>(n, Factor{1.0, 1.0}));
       std::vector<Factor> alt;
@@ -212,20 +177,19 @@ TEST(UgfEquivalenceTest, DegenerateFastPathSequences) {
       std::vector<Factor> mixed(n, Factor{0.0, 0.0});
       for (size_t i = n / 2; i < n; ++i) mixed[i] = DrawFactor(rng);
       shapes.push_back(mixed);
+      const std::vector<Factor> general = DrawSequence(rng, n);
       for (const std::vector<Factor>& factors : shapes) {
-        CheckFlatAgainstReference(factors,
-                                  UncertainGeneratingFunction::kNoTruncation);
-        CheckFlatAgainstReference(factors, size_t{1});
-        CheckFlatAgainstReference(factors, n / 2 + 1);
-        CheckBatchAgainstFlat({factors},
-                              UncertainGeneratingFunction::kNoTruncation);
-        if (HasFatalFailure()) return;
+        for (size_t k : {UgfBatch::kNoTruncation, size_t{1}, n / 2 + 1}) {
+          CheckBatchAgainstReference({factors}, k);
+          CheckBatchAgainstReference({factors, general}, k);
+          if (HasFatalFailure()) return;
+        }
       }
     }
   });
 }
 
-TEST(UgfEquivalenceTest, BatchLanesMatchScalarLaneByLane) {
+TEST(UgfEquivalenceTest, BatchLanesMatchReferenceLaneByLane) {
   // Every lane count 1..4, with lanes deliberately mixing all-degenerate
   // sequences against general ones so group fast paths, materialized
   // degenerate factors and padding lanes all get hit.
@@ -234,7 +198,7 @@ TEST(UgfEquivalenceTest, BatchLanesMatchScalarLaneByLane) {
     for (int trial = 0; trial < 24; ++trial) {
       const size_t lanes = 1 + trial % UgfBatch::kLanes;
       const size_t n = 1 + rng.NextBounded(48);
-      std::vector<std::vector<Factor>> seqs;
+      Sequences seqs;
       for (size_t l = 0; l < lanes; ++l) {
         const double shape = rng.NextDouble();
         if (shape < 0.15) {
@@ -245,17 +209,18 @@ TEST(UgfEquivalenceTest, BatchLanesMatchScalarLaneByLane) {
           seqs.push_back(DrawSequence(rng, n));
         }
       }
-      CheckBatchAgainstFlat(seqs, UncertainGeneratingFunction::kNoTruncation);
-      CheckBatchAgainstFlat(seqs, size_t{1});
-      CheckBatchAgainstFlat(seqs, 1 + rng.NextBounded(n + 1));
+      CheckBatchAgainstReference(seqs, UgfBatch::kNoTruncation);
+      CheckBatchAgainstReference(seqs, size_t{1});
+      CheckBatchAgainstReference(seqs, 1 + rng.NextBounded(n + 1));
       if (HasFatalFailure()) return;
     }
   });
 }
 
 TEST(UgfEquivalenceTest, BatchWorkspaceReuseStaysBitIdentical) {
-  // The same UgfBatch replays sequences of varying size and truncation via
-  // Begin(); results must not depend on what the buffers held before.
+  // The same UgfBatch replays sequences of varying size, lane count and
+  // truncation via Begin(); results must not depend on what the buffers
+  // held before.
   ForEachDispatchMode([] {
     Rng rng(515);
     UgfBatch batch;
@@ -265,14 +230,32 @@ TEST(UgfEquivalenceTest, BatchWorkspaceReuseStaysBitIdentical) {
       const bool truncated = rng.Bernoulli(0.5);
       const size_t k =
           truncated ? 1 + rng.NextBounded(12) : UgfBatch::kNoTruncation;
-      std::vector<std::vector<Factor>> seqs;
-      std::vector<UncertainGeneratingFunction> singles(lanes);
-      for (size_t l = 0; l < lanes; ++l) {
-        seqs.push_back(DrawSequence(rng, n));
-        singles[l].Reset(truncated
-                             ? k
-                             : UncertainGeneratingFunction::kNoTruncation);
-      }
+      Sequences seqs;
+      for (size_t l = 0; l < lanes; ++l) seqs.push_back(DrawSequence(rng, n));
+      CheckBatchAgainstReference(batch, seqs, k);
+      if (HasFatalFailure()) return;
+    }
+  });
+}
+
+TEST(UgfEquivalenceTest, ScalarAndVectorDispatchProduceIdenticalBits) {
+  // Direct scalar-vs-vector comparison (not via the reference): the same
+  // sequences evaluated under both tables must agree bit for bit on every
+  // lane's bounds. Skipped where no vector table exists.
+  if (!gf::VectorKernelsAvailable()) GTEST_SKIP() << "no vector kernels";
+  const bool was_scalar = &gf::ActiveKernels() == &gf::ScalarKernels();
+  Rng rng(8080);
+  for (int trial = 0; trial < 20; ++trial) {
+    const size_t lanes = 1 + trial % UgfBatch::kLanes;
+    const size_t n = 1 + rng.NextBounded(100);
+    const bool truncated = rng.Bernoulli(0.5);
+    const size_t k =
+        truncated ? 1 + rng.NextBounded(16) : UgfBatch::kNoTruncation;
+    Sequences seqs;
+    for (size_t l = 0; l < lanes; ++l) seqs.push_back(DrawSequence(rng, n));
+    auto eval = [&](bool scalar) {
+      gf::ForceScalarKernels(scalar);
+      UgfBatch batch;
       batch.Begin(k, lanes);
       for (size_t i = 0; i < n; ++i) {
         double lb4[UgfBatch::kLanes] = {};
@@ -280,69 +263,42 @@ TEST(UgfEquivalenceTest, BatchWorkspaceReuseStaysBitIdentical) {
         for (size_t l = 0; l < lanes; ++l) {
           lb4[l] = seqs[l][i].lb;
           ub4[l] = seqs[l][i].ub;
-          singles[l].Multiply(seqs[l][i].lb, seqs[l][i].ub);
         }
         batch.MultiplyFactors(lb4, ub4);
       }
-      batch.FinishBounds();
-      const size_t nr = batch.num_ranks();
-      for (size_t l = 0; l < lanes; ++l) {
-        CountDistributionBounds bb = CountDistributionBounds::Zero(nr);
-        batch.EmitBounds(l, &bb);
-        const CountDistributionBounds sb = singles[l].Bounds();
-        ASSERT_EQ(sb.num_ranks(), nr);
-        for (size_t x = 0; x < nr; ++x) {
-          ASSERT_EQ(bb.lb(x), sb.lb(x)) << "l=" << l << " x=" << x;
-          ASSERT_EQ(bb.ub(x), sb.ub(x)) << "l=" << l << " x=" << x;
-        }
-      }
-    }
-  });
-}
-
-TEST(UgfEquivalenceTest, ScalarAndVectorDispatchProduceIdenticalBits) {
-  // Direct scalar-vs-vector comparison (not via the reference): the same
-  // sequence evaluated under both tables must agree bit for bit on bounds
-  // and coefficients. Skipped where no vector table exists.
-  if (!gf::VectorKernelsAvailable()) GTEST_SKIP() << "no vector kernels";
-  const bool was_scalar = &gf::ActiveKernels() == &gf::ScalarKernels();
-  Rng rng(8080);
-  for (int trial = 0; trial < 20; ++trial) {
-    const size_t n = 1 + rng.NextBounded(100);
-    const bool truncated = rng.Bernoulli(0.5);
-    const size_t k = truncated ? 1 + rng.NextBounded(16)
-                               : UncertainGeneratingFunction::kNoTruncation;
-    const std::vector<Factor> factors = DrawSequence(rng, n);
-    auto eval = [&](bool scalar) {
-      gf::ForceScalarKernels(scalar);
-      UncertainGeneratingFunction ugf(k);
-      for (const Factor& f : factors) ugf.Multiply(f.lb, f.ub);
-      return ugf.Bounds();
+      std::vector<CountDistributionBounds> out;
+      for (size_t l = 0; l < lanes; ++l) out.push_back(batch.Bounds(l));
+      return out;
     };
-    const CountDistributionBounds s = eval(true);
-    const CountDistributionBounds v = eval(false);
-    ASSERT_EQ(s.num_ranks(), v.num_ranks());
-    for (size_t x = 0; x < s.num_ranks(); ++x) {
-      ASSERT_EQ(s.lb(x), v.lb(x)) << "x=" << x;
-      ASSERT_EQ(s.ub(x), v.ub(x)) << "x=" << x;
+    const std::vector<CountDistributionBounds> s = eval(true);
+    const std::vector<CountDistributionBounds> v = eval(false);
+    for (size_t l = 0; l < lanes; ++l) {
+      ASSERT_EQ(s[l].num_ranks(), v[l].num_ranks());
+      for (size_t x = 0; x < s[l].num_ranks(); ++x) {
+        ASSERT_EQ(s[l].lb(x), v[l].lb(x)) << "l=" << l << " x=" << x;
+        ASSERT_EQ(s[l].ub(x), v[l].ub(x)) << "l=" << l << " x=" << x;
+      }
     }
   }
   gf::ForceScalarKernels(was_scalar);
 }
 
 TEST(UgfEquivalenceTest, RandomizedLongRunStress) {
-  // Long mixed sequences with random truncation, flat vs reference vs a
-  // single-lane batch, everything bit-exact.
+  // Long mixed sequences with random truncation, one lane and a full lane
+  // group, everything bit-exact against the reference.
   ForEachDispatchMode([] {
     Rng rng(997);
     for (int trial = 0; trial < 12; ++trial) {
       const size_t n = 60 + rng.NextBounded(71);  // 60..130
       const bool truncated = rng.Bernoulli(0.5);
-      const size_t k = truncated ? 1 + rng.NextBounded(24)
-                                 : UncertainGeneratingFunction::kNoTruncation;
-      const std::vector<Factor> factors = DrawSequence(rng, n);
-      CheckFlatAgainstReference(factors, k);
-      CheckBatchAgainstFlat({factors}, k);
+      const size_t k =
+          truncated ? 1 + rng.NextBounded(24) : UgfBatch::kNoTruncation;
+      Sequences seqs;
+      for (size_t l = 0; l < UgfBatch::kLanes; ++l) {
+        seqs.push_back(DrawSequence(rng, n));
+      }
+      CheckBatchAgainstReference({seqs[0]}, k);
+      CheckBatchAgainstReference(seqs, k);
       if (HasFatalFailure()) return;
     }
   });
