@@ -1,6 +1,7 @@
 #include "io/dataset_io.h"
 
 #include <cerrno>
+#include <cmath>
 #include <cstring>
 #include <fstream>
 #include <sstream>
@@ -11,11 +12,17 @@ namespace io {
 
 namespace {
 
-/// Appends a double with full round-trip precision.
-void AppendDouble(std::string& out, double v) {
+/// Appends a double with full round-trip precision. NaN and infinities
+/// are refused: the parser rejects them, so such a line could never be
+/// loaded back.
+Status AppendDouble(std::string& out, double v) {
+  if (!std::isfinite(v)) {
+    return Status::InvalidArgument("non-finite number in object");
+  }
   char buf[32];
   std::snprintf(buf, sizeof(buf), "%.17g", v);
   out += buf;
+  return Status::OK();
 }
 
 /// Splits a CSV line into fields.
@@ -58,6 +65,12 @@ class FieldCursor {
     const double v = std::strtod(f.c_str(), &end);
     if (end == f.c_str() || *end != '\0' || errno == ERANGE) {
       return Status::InvalidArgument("not a number: '" + f + "'");
+    }
+    // strtod accepts "nan" and "inf"; no field of the format may be
+    // either, and downstream code (PDF construction, geometry) assumes
+    // finite values.
+    if (!std::isfinite(v)) {
+      return Status::InvalidArgument("non-finite number: '" + f + "'");
     }
     ++pos_;
     *out = v;
@@ -120,13 +133,14 @@ const char* PdfTag(const Pdf& pdf) {
   return nullptr;
 }
 
-void AppendRect(const Rect& r, std::string& out) {
+Status AppendRect(const Rect& r, std::string& out) {
   for (size_t i = 0; i < r.dim(); ++i) {
     out += ',';
-    AppendDouble(out, r.side(i).lo());
+    UPDB_RETURN_IF_ERROR(AppendDouble(out, r.side(i).lo()));
     out += ',';
-    AppendDouble(out, r.side(i).hi());
+    UPDB_RETURN_IF_ERROR(AppendDouble(out, r.side(i).hi()));
   }
+  return Status::OK();
 }
 
 /// Appends the type-specific payload (the fields after the tag). Shared
@@ -135,34 +149,34 @@ void AppendRect(const Rect& r, std::string& out) {
 /// SaveDatabase accepts is guaranteed loadable.
 Status AppendPayload(const Pdf& pdf, std::string& out, int depth) {
   if (const auto* u = dynamic_cast<const UniformPdf*>(&pdf)) {
-    AppendRect(u->bounds(), out);
-    return Status::OK();
+    return AppendRect(u->bounds(), out);
   }
   if (const auto* g = dynamic_cast<const TruncatedGaussianPdf*>(&pdf)) {
-    AppendRect(g->bounds(), out);
+    UPDB_RETURN_IF_ERROR(AppendRect(g->bounds(), out));
     // Recovering mean/sigma via Mass() is not possible; serialize the
     // moments we can reconstruct the object from. TruncatedGaussianPdf
     // exposes them for this purpose.
     for (double m : g->mean()) {
       out += ',';
-      AppendDouble(out, m);
+      UPDB_RETURN_IF_ERROR(AppendDouble(out, m));
     }
     for (double s : g->sigma()) {
       out += ',';
-      AppendDouble(out, s);
+      UPDB_RETURN_IF_ERROR(AppendDouble(out, s));
     }
     return Status::OK();
   }
   if (const auto* d = dynamic_cast<const DiscreteSamplePdf*>(&pdf)) {
     const size_t dim = d->bounds().dim();
     out += ',';
-    AppendDouble(out, static_cast<double>(d->samples().size()));
+    UPDB_RETURN_IF_ERROR(
+        AppendDouble(out, static_cast<double>(d->samples().size())));
     for (size_t s = 0; s < d->samples().size(); ++s) {
       out += ',';
-      AppendDouble(out, d->weights()[s]);
+      UPDB_RETURN_IF_ERROR(AppendDouble(out, d->weights()[s]));
       for (size_t i = 0; i < dim; ++i) {
         out += ',';
-        AppendDouble(out, d->samples()[s][i]);
+        UPDB_RETURN_IF_ERROR(AppendDouble(out, d->samples()[s][i]));
       }
     }
     return Status::OK();
@@ -173,10 +187,11 @@ Status AppendPayload(const Pdf& pdf, std::string& out, int depth) {
                                    "format");
     }
     out += ',';
-    AppendDouble(out, static_cast<double>(m->num_components()));
+    UPDB_RETURN_IF_ERROR(
+        AppendDouble(out, static_cast<double>(m->num_components())));
     for (size_t c = 0; c < m->num_components(); ++c) {
       out += ',';
-      AppendDouble(out, m->weights()[c]);
+      UPDB_RETURN_IF_ERROR(AppendDouble(out, m->weights()[c]));
       const Pdf& comp = *m->components()[c];
       const char* tag = PdfTag(comp);
       if (tag == nullptr) {
@@ -289,9 +304,9 @@ StatusOr<std::string> SerializeObject(const UncertainObject& object) {
   }
   std::string out = tag;
   out += ',';
-  AppendDouble(out, object.existence());
+  UPDB_RETURN_IF_ERROR(AppendDouble(out, object.existence()));
   out += ',';
-  AppendDouble(out, static_cast<double>(object.dim()));
+  UPDB_RETURN_IF_ERROR(AppendDouble(out, static_cast<double>(object.dim())));
   UPDB_RETURN_IF_ERROR(AppendPayload(pdf, out, /*depth=*/0));
   return out;
 }

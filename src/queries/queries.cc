@@ -39,6 +39,39 @@ std::vector<ObjectId> KnnCandidates(const UncertainDatabase& db,
   return candidates;
 }
 
+/// True iff `a` intersects `b` expanded by `reach` in every dimension —
+/// the box [b.lo - reach, b.hi + reach] per side, tested without building
+/// it.
+bool IntersectsExpanded(const Rect& a, const Rect& b, double reach) {
+  for (size_t i = 0; i < b.dim(); ++i) {
+    const Interval& side = b.side(i);
+    if (!(side.lo() - reach <= a.side(i).hi() &&
+          a.side(i).lo() <= side.hi() + reach)) {
+      return false;
+    }
+  }
+  return true;
+}
+
+/// A distance no MinDist(a, b) exceeds for any `a` that passes
+/// IntersectsExpanded(a, b, reach). Such an `a` lies within the rounded
+/// box, so its gap to b in dimension i is at most G_i, the larger
+/// overhang of the rounded box side beyond b's side (about reach).
+/// MinDist sums Pow(gap_i) and takes Root, all monotone, so
+/// Root(sum Pow(G_i)) bounds it — at most d^(1/p) * reach in exact
+/// arithmetic. std::pow, which Pow uses for p >= 3, is not guaranteed
+/// monotone to the last ulp; the 2^-30 relative slack absorbs that. An
+/// overflowed sum gives +inf, which cuts nothing.
+double ExpandedReachBound(const Rect& b, double reach, const LpNorm& norm) {
+  double sum = 0.0;
+  for (size_t i = 0; i < b.dim(); ++i) {
+    const Interval& side = b.side(i);
+    sum += norm.Pow(std::max((side.hi() + reach) - side.hi(),
+                             side.lo() - (side.lo() - reach)));
+  }
+  return norm.Root(sum) * (1.0 + 0x1p-30);
+}
+
 }  // namespace
 
 double KnnPruneDistance(const UncertainDatabase& db, const Rect& q_mbr,
@@ -56,6 +89,60 @@ double KnnPruneDistance(const UncertainDatabase& db, const Rect& q_mbr,
   const size_t kth = k - 1;
   std::nth_element(maxdists.begin(), maxdists.begin() + kth, maxdists.end());
   return maxdists[kth];
+}
+
+void CountRknnDominators(const UncertainDatabase& db, ObjectId b,
+                         std::span<const DominatorProbe> probes,
+                         const MinDistScan& scan,
+                         DominationCriterion criterion, const LpNorm& norm,
+                         std::span<uint32_t> counts) {
+  UPDB_DCHECK(counts.size() == probes.size());
+  const Rect& b_mbr = db.object(b).mbr();
+  // An A that completely dominates Q w.r.t. B has MinDist(A, B) <=
+  // MaxDist(Q, B), so it intersects B's MBR expanded by that reach; the
+  // scan stops once its distance passes the bound of every probe still
+  // short of its k.
+  std::vector<double> reach(probes.size());
+  std::vector<double> bound(probes.size());
+  double scan_bound = 0.0;
+  size_t open = 0;  // probes still short of their k
+  for (size_t r = 0; r < probes.size(); ++r) {
+    counts[r] = 0;
+    if (probes[r].k == 0) continue;
+    reach[r] = norm.MaxDist(*probes[r].query, b_mbr);
+    bound[r] = ExpandedReachBound(b_mbr, reach[r], norm);
+    scan_bound = std::max(scan_bound, bound[r]);
+    ++open;
+  }
+  if (open == 0) return;
+
+  scan(b_mbr, [&](const RTreeEntry& e, double dist) {
+    if (dist > scan_bound) return false;
+    // Only existentially certain objects dominate Q in *every* world.
+    if (e.id == b || !db.object(e.id).existentially_certain()) return true;
+    bool closed = false;
+    for (size_t r = 0; r < probes.size(); ++r) {
+      if (counts[r] >= probes[r].k ||
+          !IntersectsExpanded(e.mbr, b_mbr, reach[r]) ||
+          !Dominates(e.mbr, *probes[r].query, b_mbr, criterion, norm)) {
+        continue;
+      }
+      if (++counts[r] == probes[r].k) {
+        --open;
+        closed = true;
+      }
+    }
+    if (open == 0) return false;
+    if (closed) {
+      scan_bound = 0.0;
+      for (size_t r = 0; r < probes.size(); ++r) {
+        if (counts[r] < probes[r].k) {
+          scan_bound = std::max(scan_bound, bound[r]);
+        }
+      }
+    }
+    return true;
+  });
 }
 
 std::vector<ThresholdQueryResult> ProbabilisticThresholdKnn(
@@ -99,32 +186,19 @@ std::vector<ThresholdQueryResult> ProbabilisticThresholdRknn(
   Stopwatch timer;
   const LpNorm& norm = config.norm;
 
-  // Candidate filter: B is no RkNN of Q once >= k objects dominate Q
-  // w.r.t. B in every world. Only objects A with
-  // MinDist(A, B) <= MaxDist(Q, B) can possibly dominate Q w.r.t. B, so an
-  // index range probe around B bounds the counting work.
+  // Candidate filter: B is no RkNN of Q once >= k certain objects
+  // dominate Q w.r.t. B in every world — the service's per-shard filter
+  // with a batch of one probe over the whole index.
+  const DominatorProbe probe{&q.bounds(), k};
+  const MinDistScan scan = [&](const Rect& from, const MinDistEmit& emit) {
+    index.ScanByMinDist(from, emit, norm);
+  };
   std::vector<ObjectId> candidates;
-  for (const UncertainObject& b : db.objects()) {
-    const double reach = norm.MaxDist(q.bounds(), b.mbr());
-    // Expand B's MBR by `reach` per dimension; any dominating object's MBR
-    // must intersect this box.
-    std::vector<Interval> sides;
-    sides.reserve(b.mbr().dim());
-    for (size_t i = 0; i < b.mbr().dim(); ++i) {
-      sides.emplace_back(b.mbr().side(i).lo() - reach,
-                         b.mbr().side(i).hi() + reach);
-    }
-    const Rect probe{std::move(sides)};
-    size_t dominators = 0;
-    index.ForEachIntersecting(probe, [&](const RTreeEntry& e) {
-      // Only existentially certain objects dominate Q in *every* world.
-      if (e.id != b.id() && db.object(e.id).existentially_certain() &&
-          Dominates(e.mbr, q.bounds(), b.mbr(), config.criterion, norm)) {
-        ++dominators;
-      }
-      return dominators < k;
-    });
-    if (dominators < k) candidates.push_back(b.id());
+  for (ObjectId b = 0; b < db.size(); ++b) {
+    uint32_t dominators = 0;
+    CountRknnDominators(db, b, {&probe, 1}, scan, config.criterion, norm,
+                        {&dominators, 1});
+    if (dominators < k) candidates.push_back(b);
   }
 
   IdcaEngine engine(db, &index, config);

@@ -17,6 +17,9 @@
 #ifndef UPDB_QUERIES_QUERIES_H_
 #define UPDB_QUERIES_QUERIES_H_
 
+#include <cstdint>
+#include <functional>
+#include <span>
 #include <vector>
 
 #include "core/idca.h"
@@ -95,6 +98,40 @@ std::vector<ExpectedRankEntry> ExpectedRankOrder(
 /// that both compute identical candidate sets.
 double KnnPruneDistance(const UncertainDatabase& db, const Rect& q_mbr,
                         size_t k, const LpNorm& norm);
+
+/// One threshold-RkNN query as seen by the dominator count: the query
+/// object's MBR and the k it is counted against.
+struct DominatorProbe {
+  const Rect* query = nullptr;
+  size_t k = 0;
+};
+
+/// Receives one entry of a MinDistScan with its MinDist; returning false
+/// stops the scan.
+using MinDistEmit = std::function<bool(const RTreeEntry&, double)>;
+/// An index scan from a rect in ascending MinDist(entry, rect) order,
+/// shaped like RTree::ScanByMinDist.
+using MinDistScan = std::function<void(const Rect&, const MinDistEmit&)>;
+
+/// Threshold-RkNN candidate filter for one object B and a batch of
+/// probes: B is no RkNN of a probe's Q once at least k existentially
+/// certain objects completely dominate Q w.r.t. B (Corollary 5 with the
+/// domination `criterion`). Sets counts[r] to the number of entries A of
+/// `scan` with A != B, A existentially certain, A's MBR intersecting B's
+/// MBR expanded by MaxDist(Q_r, B) in every dimension, and
+/// Dominates(A, Q_r, B) — capped at probes[r].k. Every complete
+/// dominator lies inside that box, so B is a candidate of probe r iff
+/// counts[r] < probes[r].k. The scan walks B's neighbours nearest-first
+/// and stops once every probe holds its k or its distance passes every
+/// open probe's box, so a far B ends after its first few neighbours. A
+/// capped count does not depend on scan order or on the other probes:
+/// the service's per-shard filter (the whole batch as probes) and the
+/// direct query path (one probe) count alike for every shard count.
+void CountRknnDominators(const UncertainDatabase& db, ObjectId b,
+                         std::span<const DominatorProbe> probes,
+                         const MinDistScan& scan,
+                         DominationCriterion criterion, const LpNorm& norm,
+                         std::span<uint32_t> counts);
 
 /// Answer entry of a U-kRanks-style query (Soliman & Ilyas, cited as [25]):
 /// for one rank position, the object most likely to occupy it.

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <span>
 
 #include "queries/queries.h"
 
@@ -17,14 +18,13 @@ size_t IterationsRun(const IdcaResult& r) {
   return r.iterations.empty() ? 0 : r.iterations.size() - 1;
 }
 
-/// Expands `mbr` by `reach` in every dimension.
-Rect ExpandRect(const Rect& mbr, double reach) {
-  std::vector<Interval> sides;
-  sides.reserve(mbr.dim());
-  for (size_t i = 0; i < mbr.dim(); ++i) {
-    sides.emplace_back(mbr.side(i).lo() - reach, mbr.side(i).hi() + reach);
-  }
-  return Rect(std::move(sides));
+/// The nearest-first scan of shard `s` of `index`, as CountRknnDominators
+/// takes it.
+MinDistScan ShardScan(const store::ShardedSnapshotIndex& index, size_t s,
+                      const LpNorm& norm) {
+  return [&index, s, &norm](const Rect& from, const MinDistEmit& emit) {
+    index.ShardScanByMinDist(s, from, emit, norm);
+  };
 }
 
 size_t CheckedPoolSize(size_t num_workers) {
@@ -515,59 +515,39 @@ void QueryService::ExecThresholdBatch(const store::StoreSnapshot& snap,
     }
   } else {
     // Threshold RkNN: B survives while fewer than k certain objects
-    // completely dominate Q w.r.t. B. One probe per (B, shard) with the
-    // union reach over the batch; any true dominator for any request lies
-    // within that request's own reach (complete domination implies
-    // MinDist(A,B) <= MaxDist(Q,B)), so counting over the superset is
-    // exact per request. Each shard counts its own dominators (capped at
-    // the request's k — once a single shard holds k the total is
-    // decided) and the per-object totals reduce over shards in fixed
-    // shard order.
-    std::vector<double> reach(db.size(), 0.0);
-    for (ObjectId b = 0; b < db.size(); ++b) {
-      const Rect& b_mbr = db.object(b).mbr();
-      for (size_t r = 0; r < count; ++r) {
-        reach[b] = std::max(
-            reach[b],
-            norm.MaxDist(requests[r]->request.query->bounds(), b_mbr));
-      }
+    // completely dominate Q w.r.t. B. CountRknnDominators — the routine
+    // the direct query path calls with one probe — takes the whole batch
+    // as its probes and counts each against its own query's reach, so a
+    // request's count never depends on its batch. Each shard counts its
+    // own dominators, capped at each request's k — once a single shard
+    // holds k the total is decided — and the per-object totals reduce
+    // over shards in fixed shard order.
+    std::vector<DominatorProbe> probes(count);
+    for (size_t r = 0; r < count; ++r) {
+      probes[r] = DominatorProbe{&requests[r]->request.query->bounds(),
+                                 requests[r]->request.k};
     }
     // Objects are processed in fixed-size blocks so the per-shard count
     // buffers stay O(num_shards × batch × block) — never O(database
     // size) — and each block reduces in shard order before the next one
     // starts (block and shard order are both fixed, so the candidate
-    // sets stay deterministic).
+    // sets stay deterministic). dominators[s][i * count + r] is shard s's
+    // count for object block_begin + i and request r.
     constexpr size_t kBlock = 1024;
-    std::vector<std::vector<std::vector<uint32_t>>> dominators(num_shards);
+    std::vector<std::vector<uint32_t>> dominators(num_shards);
     for (size_t block_begin = 0; block_begin < db.size();
          block_begin += kBlock) {
       const size_t block = std::min(kBlock, db.size() - block_begin);
       ThreadPool::SharedParallelFor(
           num_shards, num_shards, [&](size_t s, size_t /*worker*/) {
-            std::vector<std::vector<uint32_t>>& counts = dominators[s];
-            counts.assign(count, std::vector<uint32_t>(block, 0));
-            std::vector<RTreeEntry> hits;
+            const MinDistScan scan = ShardScan(index, s, norm);
+            std::vector<uint32_t>& counts = dominators[s];
+            counts.resize(block * count);
             for (size_t i = 0; i < block; ++i) {
-              const ObjectId b = static_cast<ObjectId>(block_begin + i);
-              const Rect& b_mbr = db.object(b).mbr();
-              hits.clear();
-              index.ShardForEachIntersecting(s, ExpandRect(b_mbr, reach[b]),
-                                             [&hits](const RTreeEntry& e) {
-                                               hits.push_back(e);
-                                               return true;
-                                             });
-              for (size_t r = 0; r < count; ++r) {
-                const QueryRequest& req = requests[r]->request;
-                uint32_t& found = counts[r][i];
-                for (const RTreeEntry& e : hits) {
-                  if (e.id != b &&
-                      db.object(e.id).existentially_certain() &&
-                      Dominates(e.mbr, req.query->bounds(), b_mbr,
-                                options_.base_config.criterion, norm)) {
-                    if (++found >= req.k) break;
-                  }
-                }
-              }
+              CountRknnDominators(
+                  db, static_cast<ObjectId>(block_begin + i), probes, scan,
+                  options_.base_config.criterion, norm,
+                  std::span<uint32_t>(counts).subspan(i * count, count));
             }
           });
       for (size_t i = 0; i < block; ++i) {
@@ -575,7 +555,7 @@ void QueryService::ExecThresholdBatch(const store::StoreSnapshot& snap,
         for (size_t r = 0; r < count; ++r) {
           size_t total = 0;
           for (size_t s = 0; s < num_shards; ++s) {
-            total += dominators[s][r][i];
+            total += dominators[s][i * count + r];
           }
           if (total < requests[r]->request.k) candidates[r].push_back(b);
         }

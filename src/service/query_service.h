@@ -21,9 +21,10 @@
 // submission-order chunks of batch_size, and runs the chunks in parallel
 // on its own ThreadPool (the dispatcher participates as worker 0). Within
 // a batch, same-kind requests share one pass over the snapshot's index
-// for the candidate filter (union-MBR scan / union-reach probe), fanned
-// out per store shard (ThreadPool::SharedParallelFor over the snapshot's
-// shard indexes, reduced in fixed shard order — a distance cutoff and a
+// for the candidate filter (a union-MBR scan for kNN, one nearest-first
+// dominator scan per object for RkNN), fanned out per store shard
+// (ThreadPool::SharedParallelFor over the snapshot's shard indexes,
+// reduced in fixed shard order — a distance cutoff and a capped
 // dominator count are partition-invariant, so candidate sets are
 // identical for every num_shards), then each request refines its own
 // candidates with IDCA under its compiled budget. The shard fan-out runs

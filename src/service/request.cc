@@ -72,6 +72,15 @@ Status ValidateCommon(const QueryRequest& request,
   if (!db.empty() && request.query->bounds().dim() != db.dim()) {
     return Status::InvalidArgument("query dimensionality mismatch");
   }
+  // An infinite side would make every object an RkNN/kNN candidate and
+  // run IDCA on infinite rectangles; a NaN one breaks every comparison.
+  const Rect& bounds = request.query->bounds();
+  for (size_t i = 0; i < bounds.dim(); ++i) {
+    if (!std::isfinite(bounds.side(i).lo()) ||
+        !std::isfinite(bounds.side(i).hi())) {
+      return Status::InvalidArgument("query bounds must be finite");
+    }
+  }
   if (request.budget.max_iterations < 0) {
     return Status::InvalidArgument("negative iteration budget");
   }

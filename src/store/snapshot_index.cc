@@ -180,15 +180,6 @@ size_t ShardedSnapshotIndex::delta_entries() const {
   return total;
 }
 
-void ShardedSnapshotIndex::ShardForEachIntersecting(
-    size_t s, const Rect& query,
-    const std::function<bool(const RTreeEntry&)>& fn) const {
-  const std::vector<ObjectId>& translate = *global_by_local_[s];
-  shards_[s].ForEachIntersecting(query, [&](const RTreeEntry& e) {
-    return fn(RTreeEntry{e.mbr, translate[e.id]});
-  });
-}
-
 void ShardedSnapshotIndex::ShardScanByMinDist(
     size_t s, const Rect& query,
     const std::function<bool(const RTreeEntry&, double)>& fn,
@@ -206,9 +197,10 @@ void ShardedSnapshotIndex::ForEachIntersecting(
     const Rect& query, const std::function<bool(const RTreeEntry&)>& fn)
     const {
   for (size_t s = 0; s < shards_.size(); ++s) {
+    const std::vector<ObjectId>& translate = *global_by_local_[s];
     bool live = true;
-    ShardForEachIntersecting(s, query, [&](const RTreeEntry& e) {
-      live = fn(e);
+    shards_[s].ForEachIntersecting(query, [&](const RTreeEntry& e) {
+      live = fn(RTreeEntry{e.mbr, translate[e.id]});
       return live;
     });
     if (!live) return;

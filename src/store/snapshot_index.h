@@ -138,10 +138,9 @@ class SnapshotIndex {
   std::shared_ptr<const std::vector<ObjectId>> base_ids_;  // sorted
   std::vector<RTreeEntry> added_;    // sorted by stable id
   std::vector<ObjectId> removed_;    // sorted stable ids
-  /// Hull over added_ MBRs: an O(1) reject so per-object probe loops
-  /// (e.g. the service's RkNN filter, one ForEachIntersecting per
-  /// database object) don't pay a linear overlay scan for queries that
-  /// cannot hit it. Meaningless when added_ is empty.
+  /// Hull over added_ MBRs: an O(1) reject so ForEachIntersecting
+  /// probes that cannot hit the overlay don't pay a linear scan of it.
+  /// Meaningless when added_ is empty.
   Rect added_hull_;
   std::shared_ptr<const std::vector<ObjectId>> stable_by_dense_;
 };
@@ -188,12 +187,9 @@ class ShardedSnapshotIndex {
                      const std::function<bool(const RTreeEntry&, double)>& fn,
                      const LpNorm& norm = LpNorm::Euclidean()) const;
 
-  /// Single-shard slices of the two scans above, emitting global dense
-  /// ids — the fan-out surface the service's per-shard candidate
-  /// generation uses (reduce in ascending shard order for determinism).
-  void ShardForEachIntersecting(
-      size_t s, const Rect& query,
-      const std::function<bool(const RTreeEntry&)>& fn) const;
+  /// Single-shard slice of ScanByMinDist, emitting global dense ids —
+  /// the fan-out surface the service's per-shard candidate generation
+  /// uses (reduce in ascending shard order for determinism).
   void ShardScanByMinDist(
       size_t s, const Rect& query,
       const std::function<bool(const RTreeEntry&, double)>& fn,

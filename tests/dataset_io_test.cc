@@ -4,6 +4,9 @@
 
 #include <cstdio>
 #include <fstream>
+#include <limits>
+#include <memory>
+#include <string>
 
 #include "core/idca.h"
 #include "workload/generators.h"
@@ -184,6 +187,14 @@ TEST(ParseObjectTest, RejectsMalformedInput) {
       {"mixture,1,2,1,1,uniform,0,1,0,1,9", "trailing component field"},
       {"discrete,1,2,99999999999,0.5,0.1,0.2", "hostile sample count"},
       {"mixture,1,2,99999999999,1,uniform,0,1,0,1", "hostile component count"},
+      // strtod parses "nan" and "inf"; no field may be non-finite (the
+      // NaN-sigma Gaussian used to abort in the PDF constructor).
+      {"uniform,nan,2,0,1,0,1", "NaN existence"},
+      {"uniform,1,2,-inf,inf,0,1", "infinite extent"},
+      {"gaussian,1,1,0,1,nan,0.1", "NaN mean"},
+      {"gaussian,1,1,0,1,0.5,inf", "infinite sigma"},
+      {"discrete,1,1,1,nan,0.5", "NaN weight"},
+      {"mixture,1,1,1,1,uniform,0,infinity", "infinite component bound"},
   };
   for (const Case& c : cases) {
     const StatusOr<io::ParsedObject> parsed = ParseObject(c.line);
@@ -193,6 +204,25 @@ TEST(ParseObjectTest, RejectsMalformedInput) {
           << c.why;
     }
   }
+}
+
+TEST(SerializeObjectTest, RefusesNonFiniteFields) {
+  // Anything SerializeObject writes must parse back; a non-finite field
+  // would not, so it is refused at write time.
+  const double inf = std::numeric_limits<double>::infinity();
+  const UncertainObject infinite_extent(
+      0,
+      std::make_shared<UniformPdf>(Rect(Point{0.0, -inf}, Point{1.0, inf})));
+  const StatusOr<std::string> line = SerializeObject(infinite_extent);
+  ASSERT_FALSE(line.ok());
+  EXPECT_EQ(line.status().code(), StatusCode::kInvalidArgument);
+
+  UncertainDatabase db;
+  db.Add(std::make_shared<UniformPdf>(Rect(Point{0.0, 0.0}, Point{1.0, 1.0})));
+  db.Add(infinite_extent.shared_pdf());
+  const std::string path = TempPath("nonfinite_save.updb");
+  EXPECT_EQ(SaveDatabase(db, path).code(), StatusCode::kInvalidArgument);
+  std::remove(path.c_str());
 }
 
 TEST(DatabaseIoTest, SaveLoadRoundTrip) {

@@ -3,13 +3,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 
 #include "mc/monte_carlo.h"
+#include "rknn_oracle.h"
 #include "workload/generators.h"
 
 namespace updb {
 namespace {
 
+using test_util::BruteForceRknnCandidates;
 using workload::MakeQueryObject;
 using workload::MakeSyntheticDatabase;
 using workload::ObjectModel;
@@ -142,6 +145,14 @@ TEST(RknnQueryTest, CertainLineDatabase) {
 }
 
 TEST(RknnQueryTest, AgreesWithBruteForceIdca) {
+  // Under both domination criteria and the L1 and L2 norms: (1) the
+  // candidate set equals an unindexed brute-force dominator count, over
+  // near and far queries and k in {1, 3, 10}, on a database with
+  // uncertain objects and objects touching a probe box's boundary; (2)
+  // the qualifying objects equal a brute-force IDCA evaluation of every
+  // object of a small database.
+  const UncertainDatabase oracle_db = test_util::RknnOracleDatabase(500, 31);
+  const RTree oracle_index = BuildRTree(oracle_db.objects());
   SyntheticConfig cfg;
   cfg.num_objects = 40;
   cfg.max_extent = 0.05;
@@ -149,26 +160,56 @@ TEST(RknnQueryTest, AgreesWithBruteForceIdca) {
   Rng rng(24);
   const auto q =
       MakeQueryObject(Point{0.5, 0.5}, 0.05, ObjectModel::kUniform, 0, rng);
-  const size_t k = 2;
+  const std::shared_ptr<const Pdf> far = test_util::FarRknnQuery();
   const double tau = 0.5;
-  IdcaConfig config;
-  config.max_iterations = 6;
-  const auto results =
-      ProbabilisticThresholdRknn(f.db, f.index, *q, k, tau, config);
-  // Brute force: evaluate the predicate for every object directly.
-  IdcaEngine engine(f.db, config);
-  std::vector<ObjectId> expected;
-  for (ObjectId id = 0; id < f.db.size(); ++id) {
-    const IdcaResult r =
-        engine.ComputeDomCountOfQuery(*q, id, IdcaPredicate{k, tau});
-    if (r.decision == PredicateDecision::kTrue) expected.push_back(id);
+  for (const DominationCriterion criterion :
+       {DominationCriterion::kOptimal, DominationCriterion::kMinMax}) {
+    const int c = static_cast<int>(criterion);
+    SCOPED_TRACE(testing::Message() << "criterion=" << c);
+    for (const int p : {1, 2}) {
+      SCOPED_TRACE(testing::Message() << "p=" << p);
+      IdcaConfig config;
+      config.max_iterations = 6;
+      config.criterion = criterion;
+      config.norm = LpNorm(p);
+      IdcaConfig filter_only = config;
+      filter_only.max_iterations = 0;
+      for (const Pdf* query : {q.get(), far.get()}) {
+        SCOPED_TRACE(query == far.get() ? "far query" : "near query");
+        for (const size_t k : {1, 3, 10}) {
+          SCOPED_TRACE(testing::Message() << "k=" << k);
+          const std::vector<ThresholdQueryResult> results =
+              ProbabilisticThresholdRknn(oracle_db, oracle_index, *query, k,
+                                         tau, filter_only);
+          std::vector<ObjectId> candidates;
+          for (const ThresholdQueryResult& r : results) {
+            candidates.push_back(r.id);
+          }
+          const std::vector<ObjectId> expected = BruteForceRknnCandidates(
+              oracle_db, query->bounds(), k, criterion, config.norm);
+          EXPECT_EQ(candidates, expected);
+        }
+      }
+
+      const size_t k = 2;
+      const auto results =
+          ProbabilisticThresholdRknn(f.db, f.index, *q, k, tau, config);
+      // Brute force: evaluate the predicate for every object directly.
+      IdcaEngine engine(f.db, config);
+      std::vector<ObjectId> expected;
+      for (ObjectId id = 0; id < f.db.size(); ++id) {
+        const IdcaResult r =
+            engine.ComputeDomCountOfQuery(*q, id, IdcaPredicate{k, tau});
+        if (r.decision == PredicateDecision::kTrue) expected.push_back(id);
+      }
+      std::vector<ObjectId> actual;
+      for (const auto& r : results) {
+        if (r.decision == PredicateDecision::kTrue) actual.push_back(r.id);
+      }
+      std::sort(actual.begin(), actual.end());
+      EXPECT_EQ(actual, expected);
+    }
   }
-  std::vector<ObjectId> actual;
-  for (const auto& r : results) {
-    if (r.decision == PredicateDecision::kTrue) actual.push_back(r.id);
-  }
-  std::sort(actual.begin(), actual.end());
-  EXPECT_EQ(actual, expected);
 }
 
 TEST(InverseRankingTest, CertainChainHasDeterministicRank) {

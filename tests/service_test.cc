@@ -7,12 +7,14 @@
 #include <memory>
 #include <string_view>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "gf/kernels.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "queries/queries.h"
+#include "rknn_oracle.h"
 #include "service/trace.h"
 #include "store/object_store.h"
 #include "test_shards.h"
@@ -396,12 +398,13 @@ TEST(QueryServiceTest, RejectsInvalidRequests) {
   EXPECT_EQ(service.metrics().Snapshot().invalid, 3u);
 }
 
-TEST(QueryServiceTest, NonFiniteTauAndNanDeadlineAreInvalid) {
+TEST(QueryServiceTest, NonFiniteTauDeadlineAndBoundsAreInvalid) {
   // A NaN tau slips past a plain range test and then can never decide, so
   // the request would burn its whole iteration budget to answer
-  // kUndecided; a NaN deadline would be silently ignored. Both kinds of
-  // threshold request must instead be refused at admission, which a trace
-  // replay records as a kInvalid response.
+  // kUndecided; a NaN deadline would be silently ignored; an infinite
+  // query side would make every object a candidate and run IDCA on
+  // infinite rectangles. Such requests must instead be refused at
+  // admission, which a trace replay records as a kInvalid response.
   const auto db = MakeDb(10, 0.05);
   const double nan = std::numeric_limits<double>::quiet_NaN();
   const double inf = std::numeric_limits<double>::infinity();
@@ -419,6 +422,21 @@ TEST(QueryServiceTest, NonFiniteTauAndNanDeadlineAreInvalid) {
     req.budget.deadline_ms = nan;
     trace.push_back(std::move(req));
   }
+  const std::shared_ptr<const Pdf> unbounded[] = {
+      std::make_shared<UniformPdf>(Rect(Point{0.4, -inf}, Point{0.6, 0.6})),
+      std::make_shared<UniformPdf>(Rect(Point{0.4, 0.4}, Point{inf, 0.6})),
+      std::make_shared<UniformPdf>(Rect(Point{-inf, -inf}, Point{inf, inf})),
+  };
+  for (const std::shared_ptr<const Pdf>& q : unbounded) {
+    for (QueryKind kind :
+         {QueryKind::kThresholdKnn, QueryKind::kThresholdRknn,
+          QueryKind::kInverseRanking, QueryKind::kExpectedRank}) {
+      QueryRequest req = KnnRequest(q, 1, 0.5, 2);
+      req.kind = kind;
+      req.target = 0;
+      trace.push_back(std::move(req));
+    }
+  }
   // A well-formed request in the same trace still answers.
   trace.push_back(KnnRequest(MakeQuery(0.5, 0.5, 0.05), 1, 0.5, 2));
 
@@ -432,6 +450,74 @@ TEST(QueryServiceTest, NonFiniteTauAndNanDeadlineAreInvalid) {
   EXPECT_EQ(result.responses.back().status, ResponseStatus::kOk);
   EXPECT_EQ(result.invalid, trace.size() - 1);
   EXPECT_EQ(service.metrics().Snapshot().invalid, trace.size() - 1);
+}
+
+/// The per-shard RkNN candidate filter against an unindexed brute-force
+/// dominator count: one batch mixing near and far queries with k in
+/// {1, 3, 10}, at several shard counts, under both domination criteria
+/// and the L1 and L2 norms. Each response's candidate ids must be exactly
+/// the oracle's, whatever the shard count and the batch's other queries.
+TEST(QueryServiceTest, RknnFilterMatchesBruteForceOracle) {
+  const auto db = std::make_shared<const UncertainDatabase>(
+      test_util::RknnOracleDatabase(500, 23));
+  std::vector<std::pair<std::shared_ptr<const Pdf>, size_t>> probes;
+  probes.emplace_back(MakeQuery(0.5, 0.5, 0.05, 1), 1);
+  probes.emplace_back(MakeQuery(0.2, 0.8, 0.05, 2), 3);
+  probes.emplace_back(MakeQuery(0.9, 0.1, 0.08, 3), 10);
+  probes.emplace_back(test_util::FarRknnQuery(), 3);
+  probes.emplace_back(MakeQuery(0.5, 0.5, 0.05, 1), 10);
+  probes.emplace_back(test_util::FarRknnQuery(), 1);
+  std::vector<size_t> shard_counts = {1, 2, 7};
+  if (TestShards() != 1 && TestShards() != 2 && TestShards() != 7) {
+    shard_counts.push_back(TestShards());
+  }
+  for (const DominationCriterion criterion :
+       {DominationCriterion::kOptimal, DominationCriterion::kMinMax}) {
+    const int c = static_cast<int>(criterion);
+    SCOPED_TRACE(testing::Message() << "criterion=" << c);
+    for (const int p : {1, 2}) {
+      SCOPED_TRACE(testing::Message() << "p=" << p);
+      const LpNorm norm(p);
+      std::vector<std::vector<ObjectId>> expected;
+      for (const auto& [q, k] : probes) {
+        expected.push_back(test_util::BruteForceRknnCandidates(
+            *db, q->bounds(), k, criterion, norm));
+      }
+      for (const size_t shards : shard_counts) {
+        store::StoreOptions sopts;
+        sopts.num_shards = shards;
+        QueryServiceOptions opts;
+        opts.batch_size = probes.size();
+        opts.start_paused = true;
+        opts.base_config.criterion = criterion;
+        opts.base_config.norm = norm;
+        const auto snapshot = store::VersionedObjectStore(*db, sopts).latest();
+        QueryService service(snapshot, opts);
+        std::vector<uint64_t> tickets;
+        for (const auto& [q, k] : probes) {
+          QueryRequest req = KnnRequest(q, k, 0.5, /*iterations=*/0);
+          req.kind = QueryKind::kThresholdRknn;
+          const StatusOr<uint64_t> ticket = service.Submit(std::move(req));
+          ASSERT_TRUE(ticket.ok()) << ticket.status().ToString();
+          tickets.push_back(*ticket);
+        }
+        service.Resume();
+        std::vector<QueryResponse> responses;
+        for (const uint64_t ticket : tickets) {
+          responses.push_back(service.Take(ticket));
+        }
+        for (size_t r = 0; r < responses.size(); ++r) {
+          SCOPED_TRACE(testing::Message() << "shards=" << shards << " r=" << r);
+          EXPECT_EQ(responses[r].stats.batch, responses[0].stats.batch);
+          std::vector<ObjectId> ids;
+          for (const ThresholdQueryResult& t : responses[r].threshold) {
+            ids.push_back(t.id);
+          }
+          EXPECT_EQ(ids, expected[r]);
+        }
+      }
+    }
+  }
 }
 
 TEST(QueryServiceTest, MetricsSnapshotAndJson) {

@@ -6,10 +6,12 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "store/object_store.h"
 #include "uncertain/pdf.h"
 
 namespace updb {
@@ -254,6 +256,47 @@ TEST(WalFrameTest, EncodeRejectsMutationWithoutPdf) {
   r.id = 0;
   r.pdf = nullptr;
   EXPECT_FALSE(EncodeWalFrame(r).ok());
+}
+
+TEST(WalFrameTest, InfiniteExtentFailsAppendAndSticksInStore) {
+  // The dataset_io line format has no spelling for a non-finite number
+  // that replay would accept, so such a record must fail at append time —
+  // not be written and then truncated by recovery as undecodable.
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::shared_ptr<const Pdf> unbounded =
+      std::make_shared<UniformPdf>(Rect(Point{0.0, 0.0}, Point{1.0, inf}));
+  WalRecord record = InsertRecord(1, 3);
+  record.pdf = unbounded;
+
+  const std::string path = TempPath("wal_nonfinite.log");
+  {
+    StatusOr<std::unique_ptr<WalShardWriter>> writer =
+        WalShardWriter::Open(path, /*truncate=*/true);
+    ASSERT_TRUE(writer.ok()) << writer.status().ToString();
+    EXPECT_EQ((*writer)->Append(record).code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ((*writer)->appended_records(), 0u);
+    EXPECT_FALSE((*writer)->dirty());
+  }
+  EXPECT_EQ(std::filesystem::file_size(path), 0u);
+
+  // Through a durable store: the failed append leaves the state
+  // untouched and sticks in wal_status(), refusing later mutations.
+  const std::string dir =
+      std::string(::testing::TempDir()) + "/updb_wal_nonfinite";
+  std::filesystem::remove_all(dir);
+  StoreOptions options;
+  options.durability.wal_dir = dir;
+  StatusOr<std::unique_ptr<VersionedObjectStore>> store =
+      VersionedObjectStore::Open(options);
+  ASSERT_TRUE(store.ok()) << store.status().ToString();
+  ASSERT_TRUE((*store)->Insert(MakePdf(0.1, 0.2)).ok());
+  const StatusOr<ObjectId> inserted = (*store)->Insert(unbounded);
+  ASSERT_FALSE(inserted.ok());
+  EXPECT_EQ(inserted.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ((*store)->wal_status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ((*store)->pending_mutations(), 1u);
+  EXPECT_FALSE((*store)->Insert(MakePdf(0.3, 0.4)).ok());
+  std::filesystem::remove_all(dir);
 }
 
 TEST(WalShardFileNameTest, RoundTripAndRejections) {
