@@ -190,6 +190,12 @@ struct IdcaResult {
   double seconds = 0.0;
 
   IdcaResult() : bounds(0) {}
+
+  /// Refinement iterations executed: `iterations` minus its filter entry
+  /// (0 when collect_stats is off).
+  size_t iterations_run() const {
+    return iterations.empty() ? 0 : iterations.size() - 1;
+  }
 };
 
 /// The IDCA query engine. Stateless w.r.t. queries; one engine can serve

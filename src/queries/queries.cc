@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <limits>
-#include <numeric>
 
 #include "common/stopwatch.h"
 #include "common/thread_pool.h"
@@ -11,32 +10,52 @@ namespace updb {
 
 namespace {
 
-/// Candidate filter for threshold kNN: an object B cannot be a kNN result
-/// in any world once at least k objects are strictly closer to Q in every
-/// world. The cheap sufficient test used here compares MinDist(B, Q)
-/// against the k-th smallest MaxDist(*, Q): if MinDist(B,Q) exceeds it,
-/// at least k objects MinMax-dominate B w.r.t. Q.
-std::vector<ObjectId> KnnCandidates(const UncertainDatabase& db,
-                                    const RTree& index, const Rect& q_mbr,
-                                    size_t k, const LpNorm& norm) {
-  const double prune_dist = KnnPruneDistance(db, q_mbr, k, norm);
-  if (prune_dist == std::numeric_limits<double>::infinity()) {
-    // Fewer than k certain objects: nothing can be pruned spatially.
-    std::vector<ObjectId> all(db.size());
-    for (ObjectId id = 0; id < db.size(); ++id) all[id] = id;
-    return all;
-  }
+/// The nearest-first scan of a whole R-tree, as the candidate filters
+/// take it.
+MinDistScan IndexScan(const RTree& index, const LpNorm& norm) {
+  return [&index, &norm](const Rect& from, const MinDistEmit& emit) {
+    index.ScanByMinDist(from, emit, norm);
+  };
+}
 
+/// What one IDCA run adds to a QueryStats.
+QueryStats RunStats(const IdcaResult& r) {
+  return QueryStats{1, r.iterations_run(), r.counters};
+}
+
+/// Per-run stats summed in run order; `seconds` is left to the caller.
+QueryStats SumRunStats(std::span<const QueryStats> runs) {
+  QueryStats sum;
+  for (const QueryStats& run : runs) {
+    sum.candidates += run.candidates;
+    sum.idca_iterations += run.idca_iterations;
+    sum.counters += run.counters;
+  }
+  return sum;
+}
+
+/// Both threshold queries over a whole R-tree: the direct-path caller of
+/// the pipeline the serving layer runs per shard.
+std::vector<ThresholdQueryResult> ThresholdQuery(
+    const UncertainDatabase& db, const RTree& index, const Pdf& q, size_t k,
+    double tau, const IdcaConfig& config, QueryStats* stats, bool reverse) {
+  UPDB_CHECK(k >= 1);
+  Stopwatch timer;
+  const MinDistScan scan = IndexScan(index, config.norm);
   std::vector<ObjectId> candidates;
-  index.ScanByMinDist(
-      q_mbr,
-      [&candidates, prune_dist](const RTreeEntry& e, double min_dist) {
-        if (min_dist > prune_dist) return false;  // all further are pruned
-        candidates.push_back(e.id);
-        return true;
-      },
-      norm);
-  return candidates;
+  if (reverse) {
+    const DominatorProbe probe{&q.bounds(), k};
+    candidates = RknnCandidates(db, {&probe, 1}, {&scan, 1}, config.criterion,
+                                config.norm)[0];
+  } else {
+    candidates = KnnCandidates(db, q.bounds(), k, {&scan, 1}, config.norm);
+  }
+  const IdcaEngine engine(db, &index, config);
+  std::vector<ThresholdQueryResult> results =
+      RefineThresholdCandidates(engine, q, candidates, IdcaPredicate{k, tau},
+                                reverse, config.num_threads, stats);
+  if (stats != nullptr) stats->seconds = timer.ElapsedSeconds();
+  return results;
 }
 
 /// True iff `a` intersects `b` expanded by `reach` in every dimension —
@@ -145,83 +164,103 @@ void CountRknnDominators(const UncertainDatabase& db, ObjectId b,
   });
 }
 
-std::vector<ThresholdQueryResult> ProbabilisticThresholdKnn(
-    const UncertainDatabase& db, const RTree& index, const Pdf& q, size_t k,
-    double tau, const IdcaConfig& config, QueryStats* stats) {
-  Stopwatch timer;
-  const std::vector<ObjectId> candidates =
-      KnnCandidates(db, index, q.bounds(), k, config.norm);
-
-  // Candidates are mutually independent IDCA problems: each writes only
-  // its own result slot, so the loop parallelizes with no reduction step.
-  // Any pair-loop parallelism inside the engine runs inline here (nested
-  // regions), keeping this coarser-grained level.
-  IdcaEngine engine(db, &index, config);
-  std::vector<ThresholdQueryResult> results(candidates.size());
-  std::vector<size_t> iterations_per_candidate(candidates.size(), 0);
+std::vector<ObjectId> KnnCandidates(const UncertainDatabase& db,
+                                    const Rect& q_mbr, size_t k,
+                                    std::span<const MinDistScan> scans,
+                                    const LpNorm& norm) {
+  const double prune_dist = KnnPruneDistance(db, q_mbr, k, norm);
+  std::vector<std::vector<ObjectId>> per_scan(scans.size());
   ThreadPool::SharedParallelFor(
-      candidates.size(), ThreadPool::EffectiveParallelism(config.num_threads),
+      scans.size(), scans.size(), [&](size_t s, size_t /*worker*/) {
+        std::vector<ObjectId>& ids = per_scan[s];
+        scans[s](q_mbr, [&ids, prune_dist](const RTreeEntry& e, double dist) {
+          if (dist > prune_dist) return false;  // all further are pruned
+          ids.push_back(e.id);
+          return true;
+        });
+      });
+  std::vector<ObjectId> candidates;
+  for (const std::vector<ObjectId>& ids : per_scan) {
+    candidates.insert(candidates.end(), ids.begin(), ids.end());
+  }
+  std::sort(candidates.begin(), candidates.end());
+  return candidates;
+}
+
+std::vector<std::vector<ObjectId>> RknnCandidates(
+    const UncertainDatabase& db, std::span<const DominatorProbe> probes,
+    std::span<const MinDistScan> scans, DominationCriterion criterion,
+    const LpNorm& norm) {
+  const size_t count = probes.size();
+  std::vector<std::vector<ObjectId>> candidates(count);
+  // dominators[s][i * count + r] is scan s's count for object
+  // block_begin + i and probe r. Block and scan order are both fixed, so
+  // the candidate lists come out in ascending id order.
+  constexpr size_t kBlock = 1024;
+  std::vector<std::vector<uint32_t>> dominators(scans.size());
+  for (size_t block_begin = 0; block_begin < db.size(); block_begin += kBlock) {
+    const size_t block = std::min(kBlock, db.size() - block_begin);
+    ThreadPool::SharedParallelFor(
+        scans.size(), scans.size(), [&](size_t s, size_t /*worker*/) {
+          std::vector<uint32_t>& counts = dominators[s];
+          counts.resize(block * count);
+          for (size_t i = 0; i < block; ++i) {
+            CountRknnDominators(
+                db, static_cast<ObjectId>(block_begin + i), probes, scans[s],
+                criterion, norm,
+                std::span<uint32_t>(counts).subspan(i * count, count));
+          }
+        });
+    for (size_t i = 0; i < block; ++i) {
+      const ObjectId b = static_cast<ObjectId>(block_begin + i);
+      for (size_t r = 0; r < count; ++r) {
+        size_t total = 0;
+        for (const std::vector<uint32_t>& counts : dominators) {
+          total += counts[i * count + r];
+        }
+        if (total < probes[r].k) candidates[r].push_back(b);
+      }
+    }
+  }
+  return candidates;
+}
+
+std::vector<ThresholdQueryResult> RefineThresholdCandidates(
+    const IdcaEngine& engine, const Pdf& q,
+    std::span<const ObjectId> candidates, IdcaPredicate predicate,
+    bool reverse, int num_threads, QueryStats* stats) {
+  // Candidates are mutually independent IDCA problems: each writes only
+  // its own slots, so the loop parallelizes with no reduction step. Any
+  // pair-loop parallelism inside the engine runs inline here (nested
+  // regions), keeping this coarser-grained level.
+  std::vector<ThresholdQueryResult> results(candidates.size());
+  std::vector<QueryStats> runs(candidates.size());
+  ThreadPool::SharedParallelFor(
+      candidates.size(), ThreadPool::EffectiveParallelism(num_threads),
       [&](size_t c, size_t /*worker*/) {
         const ObjectId id = candidates[c];
         const IdcaResult r =
-            engine.ComputeDomCount(id, q, IdcaPredicate{k, tau});
-        iterations_per_candidate[c] =
-            r.iterations.empty() ? 0 : r.iterations.size() - 1;
+            reverse ? engine.ComputeDomCountOfQuery(q, id, predicate)
+                    : engine.ComputeDomCount(id, q, predicate);
+        runs[c] = RunStats(r);
         results[c] = ThresholdQueryResult{id, r.predicate_prob, r.decision};
       });
-  if (stats != nullptr) {
-    stats->candidates = candidates.size();
-    stats->idca_iterations =
-        std::accumulate(iterations_per_candidate.begin(),
-                        iterations_per_candidate.end(), size_t{0});
-    stats->seconds = timer.ElapsedSeconds();
-  }
+  if (stats != nullptr) *stats = SumRunStats(runs);
   return results;
+}
+
+std::vector<ThresholdQueryResult> ProbabilisticThresholdKnn(
+    const UncertainDatabase& db, const RTree& index, const Pdf& q, size_t k,
+    double tau, const IdcaConfig& config, QueryStats* stats) {
+  return ThresholdQuery(db, index, q, k, tau, config, stats,
+                        /*reverse=*/false);
 }
 
 std::vector<ThresholdQueryResult> ProbabilisticThresholdRknn(
     const UncertainDatabase& db, const RTree& index, const Pdf& q, size_t k,
     double tau, const IdcaConfig& config, QueryStats* stats) {
-  UPDB_CHECK(k >= 1);
-  Stopwatch timer;
-  const LpNorm& norm = config.norm;
-
-  // Candidate filter: B is no RkNN of Q once >= k certain objects
-  // dominate Q w.r.t. B in every world — the service's per-shard filter
-  // with a batch of one probe over the whole index.
-  const DominatorProbe probe{&q.bounds(), k};
-  const MinDistScan scan = [&](const Rect& from, const MinDistEmit& emit) {
-    index.ScanByMinDist(from, emit, norm);
-  };
-  std::vector<ObjectId> candidates;
-  for (ObjectId b = 0; b < db.size(); ++b) {
-    uint32_t dominators = 0;
-    CountRknnDominators(db, b, {&probe, 1}, scan, config.criterion, norm,
-                        {&dominators, 1});
-    if (dominators < k) candidates.push_back(b);
-  }
-
-  IdcaEngine engine(db, &index, config);
-  std::vector<ThresholdQueryResult> results(candidates.size());
-  std::vector<size_t> iterations_per_candidate(candidates.size(), 0);
-  ThreadPool::SharedParallelFor(
-      candidates.size(), ThreadPool::EffectiveParallelism(config.num_threads),
-      [&](size_t c, size_t /*worker*/) {
-        const ObjectId id = candidates[c];
-        const IdcaResult r =
-            engine.ComputeDomCountOfQuery(q, id, IdcaPredicate{k, tau});
-        iterations_per_candidate[c] =
-            r.iterations.empty() ? 0 : r.iterations.size() - 1;
-        results[c] = ThresholdQueryResult{id, r.predicate_prob, r.decision};
-      });
-  if (stats != nullptr) {
-    stats->candidates = candidates.size();
-    stats->idca_iterations =
-        std::accumulate(iterations_per_candidate.begin(),
-                        iterations_per_candidate.end(), size_t{0});
-    stats->seconds = timer.ElapsedSeconds();
-  }
-  return results;
+  return ThresholdQuery(db, index, q, k, tau, config, stats,
+                        /*reverse=*/true);
 }
 
 CountDistributionBounds ProbabilisticInverseRanking(
@@ -241,13 +280,13 @@ std::vector<RankWinner> UkRanksQuery(const UncertainDatabase& db,
   // Only objects that can have fewer than max_rank dominators can occupy
   // one of the first max_rank positions — the same spatial filter as
   // threshold kNN.
+  const MinDistScan scan = IndexScan(index, config.norm);
   const std::vector<ObjectId> candidates =
-      KnnCandidates(db, index, q.bounds(), max_rank, config.norm);
+      KnnCandidates(db, q.bounds(), max_rank, {&scan, 1}, config.norm);
 
   IdcaEngine engine(db, &index, config);
   std::vector<CountDistributionBounds> bounds(candidates.size(),
                                               CountDistributionBounds(0));
-  const std::vector<ObjectId>& ids = candidates;
   ThreadPool::SharedParallelFor(
       candidates.size(), ThreadPool::EffectiveParallelism(config.num_threads),
       [&](size_t c, size_t /*worker*/) {
@@ -267,7 +306,7 @@ std::vector<RankWinner> UkRanksQuery(const UncertainDatabase& db,
       if (w.winner == kInvalidObjectId ||
           bounds[c].lb(count) > bounds[best].lb(count)) {
         best = c;
-        w.winner = ids[c];
+        w.winner = candidates[c];
       }
     }
     if (w.winner != kInvalidObjectId) {
@@ -288,30 +327,23 @@ std::vector<ExpectedRankEntry> ExpectedRankOrder(const UncertainDatabase& db,
                                                  const Pdf& q,
                                                  const IdcaConfig& config,
                                                  const RTree* index,
-                                                 size_t* total_iterations,
-                                                 IdcaCounters* total_counters) {
+                                                 QueryStats* stats) {
+  Stopwatch timer;
   IdcaEngine engine = index != nullptr ? IdcaEngine(db, index, config)
                                        : IdcaEngine(db, config);
   std::vector<ExpectedRankEntry> entries(db.size());
-  std::vector<size_t> iterations_per_object(db.size(), 0);
-  std::vector<IdcaCounters> counters_per_object(db.size());
+  std::vector<QueryStats> runs(db.size());
   ThreadPool::SharedParallelFor(
       db.size(), ThreadPool::EffectiveParallelism(config.num_threads),
       [&](size_t o, size_t /*worker*/) {
         const ObjectId id = db.objects()[o].id();
         const IdcaResult r = engine.ComputeDomCount(id, q);
-        iterations_per_object[o] =
-            r.iterations.empty() ? 0 : r.iterations.size() - 1;
-        counters_per_object[o] = r.counters;
+        runs[o] = RunStats(r);
         entries[o] = ExpectedRankEntry{id, r.bounds.ExpectedRank()};
       });
-  if (total_iterations != nullptr) {
-    *total_iterations =
-        std::accumulate(iterations_per_object.begin(),
-                        iterations_per_object.end(), size_t{0});
-  }
-  if (total_counters != nullptr) {
-    for (const IdcaCounters& c : counters_per_object) *total_counters += c;
+  if (stats != nullptr) {
+    *stats = SumRunStats(runs);
+    stats->seconds = timer.ElapsedSeconds();
   }
   std::sort(entries.begin(), entries.end(),
             [](const ExpectedRankEntry& a, const ExpectedRankEntry& b) {

@@ -38,25 +38,28 @@ struct ThresholdQueryResult {
   PredicateDecision decision = PredicateDecision::kUndecided;
 };
 
-/// Aggregate statistics of a threshold query run.
+/// Aggregate statistics of a query run.
 struct QueryStats {
   /// Objects surviving the cheap index-level spatial filter (and therefore
   /// evaluated with IDCA).
   size_t candidates = 0;
   /// Total IDCA refinement iterations across all candidates.
   size_t idca_iterations = 0;
+  /// Engine work counters summed over every candidate's IDCA run.
+  IdcaCounters counters;
   double seconds = 0.0;
 };
 
 /// Probabilistic threshold k-nearest-neighbor query: returns an entry for
-/// every candidate that could not be pruned spatially, with its predicate
-/// probability bracket and decision. Objects pruned by the filter are
-/// guaranteed non-results and are not reported.
+/// every candidate that could not be pruned spatially, in ascending id
+/// order, with its predicate probability bracket and decision. Objects
+/// pruned by the filter are guaranteed non-results and are not reported.
 std::vector<ThresholdQueryResult> ProbabilisticThresholdKnn(
     const UncertainDatabase& db, const RTree& index, const Pdf& q, size_t k,
     double tau, const IdcaConfig& config = {}, QueryStats* stats = nullptr);
 
-/// Probabilistic threshold reverse k-nearest-neighbor query.
+/// Probabilistic threshold reverse k-nearest-neighbor query; reports its
+/// candidates like ProbabilisticThresholdKnn.
 std::vector<ThresholdQueryResult> ProbabilisticThresholdRknn(
     const UncertainDatabase& db, const RTree& index, const Pdf& q, size_t k,
     double tau, const IdcaConfig& config = {}, QueryStats* stats = nullptr);
@@ -78,26 +81,46 @@ struct ExpectedRankEntry {
 /// Orders all database objects by (the midpoint of) their expected-rank
 /// bounds w.r.t. the query object Q — the expected-rank semantics of
 /// Cormode et al. referenced by Corollary 6. `index` (optional) is handed
-/// to the engine for config.use_index_filter; `total_iterations`
-/// (optional) receives the summed IDCA refinement iterations, and
-/// `total_counters` (optional) accumulates the engine work counters over
-/// every per-object run. The serving layer calls this with all three —
-/// payloads must stay bit-identical to the direct path, so there is
-/// exactly one implementation.
+/// to the engine for config.use_index_filter; `stats` (optional) receives
+/// every object as a candidate and the summed iterations and counters of
+/// the per-object runs. The serving layer calls this too, so its payloads
+/// cannot diverge from the direct path.
 std::vector<ExpectedRankEntry> ExpectedRankOrder(
     const UncertainDatabase& db, const Pdf& q, const IdcaConfig& config = {},
-    const RTree* index = nullptr, size_t* total_iterations = nullptr,
-    IdcaCounters* total_counters = nullptr);
+    const RTree* index = nullptr, QueryStats* stats = nullptr);
 
-/// Threshold-kNN prune distance: the k-th smallest MaxDist(object, q_mbr)
-/// over the *existentially certain* objects (an object that may be absent
+// ---- The threshold-query pipeline (Section VI): a spatial candidate
+// filter, then IDCA on each candidate with an early-stopping predicate.
+// ProbabilisticThreshold{Knn,Rknn} and the serving layer both run it
+// through the three functions below, so their candidate sets, payloads
+// and stats cannot drift apart.
+
+/// Receives one entry of a MinDistScan with its MinDist; returning false
+/// stops the scan.
+using MinDistEmit = std::function<bool(const RTreeEntry&, double)>;
+/// An index scan from a rect in ascending MinDist(entry, rect) order,
+/// shaped like RTree::ScanByMinDist. The filters take one scan per index
+/// partition — a single RTree, or one per store shard — emitting database
+/// ids; together the scans must cover every object exactly once.
+using MinDistScan = std::function<void(const Rect&, const MinDistEmit&)>;
+
+/// KnnCandidates' cutoff: the k-th smallest MaxDist(object, q_mbr) over
+/// the *existentially certain* objects (an object that may be absent
 /// cannot guarantee to push a candidate out of the kNN set in every
 /// world). Returns +infinity when fewer than k certain objects exist —
-/// nothing is spatially prunable then. Shared between the direct query
-/// path and the service's batched filter, whose determinism contract is
-/// that both compute identical candidate sets.
+/// nothing is spatially prunable then.
 double KnnPruneDistance(const UncertainDatabase& db, const Rect& q_mbr,
                         size_t k, const LpNorm& norm);
+
+/// Threshold-kNN candidate filter: B is no kNN result in any world once
+/// MinDist(B, Q) exceeds KnnPruneDistance, since at least k certain
+/// objects then MinMax-dominate B w.r.t. Q. Returns every other object in
+/// ascending id order. Each scan stops at its first entry past the
+/// cutoff, which does not depend on how `scans` split the objects.
+std::vector<ObjectId> KnnCandidates(const UncertainDatabase& db,
+                                    const Rect& q_mbr, size_t k,
+                                    std::span<const MinDistScan> scans,
+                                    const LpNorm& norm);
 
 /// One threshold-RkNN query as seen by the dominator count: the query
 /// object's MBR and the k it is counted against.
@@ -106,14 +129,7 @@ struct DominatorProbe {
   size_t k = 0;
 };
 
-/// Receives one entry of a MinDistScan with its MinDist; returning false
-/// stops the scan.
-using MinDistEmit = std::function<bool(const RTreeEntry&, double)>;
-/// An index scan from a rect in ascending MinDist(entry, rect) order,
-/// shaped like RTree::ScanByMinDist.
-using MinDistScan = std::function<void(const Rect&, const MinDistEmit&)>;
-
-/// Threshold-RkNN candidate filter for one object B and a batch of
+/// Threshold-RkNN dominator count for one object B and a batch of
 /// probes: B is no RkNN of a probe's Q once at least k existentially
 /// certain objects completely dominate Q w.r.t. B (Corollary 5 with the
 /// domination `criterion`). Sets counts[r] to the number of entries A of
@@ -124,14 +140,36 @@ using MinDistScan = std::function<void(const Rect&, const MinDistEmit&)>;
 /// counts[r] < probes[r].k. The scan walks B's neighbours nearest-first
 /// and stops once every probe holds its k or its distance passes every
 /// open probe's box, so a far B ends after its first few neighbours. A
-/// capped count does not depend on scan order or on the other probes:
-/// the service's per-shard filter (the whole batch as probes) and the
-/// direct query path (one probe) count alike for every shard count.
+/// capped count does not depend on scan order or on the other probes, so
+/// RknnCandidates can count per scan and add the capped counts up.
 void CountRknnDominators(const UncertainDatabase& db, ObjectId b,
                          std::span<const DominatorProbe> probes,
                          const MinDistScan& scan,
                          DominationCriterion criterion, const LpNorm& norm,
                          std::span<uint32_t> counts);
+
+/// Threshold-RkNN candidate filter for a batch of probes: returns, per
+/// probe and in ascending id order, every object B with fewer than k
+/// certain complete dominators. Objects go in fixed-size blocks, so the
+/// count buffers stay O(scans x probes x block); within a block the scans
+/// count in parallel and their capped counts add up in scan order. A
+/// probe's candidates do not depend on its batch or on `scans`' split.
+std::vector<std::vector<ObjectId>> RknnCandidates(
+    const UncertainDatabase& db, std::span<const DominatorProbe> probes,
+    std::span<const MinDistScan> scans, DominationCriterion criterion,
+    const LpNorm& norm);
+
+/// The per-candidate refinement loop: one IDCA run per candidate under
+/// `predicate` — DomCount(B, Q) for kNN, DomCount(Q, B) for RkNN
+/// (`reverse`) — reported in the order of `candidates`. Candidates are
+/// independent problems spread over `num_threads` (IdcaConfig
+/// semantics); the results are the same for every thread count. `stats`
+/// (optional) receives the candidate count and the summed iterations and
+/// engine counters; its `seconds` is left to the caller.
+std::vector<ThresholdQueryResult> RefineThresholdCandidates(
+    const IdcaEngine& engine, const Pdf& q,
+    std::span<const ObjectId> candidates, IdcaPredicate predicate,
+    bool reverse, int num_threads, QueryStats* stats);
 
 /// Answer entry of a U-kRanks-style query (Soliman & Ilyas, cited as [25]):
 /// for one rank position, the object most likely to occupy it.
@@ -151,7 +189,8 @@ struct RankWinner {
 /// U-kRanks over the first `max_rank` positions: per rank i, the object
 /// maximizing P(Rank = i) w.r.t. the uncertain query object Q, derived
 /// from the domination-count bounds (Corollary 3: Rank = DomCount + 1).
-/// Candidates are pre-filtered through the index like threshold kNN.
+/// Candidates are pre-filtered through the index like threshold kNN; a
+/// tie for a rank goes to the lower id.
 std::vector<RankWinner> UkRanksQuery(const UncertainDatabase& db,
                                      const RTree& index, const Pdf& q,
                                      size_t max_rank,

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
-#include <span>
 
 #include "queries/queries.h"
 
@@ -12,19 +10,38 @@ namespace service {
 
 namespace {
 
-/// Refinement iterations an IdcaResult actually executed (entry 0 of the
-/// stats series is the filter phase).
-size_t IterationsRun(const IdcaResult& r) {
-  return r.iterations.empty() ? 0 : r.iterations.size() - 1;
+/// One nearest-first scan per shard of `index`, in shard order, as the
+/// candidate filters take them.
+std::vector<MinDistScan> ShardScans(const store::ShardedSnapshotIndex& index,
+                                    const LpNorm& norm) {
+  std::vector<MinDistScan> scans;
+  scans.reserve(index.num_shards());
+  for (size_t s = 0; s < index.num_shards(); ++s) {
+    scans.push_back(
+        [&index, s, &norm](const Rect& from, const MinDistEmit& emit) {
+          index.ShardScanByMinDist(s, from, emit, norm);
+        });
+  }
+  return scans;
 }
 
-/// The nearest-first scan of shard `s` of `index`, as CountRknnDominators
-/// takes it.
-MinDistScan ShardScan(const store::ShardedSnapshotIndex& index, size_t s,
-                      const LpNorm& norm) {
-  return [&index, s, &norm](const Rect& from, const MinDistEmit& emit) {
-    index.ShardScanByMinDist(s, from, emit, norm);
-  };
+/// Fills a finished request's deterministic stats and exec time, and its
+/// terminal status: kExpired when the deadline cut the iteration grant
+/// below the requested budget and the answer is still `unresolved`, kOk
+/// otherwise.
+void FinishResponse(const QueryBudget& budget, int granted,
+                    const QueryStats& stats, bool unresolved,
+                    const Stopwatch& exec, QueryResponse& response) {
+  response.stats.iterations_granted = granted;
+  response.stats.candidates = stats.candidates;
+  response.stats.idca_iterations = stats.idca_iterations;
+  response.stats.ugf_multiplies = stats.counters.ugf_multiplies;
+  response.stats.verdict_cache_hits = stats.counters.verdict_cache_hits;
+  response.stats.verdict_cache_misses = stats.counters.verdict_cache_misses;
+  response.status = granted < budget.max_iterations && unresolved
+                        ? ResponseStatus::kExpired
+                        : ResponseStatus::kOk;
+  response.stats.exec_seconds = exec.ElapsedSeconds();
 }
 
 size_t CheckedPoolSize(size_t num_workers) {
@@ -387,10 +404,11 @@ void QueryService::RunBatch(const store::StoreSnapshot& snap, Pending* batch,
   batch_span.AddArg("batch_seq", batch_seq);
   batch_span.AddArg("count", count);
   batch_span.AddArg("version", snap.version());
-  // Group same-kind requests so they share one filter pass. Requests whose
-  // admission-time validation no longer holds against this round's
-  // snapshot (live updates landed in between) terminate as kInvalid;
-  // requests against an empty snapshot complete with empty payloads.
+  // Group same-kind requests; the RkNN ones share one filter pass.
+  // Requests whose admission-time validation no longer holds against this
+  // round's snapshot (live updates landed in between) terminate as
+  // kInvalid; requests against an empty snapshot complete with empty
+  // payloads.
   std::vector<Pending*> knn, rknn;
   for (size_t i = 0; i < count; ++i) {
     Pending& p = batch[i];
@@ -450,116 +468,31 @@ void QueryService::ExecThresholdBatch(const store::StoreSnapshot& snap,
                                       bool reverse) const {
   const LpNorm& norm = options_.base_config.norm;
   const UncertainDatabase& db = *snap.db();
-  const store::ShardedSnapshotIndex& index = snap.index();
-  const size_t num_shards = index.num_shards();
+  const std::vector<MinDistScan> scans = ShardScans(snap.index(), norm);
 
-  // Phase 1 — candidate filter, one index pass shared across the batch,
-  // fanned out per shard and reduced in fixed shard order. Every request
-  // ends up with exactly the candidate set a solo run of queries.cc
-  // would produce (see the class comment on determinism), in
-  // ascending-id order — a distance cutoff (kNN) and a dominator count
-  // (RkNN) are both partition-invariant, so the shard count never
-  // changes a candidate set.
+  // Phase 1 — the direct query path's candidate filters (queries.h) over
+  // the snapshot's shards: one KnnCandidates per kNN request, one
+  // RknnCandidates pass with the whole RkNN batch as probes. Each scans
+  // every shard and reduces in fixed shard order, and returns exactly the
+  // candidates a solo run would, in ascending id order — for every
+  // num_shards and every batch.
   const uint64_t filter_start_ns =
       options_.trace != nullptr ? options_.trace->NowNs() : 0;
-  std::vector<std::vector<ObjectId>> candidates(count);
-  if (!reverse) {
-    // Threshold kNN: per-request prune distance (KnnPruneDistance — the
-    // same rule the direct query path uses); one ScanByMinDist per shard
-    // against the union MBR with the maximum prune distance over-collects
-    // a superset, re-filtered per request with its own prune distance.
-    std::vector<double> prune(count);
-    bool any_bounded = false;
-    Rect union_mbr = requests[0]->request.query->bounds();
-    double max_prune = 0.0;
-    for (size_t r = 0; r < count; ++r) {
-      const Rect& q_mbr = requests[r]->request.query->bounds();
-      union_mbr = Rect::Hull(union_mbr, q_mbr);
-      prune[r] = KnnPruneDistance(db, q_mbr, requests[r]->request.k, norm);
-      if (prune[r] == std::numeric_limits<double>::infinity()) continue;
-      max_prune = std::max(max_prune, prune[r]);
-      any_bounded = true;
-    }
-    std::vector<ObjectId> shared;
-    if (any_bounded) {
-      std::vector<std::vector<ObjectId>> per_shard(num_shards);
-      ThreadPool::SharedParallelFor(
-          num_shards, num_shards, [&](size_t s, size_t /*worker*/) {
-            index.ShardScanByMinDist(
-                s, union_mbr,
-                [&per_shard, s, max_prune](const RTreeEntry& e,
-                                           double min_dist) {
-                  if (min_dist > max_prune) return false;
-                  per_shard[s].push_back(e.id);
-                  return true;
-                },
-                norm);
-          });
-      for (const std::vector<ObjectId>& ids : per_shard) {
-        shared.insert(shared.end(), ids.begin(), ids.end());
-      }
-      std::sort(shared.begin(), shared.end());
-    }
-    for (size_t r = 0; r < count; ++r) {
-      if (prune[r] == std::numeric_limits<double>::infinity()) {
-        candidates[r].resize(db.size());
-        for (ObjectId id = 0; id < db.size(); ++id) candidates[r][id] = id;
-        continue;
-      }
-      const Rect& q_mbr = requests[r]->request.query->bounds();
-      for (ObjectId id : shared) {
-        if (norm.MinDist(db.object(id).mbr(), q_mbr) <= prune[r]) {
-          candidates[r].push_back(id);
-        }
-      }
-    }
-  } else {
-    // Threshold RkNN: B survives while fewer than k certain objects
-    // completely dominate Q w.r.t. B. CountRknnDominators — the routine
-    // the direct query path calls with one probe — takes the whole batch
-    // as its probes and counts each against its own query's reach, so a
-    // request's count never depends on its batch. Each shard counts its
-    // own dominators, capped at each request's k — once a single shard
-    // holds k the total is decided — and the per-object totals reduce
-    // over shards in fixed shard order.
+  std::vector<std::vector<ObjectId>> candidates;
+  if (reverse) {
     std::vector<DominatorProbe> probes(count);
     for (size_t r = 0; r < count; ++r) {
       probes[r] = DominatorProbe{&requests[r]->request.query->bounds(),
                                  requests[r]->request.k};
     }
-    // Objects are processed in fixed-size blocks so the per-shard count
-    // buffers stay O(num_shards × batch × block) — never O(database
-    // size) — and each block reduces in shard order before the next one
-    // starts (block and shard order are both fixed, so the candidate
-    // sets stay deterministic). dominators[s][i * count + r] is shard s's
-    // count for object block_begin + i and request r.
-    constexpr size_t kBlock = 1024;
-    std::vector<std::vector<uint32_t>> dominators(num_shards);
-    for (size_t block_begin = 0; block_begin < db.size();
-         block_begin += kBlock) {
-      const size_t block = std::min(kBlock, db.size() - block_begin);
-      ThreadPool::SharedParallelFor(
-          num_shards, num_shards, [&](size_t s, size_t /*worker*/) {
-            const MinDistScan scan = ShardScan(index, s, norm);
-            std::vector<uint32_t>& counts = dominators[s];
-            counts.resize(block * count);
-            for (size_t i = 0; i < block; ++i) {
-              CountRknnDominators(
-                  db, static_cast<ObjectId>(block_begin + i), probes, scan,
-                  options_.base_config.criterion, norm,
-                  std::span<uint32_t>(counts).subspan(i * count, count));
-            }
-          });
-      for (size_t i = 0; i < block; ++i) {
-        const ObjectId b = static_cast<ObjectId>(block_begin + i);
-        for (size_t r = 0; r < count; ++r) {
-          size_t total = 0;
-          for (size_t s = 0; s < num_shards; ++s) {
-            total += dominators[s][i * count + r];
-          }
-          if (total < requests[r]->request.k) candidates[r].push_back(b);
-        }
-      }
+    candidates = RknnCandidates(db, probes, scans,
+                                options_.base_config.criterion, norm);
+  } else {
+    candidates.reserve(count);
+    for (size_t r = 0; r < count; ++r) {
+      const QueryRequest& req = requests[r]->request;
+      candidates.push_back(
+          KnnCandidates(db, req.query->bounds(), req.k, scans, norm));
     }
   }
 
@@ -571,7 +504,8 @@ void QueryService::ExecThresholdBatch(const store::StoreSnapshot& snap,
                                args, 1);
   }
 
-  // Phase 2 — per-request IDCA refinement under the compiled budget.
+  // Phase 2 — per-request IDCA refinement under the compiled budget,
+  // serial inside the worker.
   for (size_t r = 0; r < count; ++r) {
     Pending& p = *requests[r];
     obs::TraceSpan req_span(options_.trace, QueryKindName(p.request.kind),
@@ -583,32 +517,18 @@ void QueryService::ExecThresholdBatch(const store::StoreSnapshot& snap,
     IdcaConfig cfg = CompileBudget(p.request.budget, &granted);
     AttachMemo(&cfg, p, snap.version());
     const IdcaEngine engine(db, cfg);
-    const IdcaPredicate predicate{p.request.k, p.request.tau};
-    p.response.threshold.reserve(candidates[r].size());
-    size_t iterations = 0;
-    IdcaCounters counters;
-    bool undecided = false;
-    for (ObjectId id : candidates[r]) {
-      const IdcaResult result =
-          reverse ? engine.ComputeDomCountOfQuery(*p.request.query, id,
-                                                  predicate)
-                  : engine.ComputeDomCount(id, *p.request.query, predicate);
-      iterations += IterationsRun(result);
-      counters += result.counters;
-      undecided |= result.decision == PredicateDecision::kUndecided;
-      p.response.threshold.push_back(
-          ThresholdQueryResult{id, result.predicate_prob, result.decision});
-    }
-    p.response.stats.iterations_granted = granted;
-    p.response.stats.candidates = candidates[r].size();
-    p.response.stats.idca_iterations = iterations;
-    p.response.stats.ugf_multiplies = counters.ugf_multiplies;
-    p.response.stats.verdict_cache_hits = counters.verdict_cache_hits;
-    p.response.stats.verdict_cache_misses = counters.verdict_cache_misses;
-    p.response.status = granted < p.request.budget.max_iterations && undecided
-                            ? ResponseStatus::kExpired
-                            : ResponseStatus::kOk;
-    p.response.stats.exec_seconds = exec.ElapsedSeconds();
+    QueryStats stats;
+    p.response.threshold = RefineThresholdCandidates(
+        engine, *p.request.query, candidates[r],
+        IdcaPredicate{p.request.k, p.request.tau}, reverse, /*num_threads=*/1,
+        &stats);
+    const bool undecided = std::any_of(
+        p.response.threshold.begin(), p.response.threshold.end(),
+        [](const ThresholdQueryResult& t) {
+          return t.decision == PredicateDecision::kUndecided;
+        });
+    FinishResponse(p.request.budget, granted, stats, undecided, exec,
+                   p.response);
   }
 }
 
@@ -626,25 +546,16 @@ void QueryService::ExecInverseRanking(const store::StoreSnapshot& snap,
   const IdcaResult result =
       engine.ComputeDomCount(dense_target, *p.request.query);
   p.response.rank_bounds = result.bounds;
-  p.response.stats.iterations_granted = granted;
-  p.response.stats.candidates = result.influence_count;
-  p.response.stats.idca_iterations = IterationsRun(result);
-  p.response.stats.ugf_multiplies = result.counters.ugf_multiplies;
-  p.response.stats.verdict_cache_hits = result.counters.verdict_cache_hits;
-  p.response.stats.verdict_cache_misses =
-      result.counters.verdict_cache_misses;
-  p.response.status =
-      granted < p.request.budget.max_iterations &&
-              result.bounds.TotalUncertainty() >
-                  p.request.budget.uncertainty_epsilon
-          ? ResponseStatus::kExpired
-          : ResponseStatus::kOk;
-  p.response.stats.exec_seconds = exec.ElapsedSeconds();
+  const QueryStats stats{result.influence_count, result.iterations_run(),
+                        result.counters};
+  const bool unresolved =
+      result.bounds.TotalUncertainty() > p.request.budget.uncertainty_epsilon;
+  FinishResponse(p.request.budget, granted, stats, unresolved, exec,
+                 p.response);
 }
 
 void QueryService::ExecExpectedRank(const store::StoreSnapshot& snap,
                                     Pending& p) const {
-  const UncertainDatabase& db = *snap.db();
   obs::TraceSpan req_span(options_.trace, QueryKindName(p.request.kind),
                           "exec");
   req_span.AddArg("ticket", p.ticket);
@@ -654,25 +565,16 @@ void QueryService::ExecExpectedRank(const store::StoreSnapshot& snap,
   AttachMemo(&cfg, p, snap.version());
   // Delegate to the direct query path (serial here: cfg.num_threads == 1)
   // so the service payload cannot diverge from ExpectedRankOrder.
-  size_t iterations = 0;
-  IdcaCounters counters;
-  p.response.expected = ExpectedRankOrder(db, *p.request.query, cfg, nullptr,
-                                          &iterations, &counters);
+  QueryStats stats;
+  p.response.expected =
+      ExpectedRankOrder(*snap.db(), *p.request.query, cfg, nullptr, &stats);
   double total_width = 0.0;
   for (const ExpectedRankEntry& e : p.response.expected) {
     total_width += e.expected_rank.width();
   }
-  p.response.stats.iterations_granted = granted;
-  p.response.stats.candidates = db.size();
-  p.response.stats.idca_iterations = iterations;
-  p.response.stats.ugf_multiplies = counters.ugf_multiplies;
-  p.response.stats.verdict_cache_hits = counters.verdict_cache_hits;
-  p.response.stats.verdict_cache_misses = counters.verdict_cache_misses;
-  p.response.status = granted < p.request.budget.max_iterations &&
-                              total_width > p.request.budget.uncertainty_epsilon
-                          ? ResponseStatus::kExpired
-                          : ResponseStatus::kOk;
-  p.response.stats.exec_seconds = exec.ElapsedSeconds();
+  FinishResponse(p.request.budget, granted, stats,
+                 total_width > p.request.budget.uncertainty_epsilon, exec,
+                 p.response);
 }
 
 }  // namespace service

@@ -20,20 +20,21 @@
 // queued requests per round, partitions them into consecutive
 // submission-order chunks of batch_size, and runs the chunks in parallel
 // on its own ThreadPool (the dispatcher participates as worker 0). Within
-// a batch, same-kind requests share one pass over the snapshot's index
-// for the candidate filter (a union-MBR scan for kNN, one nearest-first
-// dominator scan per object for RkNN), fanned out per store shard
-// (ThreadPool::SharedParallelFor over the snapshot's shard indexes,
-// reduced in fixed shard order — a distance cutoff and a capped
-// dominator count are partition-invariant, so candidate sets are
-// identical for every num_shards), then each request refines its own
-// candidates with IDCA under its compiled budget. The shard fan-out runs
-// genuinely parallel in single-batch rounds (ParallelFor(n == 1) keeps
-// the nested loop's parallelism); in multi-batch rounds the nested call
-// runs inline and batch-level parallelism dominates — either way the
-// reduction order, and with it the payload, is fixed. Rounds are a
-// barrier: a worker that finishes its batch idles
-// until the round's slowest batch completes (ThreadPool exposes
+// a batch, threshold kNN and RkNN requests run the direct query path's
+// pipeline (queries/queries.h) over one scan per store shard: a
+// KnnCandidates call per kNN request, one RknnCandidates pass per batch
+// for RkNN (one nearest-first dominator scan per object counts every
+// request at once), then RefineThresholdCandidates per request under its
+// compiled budget. The filters fan out per shard
+// (ThreadPool::SharedParallelFor) and reduce in fixed shard order — a
+// distance cutoff and a capped dominator count are partition-invariant,
+// so candidate sets are identical for every num_shards. The shard
+// fan-out runs genuinely parallel in single-batch rounds (ParallelFor(n
+// == 1) keeps the nested loop's parallelism); in multi-batch rounds the
+// nested call runs inline and batch-level parallelism dominates — either
+// way the reduction order, and with it the payload, is fixed. Rounds are
+// a barrier: a worker that finishes its batch idles until the round's
+// slowest batch completes (ThreadPool exposes
 // ParallelFor, not task handoff). That costs tail latency when one
 // expensive request (e.g. expected-rank) shares a round with cheap ones —
 // an accepted tradeoff here; continuous per-batch handoff would need a
@@ -43,11 +44,11 @@
 // Determinism: batch *composition* may depend on timing (a drained queue
 // dispatches partial batches), and so may the version a round serves
 // under live updates — so both are constructed to be result-invariant
-// per (request, version): the shared filters compute, per request,
-// exactly the candidate set a solo run against that version would (the
-// union scan only over-collects, and each request re-filters with its own
-// prune distance), and every response is a pure function of (request,
-// snapshot version, compiled budget). Replaying a request pinned to the
+// per (request, version): the filters compute, per request, exactly the
+// candidate set a solo run against that version would (each request is
+// cut by its own prune distance or counted against its own reach box),
+// and every response is a pure function of (request, snapshot version,
+// compiled budget). Replaying a request pinned to the
 // version its response names reproduces the payload bit-identically for
 // any num_workers/batch_size/num_shards and any arrival timing; only the
 // wall-clock stats fields differ. Deadlines are compiled to iteration
@@ -100,7 +101,7 @@ struct QueryServiceOptions {
   /// worker 0; num_workers - 1 pool threads are spawned). Must be >= 1.
   size_t num_workers = 1;
   /// Admitted requests grouped into one batch (>= 1). Larger batches share
-  /// more filter work per index pass but coarsen the parallel grain.
+  /// more RkNN filter work per index pass but coarsen the parallel grain.
   size_t batch_size = 8;
   /// Bound of the admission queue; Submit rejects (ResourceExhausted) when
   /// this many requests are queued and not yet dispatched. Must be >= 1.
@@ -249,7 +250,7 @@ class QueryService {
 
   void DispatcherMain();
   /// Executes one batch (consecutive slice of a round) serially against
-  /// `snap`, sharing per-kind filter passes; fills each Pending's
+  /// `snap`, RkNN requests sharing one filter pass; fills each Pending's
   /// response.
   void RunBatch(const store::StoreSnapshot& snap, Pending* batch,
                 size_t count, uint64_t batch_seq) const;

@@ -90,6 +90,12 @@ Status ValidateCommon(const QueryRequest& request,
   if (request.budget.deadline_ms < 0.0) {
     return Status::InvalidArgument("negative deadline");
   }
+  // Written so NaN fails too: a NaN epsilon compares false against every
+  // uncertainty, so a deadline-truncated answer would be stamped kOk; a
+  // negative one would stamp a fully converged answer kExpired.
+  if (!(request.budget.uncertainty_epsilon >= 0.0)) {
+    return Status::InvalidArgument("uncertainty_epsilon must be >= 0");
+  }
   switch (request.kind) {
     case QueryKind::kThresholdKnn:
     case QueryKind::kThresholdRknn:

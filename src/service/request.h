@@ -58,7 +58,8 @@ struct QueryBudget {
   /// Hard cap on IDCA refinement iterations (0 = filter phase only, which
   /// still yields valid vacuous-or-better brackets).
   int max_iterations = 8;
-  /// Early-stop once accumulated uncertainty falls to or below this.
+  /// Early-stop once accumulated uncertainty falls to or below this
+  /// (>= 0).
   double uncertainty_epsilon = 0.0;
   /// Soft deadline in milliseconds; 0 disables deadline compilation.
   double deadline_ms = 0.0;

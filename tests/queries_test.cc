@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <vector>
 
 #include "mc/monte_carlo.h"
 #include "rknn_oracle.h"
@@ -124,6 +125,54 @@ TEST(KnnQueryTest, LargerKKeepsMoreCandidates) {
   ProbabilisticThresholdKnn(f.db, f.index, *q, 10, 0.5, {}, &s10);
   EXPECT_GE(s10.candidates, s1.candidates);
   EXPECT_GE(s1.candidates, 1u);
+}
+
+TEST(KnnQueryTest, CandidatesMatchBruteForceOracle) {
+  // Under the L1 and L2 norms, on a database with uncertain objects: the
+  // reported candidates, in ascending id order, equal a brute-force prune
+  // distance over queries spread across the space (one with objects
+  // exactly on its cutoff) with k in {1, 3, 10}, and every object once k
+  // exceeds the certain objects.
+  const UncertainDatabase db = test_util::KnnOracleDatabase(500, 37);
+  const RTree index = BuildRTree(db.objects());
+  const size_t all = test_util::CertainObjects(db) + 1;
+  Rng rng(26);
+  std::vector<std::shared_ptr<const Pdf>> queries = {
+      test_util::FarRknnQuery(), test_util::KnnTieQuery()};
+  for (const double x : {0.05, 0.95}) {
+    for (const double y : {0.05, 0.95}) {
+      queries.push_back(
+          MakeQueryObject(Point{x, y}, 0.05, ObjectModel::kUniform, 0, rng));
+    }
+  }
+  for (const int p : {1, 2}) {
+    SCOPED_TRACE(testing::Message() << "p=" << p);
+    IdcaConfig filter_only;
+    filter_only.max_iterations = 0;
+    filter_only.norm = LpNorm(p);
+    for (size_t i = 0; i < queries.size(); ++i) {
+      SCOPED_TRACE(testing::Message() << "query=" << i);
+      for (const size_t k : {size_t{1}, size_t{3}, size_t{10}, all}) {
+        SCOPED_TRACE(testing::Message() << "k=" << k);
+        QueryStats stats;
+        const std::vector<ThresholdQueryResult> results =
+            ProbabilisticThresholdKnn(db, index, *queries[i], k, 0.5,
+                                      filter_only, &stats);
+        std::vector<ObjectId> candidates;
+        for (const ThresholdQueryResult& r : results) {
+          candidates.push_back(r.id);
+        }
+        const std::vector<ObjectId> expected =
+            test_util::BruteForceKnnCandidates(db, queries[i]->bounds(), k,
+                                               filter_only.norm);
+        EXPECT_EQ(candidates, expected);
+        EXPECT_EQ(stats.candidates, candidates.size());
+        if (k == all) {
+          EXPECT_EQ(candidates.size(), db.size());
+        }
+      }
+    }
+  }
 }
 
 TEST(RknnQueryTest, CertainLineDatabase) {

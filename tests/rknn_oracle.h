@@ -1,10 +1,11 @@
-// Shared oracle of the threshold-RkNN candidate filter (queries_test,
-// service_test): an unindexed brute-force dominator count over all
-// objects in id order, and a database that exercises its edge cases.
+// Shared oracles of the threshold kNN and RkNN candidate filters
+// (queries_test, service_test): unindexed brute-force scans over all
+// objects in id order, and a database that exercises their edge cases.
 
 #ifndef UPDB_TESTS_RKNN_ORACLE_H_
 #define UPDB_TESTS_RKNN_ORACLE_H_
 
+#include <algorithm>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -16,6 +17,37 @@
 
 namespace updb {
 namespace test_util {
+
+/// Object B survives the kNN filter of (q, k) iff MinDist(B, q) is at most
+/// the k-th smallest MaxDist(A, q) over the existentially certain objects
+/// A; with fewer than k certain objects every object survives. Sorts all
+/// those distances, no index; returns the survivors in ascending id order.
+inline std::vector<ObjectId> BruteForceKnnCandidates(
+    const UncertainDatabase& db, const Rect& q, size_t k,
+    const LpNorm& norm) {
+  std::vector<double> maxdists;
+  for (const UncertainObject& o : db.objects()) {
+    if (o.existentially_certain()) maxdists.push_back(norm.MaxDist(o.mbr(), q));
+  }
+  std::sort(maxdists.begin(), maxdists.end());
+  std::vector<ObjectId> survivors;
+  for (ObjectId b = 0; b < db.size(); ++b) {
+    if (maxdists.size() < k ||
+        norm.MinDist(db.object(b).mbr(), q) <= maxdists[k - 1]) {
+      survivors.push_back(b);
+    }
+  }
+  return survivors;
+}
+
+/// Number of existentially certain objects of `db`.
+inline size_t CertainObjects(const UncertainDatabase& db) {
+  size_t certain = 0;
+  for (const UncertainObject& o : db.objects()) {
+    if (o.existentially_certain()) ++certain;
+  }
+  return certain;
+}
 
 /// Object B survives the RkNN filter of (q, k) iff fewer than k
 /// existentially certain objects A != B intersect B's MBR expanded by
@@ -82,6 +114,27 @@ inline UncertainDatabase RknnOracleDatabase(size_t n, uint64_t seed) {
   db.Add(box(0.25, 0.0, 0.3125, 0.0625), /*existence=*/0.5);
   db.Add(box(5.25, 0.0, 5.5, 0.25));
   db.Add(box(7.25, 0.125, 7.5, 0.25));
+  return db;
+}
+
+/// Point query for KnnOracleDatabase, right of the unit square at (4, 2).
+inline std::shared_ptr<const Pdf> KnnTieQuery() {
+  return std::make_shared<DiscreteSamplePdf>(std::vector<Point>{Point{4, 2}});
+}
+
+/// RknnOracleDatabase(n, seed) plus four point objects at distance
+/// exactly 1 (under L1 and L2) from KnnTieQuery(): three certain, one only
+/// 0.5 likely to exist. For k <= 3 the kNN prune distance is exactly 1,
+/// so all four lie on the cutoff and are candidates.
+inline UncertainDatabase KnnOracleDatabase(size_t n, uint64_t seed) {
+  UncertainDatabase db = RknnOracleDatabase(n, seed);
+  const auto point = [](double x, double y) {
+    return std::make_shared<DiscreteSamplePdf>(std::vector<Point>{Point{x, y}});
+  };
+  db.Add(point(5, 2));
+  db.Add(point(4, 3));
+  db.Add(point(3, 2), /*existence=*/0.5);
+  db.Add(point(4, 1));
   return db;
 }
 

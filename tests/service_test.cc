@@ -76,21 +76,12 @@ QueryResponse RunOne(std::shared_ptr<const UncertainDatabase> db,
   return service.Take(*ticket);
 }
 
-TEST(QueryServiceTest, KnnMatchesDirectQuery) {
-  const auto db = MakeDb(40, 0.08);
-  const auto q = MakeQuery(0.5, 0.5, 0.08);
-  IdcaConfig direct_cfg;
-  direct_cfg.max_iterations = 4;
-  const RTree index = BuildRTree(db->objects());
-  std::vector<ThresholdQueryResult> direct =
-      ProbabilisticThresholdKnn(*db, index, *q, 3, 0.5, direct_cfg);
-  std::sort(direct.begin(), direct.end(),
-            [](const ThresholdQueryResult& a, const ThresholdQueryResult& b) {
-              return a.id < b.id;
-            });
-
-  const QueryResponse response = RunOne(db, KnnRequest(q, 3, 0.5, 4));
-  EXPECT_EQ(response.status, ResponseStatus::kOk);
+/// The service and the direct query path run one pipeline: the same
+/// results in the same (ascending-id) order, and the same deterministic
+/// stats.
+void ExpectSameAsDirect(const QueryResponse& response,
+                        const std::vector<ThresholdQueryResult>& direct,
+                        const QueryStats& stats) {
   ASSERT_EQ(response.threshold.size(), direct.size());
   for (size_t i = 0; i < direct.size(); ++i) {
     EXPECT_EQ(response.threshold[i].id, direct[i].id);
@@ -98,6 +89,30 @@ TEST(QueryServiceTest, KnnMatchesDirectQuery) {
     EXPECT_EQ(response.threshold[i].prob.lb, direct[i].prob.lb);
     EXPECT_EQ(response.threshold[i].prob.ub, direct[i].prob.ub);
   }
+  EXPECT_EQ(response.stats.candidates, stats.candidates);
+  EXPECT_EQ(response.stats.idca_iterations, stats.idca_iterations);
+  EXPECT_EQ(response.stats.ugf_multiplies, stats.counters.ugf_multiplies);
+  EXPECT_EQ(response.stats.verdict_cache_hits,
+            stats.counters.verdict_cache_hits);
+  EXPECT_EQ(response.stats.verdict_cache_misses,
+            stats.counters.verdict_cache_misses);
+  EXPECT_GT(stats.idca_iterations, 0u);
+  EXPECT_GT(stats.counters.ugf_multiplies, 0u);
+}
+
+TEST(QueryServiceTest, KnnMatchesDirectQuery) {
+  const auto db = MakeDb(40, 0.08);
+  const auto q = MakeQuery(0.5, 0.5, 0.08);
+  IdcaConfig direct_cfg;
+  direct_cfg.max_iterations = 4;
+  const RTree index = BuildRTree(db->objects());
+  QueryStats stats;
+  const std::vector<ThresholdQueryResult> direct =
+      ProbabilisticThresholdKnn(*db, index, *q, 3, 0.5, direct_cfg, &stats);
+
+  const QueryResponse response = RunOne(db, KnnRequest(q, 3, 0.5, 4));
+  EXPECT_EQ(response.status, ResponseStatus::kOk);
+  ExpectSameAsDirect(response, direct, stats);
 }
 
 TEST(QueryServiceTest, RknnMatchesDirectQuery) {
@@ -106,23 +121,13 @@ TEST(QueryServiceTest, RknnMatchesDirectQuery) {
   IdcaConfig direct_cfg;
   direct_cfg.max_iterations = 3;
   const RTree index = BuildRTree(db->objects());
+  QueryStats stats;
   const std::vector<ThresholdQueryResult> direct =
-      ProbabilisticThresholdRknn(*db, index, *q, 2, 0.5, direct_cfg);
-  // The direct RkNN filter iterates objects in id order already.
-  QueryRequest req;
+      ProbabilisticThresholdRknn(*db, index, *q, 2, 0.5, direct_cfg, &stats);
+  QueryRequest req = KnnRequest(q, 2, 0.5, 3);
   req.kind = QueryKind::kThresholdRknn;
-  req.query = q;
-  req.k = 2;
-  req.tau = 0.5;
-  req.budget.max_iterations = 3;
   const QueryResponse response = RunOne(db, std::move(req));
-  ASSERT_EQ(response.threshold.size(), direct.size());
-  for (size_t i = 0; i < direct.size(); ++i) {
-    EXPECT_EQ(response.threshold[i].id, direct[i].id);
-    EXPECT_EQ(response.threshold[i].decision, direct[i].decision);
-    EXPECT_EQ(response.threshold[i].prob.lb, direct[i].prob.lb);
-    EXPECT_EQ(response.threshold[i].prob.ub, direct[i].prob.ub);
-  }
+  ExpectSameAsDirect(response, direct, stats);
 }
 
 TEST(QueryServiceTest, InverseRankingAndExpectedRankMatchDirect) {
@@ -403,7 +408,8 @@ TEST(QueryServiceTest, NonFiniteTauDeadlineAndBoundsAreInvalid) {
   // the request would burn its whole iteration budget to answer
   // kUndecided; a NaN deadline would be silently ignored; an infinite
   // query side would make every object a candidate and run IDCA on
-  // infinite rectangles. Such requests must instead be refused at
+  // infinite rectangles; a NaN or negative uncertainty_epsilon would
+  // mislabel the answer's status. Such requests must instead be refused at
   // admission, which a trace replay records as a kInvalid response.
   const auto db = MakeDb(10, 0.05);
   const double nan = std::numeric_limits<double>::quiet_NaN();
@@ -421,6 +427,20 @@ TEST(QueryServiceTest, NonFiniteTauDeadlineAndBoundsAreInvalid) {
     req.kind = kind;
     req.budget.deadline_ms = nan;
     trace.push_back(std::move(req));
+  }
+  // A NaN uncertainty_epsilon compares false against every uncertainty, so
+  // a deadline-truncated answer would be stamped kOk; a negative one would
+  // stamp a converged answer kExpired.
+  for (double eps : {nan, -1e-9, -inf}) {
+    for (QueryKind kind :
+         {QueryKind::kInverseRanking, QueryKind::kExpectedRank}) {
+      QueryRequest req = KnnRequest(MakeQuery(0.5, 0.5, 0.05), 1, 0.5, 2);
+      req.kind = kind;
+      req.target = 0;
+      req.budget.uncertainty_epsilon = eps;
+      req.budget.deadline_ms = 1.0;
+      trace.push_back(std::move(req));
+    }
   }
   const std::shared_ptr<const Pdf> unbounded[] = {
       std::make_shared<UniformPdf>(Rect(Point{0.4, -inf}, Point{0.6, 0.6})),
@@ -515,6 +535,74 @@ TEST(QueryServiceTest, RknnFilterMatchesBruteForceOracle) {
           }
           EXPECT_EQ(ids, expected[r]);
         }
+      }
+    }
+  }
+}
+
+/// The per-request kNN candidate filter against a brute-force prune
+/// distance: one batch of queries spread over the whole space (so their
+/// union MBR covers most of it) with k in {1, 3, 10}, a query whose
+/// cutoff objects tie exactly, and one request whose k exceeds the
+/// certain objects (every object is then a candidate), on a database
+/// mixing in objects with existence < 1. Each response's candidate ids
+/// must be exactly the oracle's, at several shard counts and under the L1
+/// and L2 norms.
+TEST(QueryServiceTest, KnnFilterMatchesBruteForceOracle) {
+  const auto db = std::make_shared<const UncertainDatabase>(
+      test_util::KnnOracleDatabase(500, 29));
+  const size_t all = test_util::CertainObjects(*db) + 1;
+  std::vector<std::pair<std::shared_ptr<const Pdf>, size_t>> probes;
+  probes.emplace_back(MakeQuery(0.05, 0.05, 0.05, 1), 1);
+  probes.emplace_back(MakeQuery(0.95, 0.95, 0.05, 2), 3);
+  probes.emplace_back(MakeQuery(0.05, 0.95, 0.08, 3), 10);
+  probes.emplace_back(MakeQuery(0.95, 0.05, 0.05, 4), 10);
+  probes.emplace_back(MakeQuery(0.5, 0.5, 0.05, 5), 3);
+  probes.emplace_back(test_util::FarRknnQuery(), 1);
+  probes.emplace_back(test_util::KnnTieQuery(), 3);
+  probes.emplace_back(MakeQuery(0.5, 0.5, 0.05, 6), all);
+  std::vector<size_t> shard_counts = {1, 2, 7};
+  if (TestShards() != 1 && TestShards() != 2 && TestShards() != 7) {
+    shard_counts.push_back(TestShards());
+  }
+  for (const int p : {1, 2}) {
+    SCOPED_TRACE(testing::Message() << "p=" << p);
+    const LpNorm norm(p);
+    std::vector<std::vector<ObjectId>> expected;
+    for (const auto& [q, k] : probes) {
+      expected.push_back(
+          test_util::BruteForceKnnCandidates(*db, q->bounds(), k, norm));
+    }
+    EXPECT_EQ(expected.back().size(), db->size());
+    for (const size_t shards : shard_counts) {
+      store::StoreOptions sopts;
+      sopts.num_shards = shards;
+      QueryServiceOptions opts;
+      opts.batch_size = probes.size();
+      opts.start_paused = true;
+      opts.base_config.norm = norm;
+      const auto snapshot = store::VersionedObjectStore(*db, sopts).latest();
+      QueryService service(snapshot, opts);
+      std::vector<uint64_t> tickets;
+      for (const auto& [q, k] : probes) {
+        const StatusOr<uint64_t> ticket =
+            service.Submit(KnnRequest(q, k, 0.5, /*iterations=*/0));
+        ASSERT_TRUE(ticket.ok()) << ticket.status().ToString();
+        tickets.push_back(*ticket);
+      }
+      service.Resume();
+      std::vector<QueryResponse> responses;
+      for (const uint64_t ticket : tickets) {
+        responses.push_back(service.Take(ticket));
+      }
+      for (size_t r = 0; r < responses.size(); ++r) {
+        SCOPED_TRACE(testing::Message() << "shards=" << shards << " r=" << r);
+        EXPECT_EQ(responses[r].stats.batch, responses[0].stats.batch);
+        std::vector<ObjectId> ids;
+        for (const ThresholdQueryResult& t : responses[r].threshold) {
+          ids.push_back(t.id);
+        }
+        EXPECT_EQ(ids, expected[r]);
       }
     }
   }
