@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <queue>
 
 namespace updb {
 
@@ -81,78 +82,40 @@ RTree::RTree(std::vector<RTreeEntry> entries, size_t leaf_capacity)
   root_ = level[0];
 }
 
-std::vector<ObjectId> RTree::RangeIntersect(const Rect& query) const {
-  std::vector<ObjectId> out;
-  ForEachIntersecting(query, [&out](const RTreeEntry& e) {
-    out.push_back(e.id);
-    return true;
-  });
-  return out;
-}
-
-void RTree::ForEachIntersecting(
-    const Rect& query,
-    const std::function<bool(const RTreeEntry&)>& fn) const {
-  if (empty()) return;
-  std::vector<uint32_t> stack = {root_};
-  while (!stack.empty()) {
-    const Node& node = nodes_[stack.back()];
-    stack.pop_back();
-    if (!node.mbr.Intersects(query)) continue;
-    if (node.leaf) {
-      for (uint32_t i = node.begin; i < node.end; ++i) {
-        if (entries_[i].mbr.Intersects(query)) {
-          if (!fn(entries_[i])) return;
-        }
-      }
-    } else {
-      for (uint32_t c = node.begin; c < node.end; ++c) stack.push_back(c);
-    }
-  }
-}
-
 void RTree::ScanByMinDist(
     const Rect& query,
     const std::function<bool(const RTreeEntry&, double)>& fn,
     const LpNorm& norm) const {
-  MinDistCursor cursor(*this, query, norm);
-  const RTreeEntry* entry = nullptr;
-  double dist = 0.0;
-  while (cursor.Next(&entry, &dist)) {
-    if (!fn(*entry, dist)) return;
-  }
-}
-
-RTree::MinDistCursor::MinDistCursor(const RTree& tree, const Rect& query,
-                                    const LpNorm& norm)
-    : tree_(tree), query_(query), norm_(norm) {
-  if (!tree_.empty()) {
-    pq_.push(Item{norm_.MinDist(tree_.nodes_[tree_.root_].mbr, query_),
-                  false, tree_.root_});
-  }
-}
-
-bool RTree::MinDistCursor::Next(const RTreeEntry** entry, double* dist) {
-  while (!pq_.empty()) {
-    const Item item = pq_.top();
-    pq_.pop();
+  if (empty()) return;
+  // One queue over nodes and entries keyed by MinDist. A node's MinDist
+  // lower-bounds its contents', so a popped entry is no farther than any
+  // entry not yet emitted.
+  struct Item {
+    double dist;
+    bool is_entry;
+    uint32_t idx;
+    bool operator>(const Item& other) const { return dist > other.dist; }
+  };
+  std::priority_queue<Item, std::vector<Item>, std::greater<Item>> pq;
+  pq.push(Item{norm.MinDist(nodes_[root_].mbr, query), false, root_});
+  while (!pq.empty()) {
+    const Item item = pq.top();
+    pq.pop();
     if (item.is_entry) {
-      *entry = &tree_.entries_[item.idx];
-      *dist = item.dist;
-      return true;
+      if (!fn(entries_[item.idx], item.dist)) return;
+      continue;
     }
-    const Node& node = tree_.nodes_[item.idx];
+    const Node& node = nodes_[item.idx];
     if (node.leaf) {
       for (uint32_t i = node.begin; i < node.end; ++i) {
-        pq_.push(Item{norm_.MinDist(tree_.entries_[i].mbr, query_), true, i});
+        pq.push(Item{norm.MinDist(entries_[i].mbr, query), true, i});
       }
     } else {
       for (uint32_t c = node.begin; c < node.end; ++c) {
-        pq_.push(Item{norm_.MinDist(tree_.nodes_[c].mbr, query_), false, c});
+        pq.push(Item{norm.MinDist(nodes_[c].mbr, query), false, c});
       }
     }
   }
-  return false;
 }
 
 void RTree::Traverse(
@@ -192,6 +155,7 @@ void RTree::Traverse(
 std::vector<RTreeEntry> RTree::KnnByMinDist(const Rect& query, size_t k,
                                             const LpNorm& norm) const {
   std::vector<RTreeEntry> out;
+  if (k == 0) return out;
   out.reserve(std::min(k, num_entries_));
   ScanByMinDist(
       query,

@@ -11,7 +11,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <queue>
 #include <vector>
 
 #include "geom/distance.h"
@@ -34,58 +33,22 @@ class RTree {
   explicit RTree(std::vector<RTreeEntry> entries, size_t leaf_capacity = 16);
 
   size_t size() const { return num_entries_; }
-  /// Alias of size(); the store/index layers use the explicit name.
-  size_t entry_count() const { return num_entries_; }
   bool empty() const { return num_entries_ == 0; }
 
-  /// Ids of all entries whose MBR intersects `query`.
-  std::vector<ObjectId> RangeIntersect(const Rect& query) const;
-
-  /// Invokes `fn(entry)` for every entry whose MBR intersects `query`;
-  /// stops early if `fn` returns false.
-  void ForEachIntersecting(const Rect& query,
-                           const std::function<bool(const RTreeEntry&)>& fn)
-      const;
-
   /// The k entries with smallest MinDist(mbr, query), in ascending MinDist
-  /// order (best-first search). Returns fewer when the tree is smaller.
+  /// order (best-first search). Returns fewer when the tree is smaller, and
+  /// none for k = 0.
   std::vector<RTreeEntry> KnnByMinDist(const Rect& query, size_t k,
                                        const LpNorm& norm = LpNorm::Euclidean())
       const;
 
-  /// Incremental best-first scan in ascending MinDist(mbr, query) order.
-  /// `fn(entry, min_dist)` is called per entry; returning false stops the
-  /// scan. This is the candidate stream for threshold kNN processing.
+  /// Incremental best-first scan in ascending MinDist(mbr, query) order
+  /// (Hjaltason & Samet's distance browsing). `fn(entry, min_dist)` is
+  /// called per entry; returning false stops the scan. This is the
+  /// candidate stream for threshold kNN/RkNN processing.
   void ScanByMinDist(const Rect& query,
                      const std::function<bool(const RTreeEntry&, double)>& fn,
                      const LpNorm& norm = LpNorm::Euclidean()) const;
-
-  /// Pull-based form of ScanByMinDist: yields exactly the entries
-  /// ScanByMinDist would emit, in the same order, but resumable between
-  /// entries — what merging layers (the sharded store index) need to
-  /// k-way merge several trees' streams without materializing them. The
-  /// tree must outlive the cursor.
-  class MinDistCursor {
-   public:
-    MinDistCursor(const RTree& tree, const Rect& query, const LpNorm& norm);
-
-    /// Advances to the next entry in ascending MinDist order; returns
-    /// false when the scan is exhausted. `*entry` points into the tree.
-    bool Next(const RTreeEntry** entry, double* dist);
-
-   private:
-    struct Item {
-      double dist;
-      bool is_entry;
-      uint32_t idx;
-      bool operator>(const Item& other) const { return dist > other.dist; }
-    };
-
-    const RTree& tree_;
-    const Rect query_;
-    const LpNorm norm_;
-    std::priority_queue<Item, std::vector<Item>, std::greater<Item>> pq_;
-  };
 
   /// Verdict of a classification traversal on a node MBR or entry MBR.
   enum class VisitDecision {
@@ -116,7 +79,7 @@ class RTree {
 
   /// Debug validation: every node MBR contains its children (entry MBRs at
   /// the leaves, child-node MBRs internally) and the number of entries
-  /// reachable from the root equals entry_count(). O(N); used by the
+  /// reachable from the root equals size(). O(N); used by the
   /// store/index tests.
   bool Validate() const;
 

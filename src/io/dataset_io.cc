@@ -324,6 +324,11 @@ StatusOr<ParsedObject> ParseObject(const std::string& line) {
   UPDB_RETURN_IF_ERROR(cursor.NextDouble(&existence));
   UPDB_RETURN_IF_ERROR(cursor.NextSize(&dim));
   UPDB_RETURN_IF_ERROR(ValidateHeader(existence, dim));
+  // Every type needs at least one field per dimension; a hostile
+  // dimension must fail here, not in a dimension-sized allocation.
+  if (dim > cursor.remaining()) {
+    return Status::InvalidArgument("dimension exceeds field count");
+  }
 
   StatusOr<std::unique_ptr<Pdf>> pdf =
       ParsePayload(cursor, dim, type, /*depth=*/0);

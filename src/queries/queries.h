@@ -99,9 +99,11 @@ std::vector<ExpectedRankEntry> ExpectedRankOrder(
 /// stops the scan.
 using MinDistEmit = std::function<bool(const RTreeEntry&, double)>;
 /// An index scan from a rect in ascending MinDist(entry, rect) order,
-/// shaped like RTree::ScanByMinDist. The filters take one scan per index
-/// partition — a single RTree, or one per store shard — emitting database
-/// ids; together the scans must cover every object exactly once.
+/// emitting database ids — the only index query the pipeline makes. The
+/// filters take one scan per index partition: RTree::ScanByMinDist over
+/// the direct path's tree, or ShardedSnapshotIndex::ShardScanByMinDist
+/// once per store shard. Together the scans must cover every object
+/// exactly once.
 using MinDistScan = std::function<void(const Rect&, const MinDistEmit&)>;
 
 /// KnnCandidates' cutoff: the k-th smallest MaxDist(object, q_mbr) over

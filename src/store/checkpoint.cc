@@ -131,7 +131,8 @@ StatusOr<CheckpointState> ParseCheckpoint(const std::string& data) {
   state.next_id = static_cast<ObjectId>(next_id);
   state.next_sequence = next_sequence;
   state.dim = static_cast<size_t>(dim);
-  state.entries.reserve(static_cast<size_t>(entries));
+  // No reserve: `entries` is checked against the content entry by entry,
+  // and a lying count must end in DataLoss, not in its allocation.
   ObjectId prev_id = 0;
   for (uint64_t i = 0; i < entries; ++i) {
     if (pos >= body.size()) {

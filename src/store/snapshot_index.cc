@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <limits>
-#include <queue>
 
 namespace updb {
 namespace store {
@@ -20,12 +19,6 @@ SnapshotIndex::SnapshotIndex(
   UPDB_CHECK(base_ != nullptr);
   UPDB_CHECK(base_ids_ != nullptr && base_ids_->size() == base_->size());
   UPDB_CHECK(stable_by_dense_ != nullptr);
-  if (!added_.empty()) {
-    added_hull_ = added_[0].mbr;
-    for (size_t i = 1; i < added_.size(); ++i) {
-      added_hull_ = Rect::Hull(added_hull_, added_[i].mbr);
-    }
-  }
 }
 
 ObjectId SnapshotIndex::DenseOf(ObjectId stable) const {
@@ -39,86 +32,48 @@ bool SnapshotIndex::IsRemoved(ObjectId stable) const {
   return std::binary_search(removed_.begin(), removed_.end(), stable);
 }
 
-void SnapshotIndex::ForEachIntersecting(
-    const Rect& query, const std::function<bool(const RTreeEntry&)>& fn)
-    const {
-  bool live = true;
-  base_->ForEachIntersecting(query, [&](const RTreeEntry& e) {
-    if (IsRemoved(e.id)) return true;
-    live = fn(RTreeEntry{e.mbr, DenseOf(e.id)});
-    return live;
-  });
-  if (!live) return;
-  if (added_.empty() || !added_hull_.Intersects(query)) return;
-  for (const RTreeEntry& a : added_) {
-    if (!a.mbr.Intersects(query)) continue;
-    if (!fn(RTreeEntry{a.mbr, DenseOf(a.id)})) return;
-  }
-}
-
 void SnapshotIndex::ScanByMinDist(
     const Rect& query,
     const std::function<bool(const RTreeEntry&, double)>& fn,
     const LpNorm& norm) const {
-  MinDistCursor cursor(*this, query, norm);
-  const RTreeEntry* entry = nullptr;
-  double dist = 0.0;
-  while (cursor.Next(&entry, &dist)) {
-    if (!fn(*entry, dist)) return;
-  }
-}
-
-SnapshotIndex::MinDistCursor::MinDistCursor(const SnapshotIndex& index,
-                                            const Rect& query,
-                                            const LpNorm& norm)
-    : index_(index), base_(*index.base_, query, norm) {
   // Distance-sort the overlay up front (it is bounded by the compaction
   // threshold), then merge it into the base tree's best-first stream. At
   // equal distance, overlay entries win; among themselves they order by
   // (distance, stable id).
-  added_order_.reserve(index_.added_.size());
-  for (size_t i = 0; i < index_.added_.size(); ++i) {
-    added_order_.emplace_back(norm.MinDist(index_.added_[i].mbr, query), i);
+  std::vector<std::pair<double, size_t>> added_order;
+  added_order.reserve(added_.size());
+  for (size_t i = 0; i < added_.size(); ++i) {
+    added_order.emplace_back(norm.MinDist(added_[i].mbr, query), i);
   }
-  std::sort(added_order_.begin(), added_order_.end(),
-            [&index](const std::pair<double, size_t>& a,
-                     const std::pair<double, size_t>& b) {
+  std::sort(added_order.begin(), added_order.end(),
+            [this](const std::pair<double, size_t>& a,
+                   const std::pair<double, size_t>& b) {
               if (a.first != b.first) return a.first < b.first;
-              return index.added_[a.second].id < index.added_[b.second].id;
+              return added_[a.second].id < added_[b.second].id;
             });
-  AdvanceBase();
-}
-
-void SnapshotIndex::MinDistCursor::AdvanceBase() {
-  base_entry_ = nullptr;
-  const RTreeEntry* e = nullptr;
-  double d = 0.0;
-  while (base_.Next(&e, &d)) {
-    if (index_.IsRemoved(e->id)) continue;
-    base_entry_ = e;
-    base_dist_ = d;
-    return;
-  }
-}
-
-bool SnapshotIndex::MinDistCursor::Next(const RTreeEntry** entry,
-                                        double* dist) {
-  if (next_added_ < added_order_.size() &&
-      (base_entry_ == nullptr ||
-       added_order_[next_added_].first <= base_dist_)) {
-    const auto& [d, idx] = added_order_[next_added_++];
-    const RTreeEntry& a = index_.added_[idx];
-    scratch_ = RTreeEntry{a.mbr, index_.DenseOf(a.id)};
-    *entry = &scratch_;
-    *dist = d;
+  size_t next_added = 0;
+  // Emits the overlay entries at distance <= `limit`; false once `fn`
+  // stopped the scan.
+  const auto emit_added = [&](double limit) {
+    while (next_added < added_order.size() &&
+           added_order[next_added].first <= limit) {
+      const auto& [d, idx] = added_order[next_added++];
+      if (!fn(RTreeEntry{added_[idx].mbr, DenseOf(added_[idx].id)}, d)) {
+        return false;
+      }
+    }
     return true;
-  }
-  if (base_entry_ == nullptr) return false;
-  scratch_ = RTreeEntry{base_entry_->mbr, index_.DenseOf(base_entry_->id)};
-  *dist = base_dist_;
-  *entry = &scratch_;
-  AdvanceBase();
-  return true;
+  };
+  bool live = true;
+  base_->ScanByMinDist(
+      query,
+      [&](const RTreeEntry& e, double d) {
+        if (IsRemoved(e.id)) return true;
+        live = emit_added(d) && fn(RTreeEntry{e.mbr, DenseOf(e.id)}, d);
+        return live;
+      },
+      norm);
+  if (live) emit_added(std::numeric_limits<double>::infinity());
 }
 
 bool SnapshotIndex::Validate() const {
@@ -191,63 +146,6 @@ void ShardedSnapshotIndex::ShardScanByMinDist(
         return fn(RTreeEntry{e.mbr, translate[e.id]}, dist);
       },
       norm);
-}
-
-void ShardedSnapshotIndex::ForEachIntersecting(
-    const Rect& query, const std::function<bool(const RTreeEntry&)>& fn)
-    const {
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    const std::vector<ObjectId>& translate = *global_by_local_[s];
-    bool live = true;
-    shards_[s].ForEachIntersecting(query, [&](const RTreeEntry& e) {
-      live = fn(RTreeEntry{e.mbr, translate[e.id]});
-      return live;
-    });
-    if (!live) return;
-  }
-}
-
-void ShardedSnapshotIndex::ScanByMinDist(
-    const Rect& query,
-    const std::function<bool(const RTreeEntry&, double)>& fn,
-    const LpNorm& norm) const {
-  if (shards_.size() == 1) {
-    ShardScanByMinDist(0, query, fn, norm);
-    return;
-  }
-  // K-way best-first merge of the shard cursors; ties break toward the
-  // lower shard index so the emission order is deterministic.
-  struct Head {
-    double dist;
-    size_t shard;
-  };
-  const auto later = [](const Head& a, const Head& b) {
-    if (a.dist != b.dist) return a.dist > b.dist;
-    return a.shard > b.shard;
-  };
-  std::vector<std::unique_ptr<SnapshotIndex::MinDistCursor>> cursors;
-  std::vector<const RTreeEntry*> head_entry(shards_.size(), nullptr);
-  std::vector<double> head_dist(shards_.size(), 0.0);
-  std::priority_queue<Head, std::vector<Head>, decltype(later)> heads(later);
-  cursors.reserve(shards_.size());
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    cursors.push_back(std::make_unique<SnapshotIndex::MinDistCursor>(
-        shards_[s], query, norm));
-    if (cursors[s]->Next(&head_entry[s], &head_dist[s])) {
-      heads.push(Head{head_dist[s], s});
-    }
-  }
-  while (!heads.empty()) {
-    const Head head = heads.top();
-    heads.pop();
-    const size_t s = head.shard;
-    const RTreeEntry out{head_entry[s]->mbr,
-                         (*global_by_local_[s])[head_entry[s]->id]};
-    if (!fn(out, head.dist)) return;
-    if (cursors[s]->Next(&head_entry[s], &head_dist[s])) {
-      heads.push(Head{head_dist[s], s});
-    }
-  }
 }
 
 bool ShardedSnapshotIndex::Validate() const {

@@ -11,11 +11,10 @@
 // Sharding: the store partitions the stable-id space into `num_shards`
 // shards (stable id i routes to shard i % num_shards), each with its own
 // SnapshotIndex. One snapshot's query surface is the ShardedSnapshotIndex
-// view below: it merges the per-shard indexes in deterministic shard
-// order — concatenation (shard-then-dense order) for ForEachIntersecting,
-// a best-first k-way cursor merge for ScanByMinDist — so callers see one
-// index regardless of the shard count, and a single-shard view behaves
-// exactly like the unsharded index.
+// view below, whose one query is a per-shard nearest-first scan emitting
+// global dense ids. Callers scan every shard and reduce in shard order;
+// the candidate filters they feed are partition-invariant, so results do
+// not depend on the shard count.
 //
 // Id spaces: the base tree and the overlay are keyed by *stable* store
 // ids, which never change across versions — that is what keeps one base
@@ -63,52 +62,16 @@ class SnapshotIndex {
   size_t delta_entries() const { return added_.size() + removed_.size(); }
   bool compacted() const { return delta_entries() == 0; }
 
-  /// The underlying bulk-built tree (stable-id entries); diagnostics.
-  const RTree& base() const { return *base_; }
-
-  /// Invokes `fn(entry)` — shard-local dense ids — for every live entry
-  /// whose MBR intersects `query`; stops early when `fn` returns false.
-  /// Overlay entries are visited after the base pass.
-  void ForEachIntersecting(const Rect& query,
-                           const std::function<bool(const RTreeEntry&)>& fn)
-      const;
-
   /// Incremental best-first scan over the live entries in ascending
-  /// MinDist(mbr, query) order (shard-local dense ids), merging the base
-  /// tree's scan with the sorted overlay; returning false from `fn` stops
-  /// the scan. At equal distance, overlay entries are emitted before base
-  /// entries — callers that need a canonical order must impose their own
-  /// tie-break (the serving layer re-sorts candidates by id).
+  /// MinDist(mbr, query) order (shard-local dense ids): the base tree's
+  /// scan with the distance-sorted overlay merged in. Returning false from
+  /// `fn` stops the scan. At equal distance, overlay entries are emitted
+  /// before base entries and among themselves by stable id — callers that
+  /// need a canonical order must impose their own tie-break (the candidate
+  /// filters sort their output by id).
   void ScanByMinDist(const Rect& query,
                      const std::function<bool(const RTreeEntry&, double)>& fn,
                      const LpNorm& norm = LpNorm::Euclidean()) const;
-
-  /// Pull-based form of ScanByMinDist: the same entries in the same
-  /// order, resumable between entries so the sharded view can k-way merge
-  /// shard streams. The index must outlive the cursor.
-  class MinDistCursor {
-   public:
-    MinDistCursor(const SnapshotIndex& index, const Rect& query,
-                  const LpNorm& norm);
-
-    /// Advances to the next live entry (shard-local dense id); returns
-    /// false when exhausted. `*entry` stays valid until the next call.
-    bool Next(const RTreeEntry** entry, double* dist);
-
-   private:
-    /// Pulls the base cursor to its next non-removed entry.
-    void AdvanceBase();
-
-    const SnapshotIndex& index_;
-    RTree::MinDistCursor base_;
-    /// Overlay emission order: (distance, index into added_), sorted by
-    /// (distance, stable id).
-    std::vector<std::pair<double, size_t>> added_order_;
-    size_t next_added_ = 0;
-    const RTreeEntry* base_entry_ = nullptr;  // pending non-removed entry
-    double base_dist_ = 0.0;
-    RTreeEntry scratch_{Rect(), 0};
-  };
 
   /// Debug validation: the base tree validates, overlay vectors are sorted
   /// and duplicate-free, every added id is live, every non-removed base id
@@ -138,19 +101,14 @@ class SnapshotIndex {
   std::shared_ptr<const std::vector<ObjectId>> base_ids_;  // sorted
   std::vector<RTreeEntry> added_;    // sorted by stable id
   std::vector<ObjectId> removed_;    // sorted stable ids
-  /// Hull over added_ MBRs: an O(1) reject so ForEachIntersecting
-  /// probes that cannot hit the overlay don't pay a linear scan of it.
-  /// Meaningless when added_ is empty.
-  Rect added_hull_;
   std::shared_ptr<const std::vector<ObjectId>> stable_by_dense_;
 };
 
 /// The query surface of one published snapshot: per-shard SnapshotIndexes
-/// merged in deterministic shard order, emitting *global* dense ids.
-/// Immutable and thread-safe for concurrent reads. A one-shard view is a
-/// pass-through over the single SnapshotIndex (the translation is the
-/// identity), so `num_shards = 1` behaves exactly like the unsharded
-/// store.
+/// scanned one shard at a time, emitting *global* dense ids. Immutable
+/// and thread-safe for concurrent reads. With one shard the translation
+/// is the identity, so `num_shards = 1` behaves exactly like the
+/// unsharded store.
 class ShardedSnapshotIndex {
  public:
   /// `shards[s]` indexes the live objects routed to shard s;
@@ -172,22 +130,7 @@ class ShardedSnapshotIndex {
   size_t delta_entries() const;
   bool compacted() const { return delta_entries() == 0; }
 
-  /// Invokes `fn(entry)` — global dense ids — for every live entry whose
-  /// MBR intersects `query`, shard 0..k-1 concatenated (base-then-overlay
-  /// within a shard); stops early when `fn` returns false.
-  void ForEachIntersecting(const Rect& query,
-                           const std::function<bool(const RTreeEntry&)>& fn)
-      const;
-
-  /// Best-first k-way merge of the shard scans in ascending
-  /// MinDist(mbr, query) order (global dense ids); at equal distance the
-  /// lower shard index is emitted first. Returning false from `fn` stops
-  /// the scan.
-  void ScanByMinDist(const Rect& query,
-                     const std::function<bool(const RTreeEntry&, double)>& fn,
-                     const LpNorm& norm = LpNorm::Euclidean()) const;
-
-  /// Single-shard slice of ScanByMinDist, emitting global dense ids —
+  /// Shard s's SnapshotIndex::ScanByMinDist, emitting global dense ids —
   /// the fan-out surface the service's per-shard candidate generation
   /// uses (reduce in ascending shard order for determinism).
   void ShardScanByMinDist(

@@ -195,6 +195,12 @@ TEST(ParseObjectTest, RejectsMalformedInput) {
       {"gaussian,1,1,0,1,0.5,inf", "infinite sigma"},
       {"discrete,1,1,1,nan,0.5", "NaN weight"},
       {"mixture,1,1,1,1,uniform,0,infinity", "infinite component bound"},
+      // A dimension beyond the field count used to size an allocation
+      // before any field was read: std::bad_alloc at 10^12, and
+      // std::length_error at 2^62.
+      {"uniform,1,1000000000000,0,1", "huge dimension"},
+      {"uniform,1,4611686018427387904,0,1", "dimension 2^62"},
+      {"gaussian,1,1000000000000,0,1,0.5,0.1", "huge gaussian dimension"},
   };
   for (const Case& c : cases) {
     const StatusOr<io::ParsedObject> parsed = ParseObject(c.line);

@@ -15,6 +15,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <vector>
@@ -345,6 +346,63 @@ TEST(RecoveryTest, CorruptNewestCheckpointFallsBackToOlder) {
   EXPECT_TRUE(full_replay.data_loss);
   EXPECT_EQ(full_replay.checkpoint_version, 0u);
   ExpectStoresEquivalent(**recovered, *reference, "all checkpoints corrupt");
+}
+
+/// A checkpoint with a valid CRC whose entry count exceeds its content
+/// is damaged data, not a reason to die: loading rejects it with a
+/// warning and falls back to the next-older checkpoint — for a count no
+/// allocation could hold (std::length_error) and for one that merely
+/// exhausts memory (std::bad_alloc), both of which used to be reserved.
+TEST(RecoveryTest, LyingCheckpointEntryCountFallsBackToOlder) {
+  for (const std::string lie : {"18446744073709551615", "100000000000"}) {
+    const std::string dir = FreshDir("ck_lying_count");
+    std::filesystem::create_directories(dir);
+    const Rect box(Point{0.1, 0.1}, Point{0.2, 0.2});
+    CheckpointState older;
+    older.version = 3;
+    older.next_id = 2;
+    older.next_sequence = 5;
+    older.dim = 2;
+    for (ObjectId id = 0; id < 2; ++id) {
+      CheckpointEntry entry;
+      entry.stable_id = id;
+      entry.pdf = std::make_shared<UniformPdf>(box);
+      older.entries.push_back(entry);
+    }
+    ASSERT_TRUE(WriteCheckpoint(dir, older).ok());
+    CheckpointState newer = older;
+    newer.version = 4;
+    newer.next_sequence = 6;
+    ASSERT_TRUE(WriteCheckpoint(dir, newer).ok());
+
+    // Rewrite the newer file's entry count and re-seal its CRC trailer.
+    const std::string path = dir + "/" + CheckpointFileName(4);
+    std::string content;
+    {
+      std::ifstream in(path, std::ios::binary);
+      content.assign(std::istreambuf_iterator<char>(in),
+                     std::istreambuf_iterator<char>());
+    }
+    const std::string count = "entries=2\n";
+    const size_t at = content.find(count);
+    ASSERT_NE(at, std::string::npos);
+    content.replace(at, count.size(), "entries=" + lie + "\n");
+    content.resize(content.rfind("# crc32c="));
+    char trailer[32];
+    std::snprintf(trailer, sizeof(trailer), "# crc32c=%08x\n",
+                  Crc32c(content.data(), content.size()));
+    content += trailer;
+    std::ofstream(path, std::ios::binary | std::ios::trunc) << content;
+
+    const StatusOr<LoadedCheckpoint> loaded = LoadNewestCheckpoint(dir);
+    ASSERT_TRUE(loaded.ok()) << lie << ": " << loaded.status().ToString();
+    EXPECT_EQ(loaded->state.version, 3u) << lie;
+    EXPECT_EQ(loaded->state.entries.size(), 2u) << lie;
+    ASSERT_EQ(loaded->warnings.size(), 1u) << lie;
+    EXPECT_NE(loaded->warnings[0].find("entry count exceeds content"),
+              std::string::npos)
+        << loaded->warnings[0];
+  }
 }
 
 TEST(RecoveryTest, ShardCountIsInvisibleAcrossRecovery) {

@@ -24,43 +24,55 @@ std::vector<RTreeEntry> RandomEntries(size_t n, Rng& rng,
   return entries;
 }
 
+/// (MinDist, id) pairs of a nearest-first scan.
+using ScanList = std::vector<std::pair<double, ObjectId>>;
+
+/// Every entry paired with its MinDist to `query`, sorted by (distance,
+/// id): what a full ScanByMinDist must emit, up to order among ties.
+ScanList BruteForceByMinDist(const std::vector<RTreeEntry>& entries,
+                             const Rect& query, const LpNorm& norm) {
+  ScanList out;
+  for (const RTreeEntry& e : entries) {
+    out.emplace_back(norm.MinDist(e.mbr, query), e.id);
+  }
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+/// The full scan from `query` in emission order.
+ScanList FullScan(const RTree& tree, const Rect& query, const LpNorm& norm) {
+  ScanList out;
+  tree.ScanByMinDist(
+      query,
+      [&out](const RTreeEntry& e, double dist) {
+        out.emplace_back(dist, e.id);
+        return true;
+      },
+      norm);
+  return out;
+}
+
 TEST(RTreeTest, EmptyTree) {
   RTree tree({});
   EXPECT_TRUE(tree.empty());
   EXPECT_EQ(tree.size(), 0u);
-  EXPECT_TRUE(tree.RangeIntersect(Rect(Point{0.0, 0.0}, Point{1.0, 1.0}))
-                  .empty());
-  EXPECT_TRUE(
-      tree.KnnByMinDist(Rect(Point{0.0, 0.0}, Point{1.0, 1.0}), 3).empty());
+  const Rect query(Point{0.0, 0.0}, Point{1.0, 1.0});
+  EXPECT_TRUE(FullScan(tree, query, LpNorm()).empty());
+  EXPECT_TRUE(tree.KnnByMinDist(query, 3).empty());
+  EXPECT_TRUE(tree.KnnByMinDist(query, 0).empty());
 }
 
 TEST(RTreeTest, SingleEntry) {
   RTree tree({RTreeEntry{Rect(Point{0.4, 0.4}, Point{0.6, 0.6}), 7}});
   EXPECT_EQ(tree.size(), 1u);
-  const auto hits = tree.RangeIntersect(Rect(Point{0.0, 0.0}, Point{0.5, 0.5}));
-  ASSERT_EQ(hits.size(), 1u);
-  EXPECT_EQ(hits[0], 7u);
-  EXPECT_TRUE(
-      tree.RangeIntersect(Rect(Point{0.7, 0.7}, Point{1.0, 1.0})).empty());
-}
-
-TEST(RTreeTest, RangeMatchesBruteForce) {
-  Rng rng(111);
-  const auto entries = RandomEntries(500, rng);
-  RTree tree(entries);
-  for (int trial = 0; trial < 50; ++trial) {
-    const Point lo{rng.NextDouble(), rng.NextDouble()};
-    const Rect query = Rect::Centered(
-        Point{lo[0], lo[1]}, {rng.Uniform(0, 0.2), rng.Uniform(0, 0.2)});
-    std::vector<ObjectId> expected;
-    for (const auto& e : entries) {
-      if (e.mbr.Intersects(query)) expected.push_back(e.id);
-    }
-    std::vector<ObjectId> actual = tree.RangeIntersect(query);
-    std::sort(expected.begin(), expected.end());
-    std::sort(actual.begin(), actual.end());
-    EXPECT_EQ(actual, expected) << "trial=" << trial;
-  }
+  const LpNorm norm;
+  const ScanList near = FullScan(tree, Rect::FromPoint(Point{0.5, 0.5}), norm);
+  ASSERT_EQ(near.size(), 1u);
+  EXPECT_EQ(near[0].second, 7u);
+  EXPECT_EQ(near[0].first, 0.0);
+  const ScanList far = FullScan(tree, Rect::FromPoint(Point{0.8, 0.8}), norm);
+  ASSERT_EQ(far.size(), 1u);
+  EXPECT_GT(far[0].first, 0.0);
 }
 
 TEST(RTreeTest, KnnMatchesBruteForce) {
@@ -76,6 +88,8 @@ TEST(RTreeTest, KnnMatchesBruteForce) {
       expected.emplace_back(norm.MinDist(e.mbr, query), e.id);
     }
     std::sort(expected.begin(), expected.end());
+    // k = 0 asks for nothing and must get nothing.
+    EXPECT_TRUE(tree.KnnByMinDist(query, 0, norm).empty());
     const size_t k = 1 + rng.NextBounded(20);
     const auto actual = tree.KnnByMinDist(query, k, norm);
     ASSERT_EQ(actual.size(), k);
@@ -88,20 +102,25 @@ TEST(RTreeTest, KnnMatchesBruteForce) {
   }
 }
 
-TEST(RTreeTest, ScanByMinDistIsMonotone) {
-  Rng rng(117);
-  const auto entries = RandomEntries(300, rng);
+TEST(RTreeTest, ScanByMinDistMatchesBruteForce) {
+  Rng rng(111);
+  const auto entries = RandomEntries(500, rng);
   RTree tree(entries);
-  const Rect query = Rect::Centered(Point{0.5, 0.5}, {0.0, 0.0});
-  double last = -1.0;
-  size_t count = 0;
-  tree.ScanByMinDist(query, [&](const RTreeEntry&, double dist) {
-    EXPECT_GE(dist, last - 1e-12);
-    last = dist;
-    ++count;
-    return true;
-  });
-  EXPECT_EQ(count, entries.size());
+  for (const LpNorm& norm : {LpNorm::Euclidean(), LpNorm::Manhattan()}) {
+    for (int trial = 0; trial < 20; ++trial) {
+      const Rect query = Rect::Centered(
+          Point{rng.NextDouble(), rng.NextDouble()},
+          {rng.Uniform(0, 0.2), rng.Uniform(0, 0.2)});
+      ScanList scanned = FullScan(tree, query, norm);
+      // Emission is ascending in distance; ties may come in any order.
+      for (size_t i = 1; i < scanned.size(); ++i) {
+        EXPECT_LE(scanned[i - 1].first, scanned[i].first) << "i=" << i;
+      }
+      std::sort(scanned.begin(), scanned.end());
+      EXPECT_EQ(scanned, BruteForceByMinDist(entries, query, norm))
+          << "trial=" << trial;
+    }
+  }
 }
 
 TEST(RTreeTest, ScanStopsOnFalse) {
@@ -115,19 +134,6 @@ TEST(RTreeTest, ScanStopsOnFalse) {
                        return count < 5;
                      });
   EXPECT_EQ(count, 5u);
-}
-
-TEST(RTreeTest, ForEachIntersectingEarlyStop) {
-  Rng rng(121);
-  const auto entries = RandomEntries(200, rng, 0.5);
-  RTree tree(entries);
-  size_t count = 0;
-  tree.ForEachIntersecting(Rect(Point{0.0, 0.0}, Point{1.0, 1.0}),
-                           [&count](const RTreeEntry&) {
-                             ++count;
-                             return false;
-                           });
-  EXPECT_EQ(count, 1u);
 }
 
 TEST(RTreeTest, HeightGrowsLogarithmically) {
@@ -145,18 +151,21 @@ TEST(RTreeTest, SmallLeafCapacity) {
   Rng rng(127);
   const auto entries = RandomEntries(64, rng);
   RTree tree(entries, 2);
-  // All entries reachable.
-  Rect everything(Point{-1.0, -1.0}, Point{2.0, 2.0});
-  EXPECT_EQ(tree.RangeIntersect(everything).size(), 64u);
+  EXPECT_TRUE(tree.Validate());
+  // All entries reachable, each exactly once.
+  const LpNorm norm;
+  const Rect query = Rect::FromPoint(Point{0.5, 0.5});
+  ScanList scanned = FullScan(tree, query, norm);
+  std::sort(scanned.begin(), scanned.end());
+  EXPECT_EQ(scanned, BruteForceByMinDist(entries, query, norm));
 }
 
-TEST(RTreeTest, EntryCountAndValidate) {
+TEST(RTreeTest, SizeAndValidate) {
   Rng rng(133);
   EXPECT_TRUE(RTree({}).Validate());
   for (size_t n : {1u, 7u, 64u, 500u}) {
     RTree tree(RandomEntries(n, rng), 4);
-    EXPECT_EQ(tree.entry_count(), n);
-    EXPECT_EQ(tree.entry_count(), tree.size());
+    EXPECT_EQ(tree.size(), n);
     EXPECT_TRUE(tree.Validate()) << "n=" << n;
   }
 }

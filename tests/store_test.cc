@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
+#include <limits>
 #include <memory>
+#include <numeric>
 #include <thread>
 #include <vector>
 
@@ -55,6 +58,47 @@ uint64_t PinnedDigest(std::shared_ptr<const StoreSnapshot> snap,
   const service::ReplayResult result =
       service::ReplayTrace(svc, trace, /*qps=*/0.0);
   return service::ResponseDigest(result.responses);
+}
+
+/// (MinDist, global dense id) pairs of a nearest-first scan.
+using ScanList = std::vector<std::pair<double, ObjectId>>;
+
+/// Shard s's nearest-first scan from `probe` as emitted, told to stop
+/// after `limit` entries: the callback returns false on the entry after
+/// them. `calls`, when set, counts the callback's invocations.
+ScanList ShardScan(const ShardedSnapshotIndex& index, size_t s,
+                   const Rect& probe,
+                   size_t limit = std::numeric_limits<size_t>::max(),
+                   size_t* calls = nullptr) {
+  ScanList out;
+  index.ShardScanByMinDist(s, probe, [&](const RTreeEntry& e, double d) {
+    if (calls != nullptr) ++*calls;
+    if (out.size() == limit) return false;
+    out.emplace_back(d, e.id);
+    return true;
+  });
+  return out;
+}
+
+/// Every shard's full scan from `probe`, concatenated in shard order.
+/// Expects each shard's stream to ascend in distance and the shards
+/// together to emit every live global dense id of `snap` exactly once.
+ScanList ScanEveryShard(const StoreSnapshot& snap, const Rect& probe) {
+  ScanList all;
+  for (size_t s = 0; s < snap.num_shards(); ++s) {
+    const ScanList scan = ShardScan(snap.index(), s, probe);
+    EXPECT_EQ(scan.size(), snap.shard_size(s)) << "shard=" << s;
+    for (size_t i = 1; i < scan.size(); ++i) {
+      EXPECT_LE(scan[i - 1].first, scan[i].first) << "shard=" << s;
+    }
+    all.insert(all.end(), scan.begin(), scan.end());
+  }
+  std::vector<ObjectId> ids, every(snap.size());
+  for (const auto& [d, id] : all) ids.push_back(id);
+  std::sort(ids.begin(), ids.end());
+  std::iota(every.begin(), every.end(), ObjectId{0});
+  EXPECT_EQ(ids, every);
+  return all;
 }
 
 TEST(VersionedObjectStoreTest, InsertUpdateRemoveAndWal) {
@@ -160,7 +204,7 @@ TEST(VersionedObjectStoreTest, SnapshotIsolationUnderMutation) {
 
 /// Acceptance: a delta-overlay snapshot and an always-rebuilt snapshot of
 /// the same mutation history are indistinguishable — identical index
-/// enumeration and bit-identical response payloads at every version.
+/// scans and bit-identical response payloads at every version.
 TEST(VersionedObjectStoreTest, OverlayMatchesRebuiltIndex) {
   StoreOptions overlay_opts = TestOptions();
   overlay_opts.compact_delta_fraction = 10.0;  // never compact
@@ -197,41 +241,12 @@ TEST(VersionedObjectStoreTest, OverlayMatchesRebuiltIndex) {
     EXPECT_GT(snap_overlay->index().delta_entries(), 0u);
     EXPECT_TRUE(snap_rebuild->index().compacted());
 
-    // Index enumeration agrees in the dense-id space.
-    const Rect everything(Point{-1.0, -1.0}, Point{2.0, 2.0});
-    std::vector<ObjectId> ids_overlay, ids_rebuild;
-    snap_overlay->index().ForEachIntersecting(
-        everything, [&ids_overlay](const RTreeEntry& e) {
-          ids_overlay.push_back(e.id);
-          return true;
-        });
-    snap_rebuild->index().ForEachIntersecting(
-        everything, [&ids_rebuild](const RTreeEntry& e) {
-          ids_rebuild.push_back(e.id);
-          return true;
-        });
-    std::sort(ids_overlay.begin(), ids_overlay.end());
-    std::sort(ids_rebuild.begin(), ids_rebuild.end());
-    ASSERT_EQ(ids_overlay, ids_rebuild);
-
-    // Best-first scans stream the same (distance, id) sequence modulo
-    // equal-distance ties; distances must be identical and monotone.
-    std::vector<std::pair<double, ObjectId>> scan_overlay, scan_rebuild;
+    // The per-shard scans cover the same dense ids at the same distances
+    // (each shard's stream ascending); only equal-distance ties may
+    // order differently.
     const Rect probe = Rect::FromPoint(Point{0.5, 0.5});
-    snap_overlay->index().ScanByMinDist(
-        probe, [&scan_overlay](const RTreeEntry& e, double d) {
-          scan_overlay.emplace_back(d, e.id);
-          return true;
-        });
-    snap_rebuild->index().ScanByMinDist(
-        probe, [&scan_rebuild](const RTreeEntry& e, double d) {
-          scan_rebuild.emplace_back(d, e.id);
-          return true;
-        });
-    ASSERT_EQ(scan_overlay.size(), scan_rebuild.size());
-    for (size_t i = 1; i < scan_overlay.size(); ++i) {
-      EXPECT_GE(scan_overlay[i].first, scan_overlay[i - 1].first);
-    }
+    ScanList scan_overlay = ScanEveryShard(*snap_overlay, probe);
+    ScanList scan_rebuild = ScanEveryShard(*snap_rebuild, probe);
     std::sort(scan_overlay.begin(), scan_overlay.end());
     std::sort(scan_rebuild.begin(), scan_rebuild.end());
     EXPECT_EQ(scan_overlay, scan_rebuild);
@@ -292,7 +307,7 @@ TEST(VersionedObjectStoreTest, SnapshotRetentionEvictsFifo) {
 
 /// Acceptance: the shard count is invisible in snapshot contents — the
 /// same mutation history served at num_shards ∈ {1, 2, 7} yields the same
-/// dense materialization, identical index enumeration, and bit-identical
+/// dense materialization, identical index scans, and bit-identical
 /// response payloads at every version.
 TEST(VersionedObjectStoreTest, ShardedMatchesUnshardedDigests) {
   constexpr size_t kShardCounts[] = {1, 2, 7};
@@ -327,14 +342,9 @@ TEST(VersionedObjectStoreTest, ShardedMatchesUnshardedDigests) {
     const std::vector<service::QueryRequest> trace =
         service::MakeTrace(*snaps[0]->db(), tcfg);
     const uint64_t reference = PinnedDigest(snaps[0], trace);
-    const Rect everything(Point{-1.0, -1.0}, Point{2.0, 2.0});
-    std::vector<ObjectId> reference_ids;
-    snaps[0]->index().ForEachIntersecting(
-        everything, [&reference_ids](const RTreeEntry& e) {
-          reference_ids.push_back(e.id);
-          return true;
-        });
-    std::sort(reference_ids.begin(), reference_ids.end());
+    const Rect probe = Rect::FromPoint(Point{0.5, 0.5});
+    ScanList reference_scan = ScanEveryShard(*snaps[0], probe);
+    std::sort(reference_scan.begin(), reference_scan.end());
     for (size_t i = 1; i < snaps.size(); ++i) {
       ASSERT_EQ(snaps[i]->size(), snaps[0]->size());
       ASSERT_EQ(snaps[i]->num_shards(), kShardCounts[i]);
@@ -343,15 +353,10 @@ TEST(VersionedObjectStoreTest, ShardedMatchesUnshardedDigests) {
       for (ObjectId d = 0; d < snaps[0]->size(); ++d) {
         ASSERT_EQ(snaps[i]->StableId(d), snaps[0]->StableId(d));
       }
-      // Same enumeration set in the dense-id space.
-      std::vector<ObjectId> ids;
-      snaps[i]->index().ForEachIntersecting(everything,
-                                            [&ids](const RTreeEntry& e) {
-                                              ids.push_back(e.id);
-                                              return true;
-                                            });
-      std::sort(ids.begin(), ids.end());
-      ASSERT_EQ(ids, reference_ids);
+      // Same (distance, dense id) set over the per-shard scans.
+      ScanList scan = ScanEveryShard(*snaps[i], probe);
+      std::sort(scan.begin(), scan.end());
+      ASSERT_EQ(scan, reference_scan);
       // Bit-identical served payloads.
       EXPECT_EQ(PinnedDigest(snaps[i], trace), reference)
           << "round=" << round << " shards=" << kShardCounts[i];
@@ -376,18 +381,83 @@ TEST(VersionedObjectStoreTest, ShardRoutingAndCounts) {
   EXPECT_EQ(counts[0], 4u);
   EXPECT_EQ(counts[1], 2u);
   EXPECT_EQ(counts[2], 3u);
-  // The best-first merge across shards is globally distance-sorted.
+  // Each shard's scan emits exactly the objects routed to it; together
+  // the ascending shard streams cover every live dense id once.
   const Rect probe = Rect::FromPoint(Point{0.5, 0.5});
-  double last = 0.0;
-  size_t seen = 0;
-  snap->index().ScanByMinDist(probe, [&](const RTreeEntry& e, double d) {
-    EXPECT_GE(d, last);
-    EXPECT_LT(e.id, snap->size());
-    last = d;
-    ++seen;
-    return true;
-  });
-  EXPECT_EQ(seen, snap->size());
+  for (size_t s = 0; s < 3; ++s) {
+    for (const auto& [d, id] : ShardScan(snap->index(), s, probe)) {
+      EXPECT_EQ(snap->StableId(id) % 3, s) << "dense id " << id;
+    }
+  }
+  EXPECT_EQ(ScanEveryShard(*snap, probe).size(), snap->size());
+}
+
+/// A scan stopped after j entries emits exactly the first j entries of
+/// the full scan and calls `fn` no further, for every j — including stops
+/// inside the overlay entries emitted ahead of the base (distance 0 at
+/// the probe, tied with a base entry) and inside the overlay tail beyond
+/// every base entry.
+TEST(VersionedObjectStoreTest, OverlayScanStopsAtEveryPoint) {
+  // The seed publish bulk-builds every shard's base: each shard of up to
+  // eight holds more than 10 objects. Later publishes never compact.
+  StoreOptions opts = TestOptions();
+  opts.compact_delta_fraction = 10.0;
+  UncertainDatabase seed_db = MakeDb(120, 0.05);
+  seed_db.Add(MakePdf(0.5, 0.5, 0.05));  // stable id 120, at the probe
+  VersionedObjectStore s(seed_db, opts);
+  constexpr ObjectId kUpdated = 6;  // stable ids 0..5 move to the overlay
+  for (ObjectId id = 0; id < kUpdated; ++id) {
+    const double x = 0.1 * static_cast<double>(id);
+    ASSERT_TRUE(s.Update(id, MakePdf(x, 0.9, 0.03, /*seed=*/id)).ok());
+  }
+  ASSERT_TRUE(s.Remove(7).ok());
+  // Eight consecutive stable ids of each kind reach every shard of a
+  // store with up to eight.
+  constexpr ObjectId kFirstInsert = 121;
+  for (int i = 0; i < 8; ++i) {
+    const double at = 0.5 + 0.001 * i;  // contains the probe: distance 0
+    ASSERT_TRUE(s.Insert(MakePdf(at, at, 0.05, /*seed=*/40 + i)).ok());
+  }
+  for (int i = 0; i < 8; ++i) {
+    const double far = 5.0 + i;  // beyond every base entry
+    const Rect box = Rect::Centered(Point{far, far}, {0.02, 0.02});
+    ASSERT_TRUE(s.Insert(std::make_shared<UniformPdf>(box)).ok());
+  }
+  const auto snap = s.Publish();
+  const Rect probe = Rect::FromPoint(Point{0.5, 0.5});
+  const auto is_insert = [&snap](ObjectId dense) {
+    return snap->StableId(dense) >= kFirstInsert;
+  };
+  const auto in_overlay = [&snap, &is_insert](ObjectId dense) {
+    return is_insert(dense) || snap->StableId(dense) < kUpdated;
+  };
+
+  for (size_t sh = 0; sh < snap->num_shards(); ++sh) {
+    ASSERT_GT(snap->index().shard(sh).delta_entries(), 0u) << "shard=" << sh;
+    const ScanList full = ShardScan(snap->index(), sh, probe);
+    ASSERT_EQ(full.size(), snap->shard_size(sh));
+    // The overlay leads the stream and ends it.
+    ASSERT_GE(full.size(), 2u);
+    EXPECT_EQ(full.front().first, 0.0);
+    EXPECT_TRUE(is_insert(full.front().second)) << "shard=" << sh;
+    EXPECT_TRUE(is_insert(full.back().second)) << "shard=" << sh;
+    EXPECT_GT(full.back().first, 4.0);
+    // At equal distance no overlay entry follows a base entry.
+    for (size_t i = 1; i < full.size(); ++i) {
+      if (full[i - 1].first != full[i].first) continue;
+      const bool prev_in_base = !in_overlay(full[i - 1].second);
+      EXPECT_FALSE(prev_in_base && in_overlay(full[i].second))
+          << "shard=" << sh << " i=" << i;
+    }
+    for (size_t j = 0; j <= full.size(); ++j) {
+      size_t calls = 0;
+      const ScanList got = ShardScan(snap->index(), sh, probe, j, &calls);
+      EXPECT_EQ(got, ScanList(full.begin(), full.begin() + j))
+          << "shard=" << sh << " j=" << j;
+      // No call after the one that returned false.
+      EXPECT_EQ(calls, std::min(j + 1, full.size())) << "j=" << j;
+    }
+  }
 }
 
 TEST(VersionedObjectStoreTest, PublishStatsSplitDrainFromBuild) {
@@ -414,8 +484,8 @@ TEST(VersionedObjectStoreTest, PublishStatsSplitDrainFromBuild) {
 /// TSan surface: readers iterate snapshots — including the latest,
 /// re-acquired mid-publish — while a writer mutates and publishes through
 /// the copy-on-write drain/merge/install cycle. Every acquired snapshot
-/// must stay internally consistent (index enumeration matches its
-/// database size) no matter where publishing is in its cycle.
+/// must stay internally consistent (its shard scans cover its database
+/// exactly once) no matter where publishing is in its cycle.
 TEST(VersionedObjectStoreTest, CowPublishOverlapsConcurrentReaders) {
   StoreOptions opts = TestOptions();
   auto store =
@@ -440,26 +510,12 @@ TEST(VersionedObjectStoreTest, CowPublishOverlapsConcurrentReaders) {
   std::atomic<size_t> snapshots_checked{0};
   for (size_t t = 0; t < kReaders; ++t) {
     readers.emplace_back([&, t] {
-      const Rect everything(Point{-1.0, -1.0}, Point{2.0, 2.0});
+      const Rect probe =
+          Rect::FromPoint(Point{0.3 * static_cast<double>(t), 0.5});
       for (int i = 0; i < 40; ++i) {
         const auto snap = store->latest();
-        size_t enumerated = 0;
-        snap->index().ForEachIntersecting(everything,
-                                          [&enumerated](const RTreeEntry&) {
-                                            ++enumerated;
-                                            return true;
-                                          });
-        ASSERT_EQ(enumerated, snap->size());
+        ASSERT_EQ(ScanEveryShard(*snap, probe).size(), snap->size());
         ASSERT_EQ(snap->db()->size(), snap->size());
-        double last = 0.0;
-        const Rect probe =
-            Rect::FromPoint(Point{0.3 * static_cast<double>(t), 0.5});
-        snap->index().ScanByMinDist(probe,
-                                    [&last](const RTreeEntry&, double d) {
-                                      EXPECT_GE(d, last);
-                                      last = d;
-                                      return true;
-                                    });
         // Writer-side live views stay readable mid-publish too.
         store->LiveIds();
         store->live_size();
