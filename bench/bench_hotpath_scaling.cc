@@ -21,22 +21,32 @@
 //                     the seed's refinement loop; the engine timed under
 //                     both dispatch tables.
 //   thread_scaling    the same computation at 1/2/4/8 threads.
+//   domination        nanoseconds per optimal-criterion classification
+//                     at L1/L2 and d = 2/3: the flat-box kernel
+//                     (domination/kernel.h, one PairTerms per (B, R) pair)
+//                     vs an in-bench copy of the per-call Rect loop it
+//                     replaced (out-of-line Pow, branching MinDist).
+//                     Median/min/max over repeats.
 //
-// Two oracles gate the exit status: the seed-style and engine bounds must
-// agree within 1e-9 (different accumulation orders), and the scalar- and
+// Three oracles gate the exit status: the seed-style and engine bounds
+// must agree within 1e-9 (different accumulation orders), the scalar- and
 // vector-dispatch engine bounds must be IDENTICAL BITS (same blocked
-// accumulation order, gf/kernels.h) — any nonzero deviation exits 2.
+// accumulation order, gf/kernels.h), and the kernel's domination verdicts
+// must equal the Rect loop's on every test — any deviation exits 2.
 //
 // UPDB_BENCH_SCALE scales the database size.
 
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <limits>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "bench_util.h"
+#include "domination/kernel.h"
 #include "gf/ugf_reference.h"
 #include "updb.h"
 
@@ -168,13 +178,19 @@ CountDistributionBounds SeedStyleRefine(const UncertainDatabase& db,
     size_t splits = target_tree.Deepen() + ref_tree.Deepen();
     for (auto& tree : cand_trees) splits += tree->Deepen();
     agg = CountDistributionBounds::Zero(C + 1);
-    for (const Partition& bp : target_tree.frontier()) {
-      for (const Partition& rp : ref_tree.frontier()) {
+    const std::vector<Partition> target_parts = target_tree.Partitions();
+    const std::vector<Partition> ref_parts = ref_tree.Partitions();
+    std::vector<std::vector<Partition>> cand_parts;
+    for (const auto& tree : cand_trees) {
+      cand_parts.push_back(tree->Partitions());
+    }
+    for (const Partition& bp : target_parts) {
+      for (const Partition& rp : ref_parts) {
         const double w = bp.mass * rp.mass;
         NestedVectorUgf ugf;
         for (size_t i = 0; i < C; ++i) {
           ProbabilityBounds pb =
-              PDomGivenPair(cand_trees[i]->frontier(), bp.region, rp.region,
+              PDomGivenPair(cand_parts[i], bp.region, rp.region,
                             config.criterion, config.norm);
           const double e = influence[i]->existence();
           pb.lb *= e;
@@ -188,6 +204,151 @@ CountDistributionBounds SeedStyleRefine(const UncertainDatabase& db,
   }
   agg.Normalize();
   return agg.ShiftRight(complete, db.size());
+}
+
+// ---------------------------------------------------- domination kernel
+
+/// Median, minimum and maximum of repeated measurements.
+struct Spread {
+  double median = 0.0;
+  double min = 0.0;
+  double max = 0.0;
+};
+
+Spread SpreadOf(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  const size_t n = v.size();
+  const double median =
+      n % 2 == 1 ? v[n / 2] : 0.5 * (v[n / 2 - 1] + v[n / 2]);
+  return Spread{median, v.front(), v.back()};
+}
+
+/// LpNorm::Pow as the library compiled it before the kernel: out of line,
+/// switching on p per call.
+[[gnu::noinline]] double RectLoopPow(const LpNorm& norm, double v) {
+  v = std::abs(v);
+  switch (norm.p()) {
+    case 1:
+      return v;
+    case 2:
+      return v * v;
+    default:
+      return std::pow(v, static_cast<double>(norm.p()));
+  }
+}
+
+/// Interval::MinDist(double) as it was written before, with branches.
+double RectLoopMinDist(const Interval& side, double r) {
+  if (r < side.lo()) return side.lo() - r;
+  if (r > side.hi()) return r - side.hi();
+  return 0.0;
+}
+
+/// The optimal criterion as the library computed it per call before the
+/// flat-box kernel: Rect sides, out-of-line Pow, no hoisting.
+bool RectLoopDominates(const Rect& a, const Rect& b, const Rect& r,
+                       const LpNorm& norm) {
+  double sum = 0.0;
+  for (size_t i = 0; i < a.dim(); ++i) {
+    const Interval& ai = a.side(i);
+    const Interval& bi = b.side(i);
+    const Interval& ri = r.side(i);
+    double worst = -std::numeric_limits<double>::infinity();
+    for (double rv : {ri.lo(), ri.hi()}) {
+      const double term = RectLoopPow(norm, ai.MaxDist(rv)) -
+                          RectLoopPow(norm, RectLoopMinDist(bi, rv));
+      worst = std::max(worst, term);
+    }
+    sum += worst;
+  }
+  return sum < 0.0;
+}
+
+DominationClass RectLoopClassify(const Rect& a, const Rect& b, const Rect& r,
+                                 const LpNorm& norm) {
+  if (RectLoopDominates(a, b, r, norm)) return DominationClass::kDominates;
+  if (RectLoopDominates(b, a, r, norm)) return DominationClass::kDominated;
+  return DominationClass::kUndecided;
+}
+
+struct DominationSeries {
+  int p = 2;
+  size_t dim = 2;
+  size_t tests = 0;           // classifications per repeat
+  double decided = 0.0;       // share of kDominates/kDominated verdicts
+  Spread rect_ns;     // per classification, Rect loop
+  Spread kernel_ns;   // per classification, flat-box kernel
+  bool agree = true;
+};
+
+/// Refinement-shaped workload: per (B', R') pair, kAPerPair candidate
+/// boxes are classified, each pair's terms built once on the kernel side.
+DominationSeries BenchDomination(int p, size_t dim, int repeats) {
+  constexpr size_t kPairs = 256;
+  constexpr size_t kAPerPair = 32;
+  Rng rng(808 + static_cast<uint64_t>(10 * p) + dim);
+  const auto random_box = [&rng, dim](double max_extent) {
+    std::vector<Interval> sides;
+    for (size_t i = 0; i < dim; ++i) {
+      const double lo = rng.NextDouble();
+      sides.emplace_back(lo, lo + max_extent * rng.NextDouble());
+    }
+    return Rect(std::move(sides));
+  };
+  std::vector<Rect> b_boxes, r_boxes, a_boxes;
+  for (size_t i = 0; i < kPairs; ++i) {
+    b_boxes.push_back(random_box(0.05));
+    r_boxes.push_back(random_box(0.05));
+  }
+  std::vector<Interval> a_flat;  // the kernel reads A boxes flat
+  for (size_t i = 0; i < kPairs * kAPerPair; ++i) {
+    a_boxes.push_back(random_box(0.05));
+    const std::span<const Interval> sides = a_boxes.back().sides();
+    a_flat.insert(a_flat.end(), sides.begin(), sides.end());
+  }
+
+  const LpNorm norm(p);
+  DominationSeries out;
+  out.p = p;
+  out.dim = dim;
+  out.tests = kPairs * kAPerPair;
+  std::vector<DominationClass> rect_verdicts(out.tests);
+  std::vector<DominationClass> kernel_verdicts(out.tests);
+  std::vector<double> rect_ns, kernel_ns;
+  Stopwatch timer;
+  for (int rep = 0; rep < repeats; ++rep) {
+    timer.Reset();
+    for (size_t pr = 0; pr < kPairs; ++pr) {
+      for (size_t j = pr * kAPerPair; j < (pr + 1) * kAPerPair; ++j) {
+        rect_verdicts[j] =
+            RectLoopClassify(a_boxes[j], b_boxes[pr], r_boxes[pr], norm);
+      }
+    }
+    rect_ns.push_back(timer.ElapsedSeconds() * 1e9 /
+                      static_cast<double>(out.tests));
+
+    WithPairTerms(DominationCriterion::kOptimal, norm, [&](auto terms) {
+      timer.Reset();
+      for (size_t pr = 0; pr < kPairs; ++pr) {
+        terms.Reset(b_boxes[pr].sides(), r_boxes[pr].sides());
+        for (size_t j = pr * kAPerPair; j < (pr + 1) * kAPerPair; ++j) {
+          kernel_verdicts[j] = Classify(
+              terms, std::span<const Interval>(a_flat.data() + j * dim, dim));
+        }
+      }
+      kernel_ns.push_back(timer.ElapsedSeconds() * 1e9 /
+                          static_cast<double>(out.tests));
+    });
+    out.agree = out.agree && rect_verdicts == kernel_verdicts;
+  }
+  size_t decided = 0;
+  for (DominationClass v : kernel_verdicts) {
+    decided += v != DominationClass::kUndecided;
+  }
+  out.decided = static_cast<double>(decided) / static_cast<double>(out.tests);
+  out.rect_ns = SpreadOf(rect_ns);
+  out.kernel_ns = SpreadOf(kernel_ns);
+  return out;
 }
 
 }  // namespace
@@ -299,6 +460,28 @@ int main(int argc, char** argv) {
     std::printf("thread_scaling,%d,%.3f,%.2fx\n", threads, best, t1 / best);
   }
 
+  // ---- Domination kernel vs the per-call Rect loop.
+  std::printf(
+      "series,p,d,tests,decided,rect_ns_median,rect_ns_min,rect_ns_max,"
+      "kernel_ns_median,kernel_ns_min,kernel_ns_max,speedup,agree\n");
+  std::vector<DominationSeries> domination;
+  bool domination_agree = true;
+  for (int p : {1, 2}) {
+    for (size_t d : {size_t{2}, size_t{3}}) {
+      domination.push_back(BenchDomination(p, d, /*repeats=*/7));
+      const DominationSeries& s = domination.back();
+      domination_agree = domination_agree && s.agree;
+      std::printf(
+          "domination,%d,%zu,%zu,%.3f,%.2f,%.2f,%.2f,%.2f,%.2f,%.2f,%.2fx,"
+          "%s\n",
+          s.p, s.dim, s.tests, s.decided, s.rect_ns.median, s.rect_ns.min,
+          s.rect_ns.max, s.kernel_ns.median, s.kernel_ns.min,
+          s.kernel_ns.max, s.rect_ns.median / s.kernel_ns.median,
+          s.agree ? "yes" : "NO");
+    }
+  }
+  const bool all_agree = checksum_ok && simd_exact && domination_agree;
+
   if (argc > 1) {
     std::FILE* f = std::fopen(argv[1], "w");
     if (f == nullptr) {
@@ -347,8 +530,25 @@ int main(int argc, char** argv) {
                    t1 / scaling[i].second,
                    i + 1 < scaling.size() ? "," : "");
     }
+    std::fprintf(f, "  ],\n");
+    std::fprintf(f, "  \"domination\": [\n");
+    for (size_t i = 0; i < domination.size(); ++i) {
+      const DominationSeries& s = domination[i];
+      std::fprintf(
+          f,
+          "    {\"criterion\": \"optimal\", \"p\": %d, \"d\": %zu, "
+          "\"tests\": %zu, \"repeats\": 7, \"decided_fraction\": %.3f, "
+          "\"rect_loop_ns\": {\"median\": %.2f, \"min\": %.2f, "
+          "\"max\": %.2f}, \"kernel_ns\": {\"median\": %.2f, "
+          "\"min\": %.2f, \"max\": %.2f}, \"speedup\": %.2f, "
+          "\"agree\": %s}%s\n",
+          s.p, s.dim, s.tests, s.decided, s.rect_ns.median, s.rect_ns.min,
+          s.rect_ns.max, s.kernel_ns.median, s.kernel_ns.min,
+          s.kernel_ns.max, s.rect_ns.median / s.kernel_ns.median,
+          s.agree ? "true" : "false", i + 1 < domination.size() ? "," : "");
+    }
     std::fprintf(f, "  ]\n}\n");
     std::fclose(f);
   }
-  return checksum_ok && simd_exact ? 0 : 2;
+  return all_agree ? 0 : 2;
 }

@@ -115,7 +115,7 @@ void BM_DecompositionDeepen(benchmark::State& state) {
   for (auto _ : state) {
     DecompositionTree tree(&pdf);
     tree.DeepenTo(depth);
-    benchmark::DoNotOptimize(tree.frontier().size());
+    benchmark::DoNotOptimize(tree.size());
   }
 }
 BENCHMARK(BM_DecompositionDeepen)->DenseRange(1, 8);
@@ -141,9 +141,9 @@ void BM_PDomGivenPair(benchmark::State& state) {
   UniformPdf r(Rect(Point{0.0, 0.0}, Point{0.2, 0.2}));
   DecompositionTree tree(&a);
   tree.DeepenTo(static_cast<int>(state.range(0)));
+  const std::vector<Partition> parts = tree.Partitions();
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        PDomGivenPair(tree.frontier(), b.bounds(), r.bounds()));
+    benchmark::DoNotOptimize(PDomGivenPair(parts, b.bounds(), r.bounds()));
   }
 }
 BENCHMARK(BM_PDomGivenPair)->DenseRange(2, 8, 2);

@@ -6,10 +6,10 @@
 // so repeated queries against a pinned version stop re-deriving the same
 // geometry.
 //
-// Why sharing is sound: ClassifyDomination is a pure function of the three
-// partition regions plus the (criterion, norm) configuration, and a
-// DecompositionTree's frontier at level L is a pure function of
-// (pdf, split policy, L). A memo key therefore names the exact triple a
+// Why sharing is sound: a domination verdict (Classify, domination/kernel.h)
+// is a pure function of the three partition regions plus the (criterion,
+// norm) configuration, and a DecompositionTree's frontier at level L is a
+// pure function of (pdf, split policy, L). A memo key therefore names the exact triple a
 // recomputation would test, and a hit returns exactly the verdict that
 // recomputation would produce — payloads with the memo on are
 // bit-identical to payloads with it off (service_test's monotonicity

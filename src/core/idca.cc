@@ -8,6 +8,7 @@
 #include "cache/verdict_memo.h"
 #include "common/stopwatch.h"
 #include "common/thread_pool.h"
+#include "domination/kernel.h"
 #include "gf/ugf_batch.h"
 
 namespace updb {
@@ -166,13 +167,12 @@ IdcaResult IdcaEngine::ComputeDomCountOfQuery(
              /*target_is_database_object=*/false, predicate);
 }
 
-void IdcaEngine::Filter(const Pdf& target, const Pdf& reference,
-                        ObjectId exclude, size_t& complete,
+template <class Terms>
+void IdcaEngine::Filter(const Terms& terms, ObjectId exclude,
+                        size_t& complete,
                         std::vector<const UncertainObject*>& influence) const {
-  const Rect& t = target.bounds();
-  const Rect& r = reference.bounds();
-  auto admit = [this, &influence, &complete](const UncertainObject* a,
-                                             bool dominates) {
+  auto admit = [this, &influence, &complete](ObjectId id, bool dominates) {
+    const UncertainObject* a = &db_.object(id);
     // An existentially uncertain object (existence < 1) can never be a
     // *complete* dominator — there are worlds where it is absent — so it
     // stays in the influence set with its probabilities scaled by the
@@ -188,34 +188,34 @@ void IdcaEngine::Filter(const Pdf& target, const Pdf& reference,
     // verdict on an R-tree node MBR extends to every object inside:
     // dominated subtrees are pruned, dominating subtrees bulk-counted.
     index_->Traverse(
-        [this, &t, &r](const Rect& mbr) {
-          if (Dominates(mbr, t, r, config_.criterion, config_.norm)) {
-            return RTree::VisitDecision::kTakeAll;
-          }
-          if (Dominates(t, mbr, r, config_.criterion, config_.norm)) {
-            return RTree::VisitDecision::kSkip;
+        [&terms](const Rect& mbr) {
+          switch (Classify(terms, mbr.sides())) {
+            case DominationClass::kDominates:
+              return RTree::VisitDecision::kTakeAll;
+            case DominationClass::kDominated:
+              return RTree::VisitDecision::kSkip;
+            case DominationClass::kUndecided:
+              break;
           }
           return RTree::VisitDecision::kDescend;
         },
-        [this, exclude, &admit](const RTreeEntry& e,
-                                RTree::VisitDecision decision) {
+        [exclude, &admit](const RTreeEntry& e,
+                          RTree::VisitDecision decision) {
           if (e.id == exclude) return;
-          admit(&db_.object(e.id),
-                decision == RTree::VisitDecision::kTakeAll);
+          admit(e.id, decision == RTree::VisitDecision::kTakeAll);
         });
     return;
   }
-  for (const UncertainObject& a : db_.objects()) {
-    if (a.id() == exclude) continue;
-    switch (ClassifyDomination(a.mbr(), t, r, config_.criterion,
-                               config_.norm)) {
+  for (ObjectId id = 0; id < db_.size(); ++id) {
+    if (id == exclude) continue;
+    switch (Classify(terms, db_.mbr_box(id))) {
       case DominationClass::kDominates:
-        admit(&a, /*dominates=*/true);
+        admit(id, /*dominates=*/true);
         break;
       case DominationClass::kDominated:
         break;
       case DominationClass::kUndecided:
-        admit(&a, /*dominates=*/false);
+        admit(id, /*dominates=*/false);
         break;
     }
   }
@@ -224,6 +224,17 @@ void IdcaEngine::Filter(const Pdf& target, const Pdf& reference,
 IdcaResult IdcaEngine::Run(const Pdf& target, const Pdf& reference,
                            ObjectId exclude, bool target_is_database_object,
                            std::optional<IdcaPredicate> predicate) const {
+  return WithPairTerms(config_.criterion, config_.norm, [&](auto terms) {
+    return RunWith(std::move(terms), target, reference, exclude,
+                   target_is_database_object, predicate);
+  });
+}
+
+template <class Terms>
+IdcaResult IdcaEngine::RunWith(Terms terms, const Pdf& target,
+                               const Pdf& reference, ObjectId exclude,
+                               bool target_is_database_object,
+                               std::optional<IdcaPredicate> predicate) const {
   Stopwatch timer;
   IdcaResult result;
   const size_t total_ranks = db_.size();
@@ -234,7 +245,8 @@ IdcaResult IdcaEngine::Run(const Pdf& target, const Pdf& reference,
   std::vector<const UncertainObject*> influence;
   {
     obs::TraceSpan filter_span(config_.trace, "idca_filter", "idca");
-    Filter(target, reference, exclude, complete, influence);
+    terms.Reset(target.bounds().sides(), reference.bounds().sides());
+    Filter(terms, exclude, complete, influence);
     filter_span.AddArg("complete", complete);
     filter_span.AddArg("influence", influence.size());
   }
@@ -355,8 +367,8 @@ IdcaResult IdcaEngine::Run(const Pdf& target, const Pdf& reference,
       if (cand_live[i]) splits += cand_trees[i]->Deepen();
     }
 
-    const std::vector<Partition>& target_frontier = target_tree.frontier();
-    const std::vector<Partition>& ref_frontier = ref_tree.frontier();
+    const std::vector<double>& target_mass = target_tree.masses();
+    const std::vector<double>& ref_mass = ref_tree.masses();
     const std::vector<uint32_t>& b_off = target_tree.child_offsets();
     const std::vector<uint32_t>& r_off = ref_tree.child_offsets();
 
@@ -370,6 +382,7 @@ IdcaResult IdcaEngine::Run(const Pdf& target, const Pdf& reference,
         num_chunks, threads,
         [&](size_t chunk, size_t /*worker*/) {
           ChunkState& st = chunks[chunk];
+          Terms pair_terms = terms;
           st.out.Clear(C);
           st.stage_lb.assign(C * UgfBatch::kLanes, 0.0);
           st.stage_ub.assign(C * UgfBatch::kLanes, 0.0);
@@ -438,9 +451,10 @@ IdcaResult IdcaEngine::Run(const Pdf& target, const Pdf& reference,
             const uint32_t* old_off = cur.und_off.data() + p * (C + 1);
             for (uint32_t bi = b_off[old_b]; bi < b_off[old_b + 1]; ++bi) {
               for (uint32_t ri = r_off[old_r]; ri < r_off[old_r + 1]; ++ri) {
-                const Partition& bp = target_frontier[bi];
-                const Partition& rp = ref_frontier[ri];
-                const double w = bp.mass * rp.mass;
+                const double w = target_mass[bi] * ref_mass[ri];
+                // The (B', R') half of every test of this pair, computed
+                // once.
+                pair_terms.Reset(target_tree.box(bi), ref_tree.box(ri));
                 ++st.pairs;
                 PairBlock& out = st.out;
                 out.b_node.push_back(bi);
@@ -450,10 +464,9 @@ IdcaResult IdcaEngine::Run(const Pdf& target, const Pdf& reference,
                 const size_t und_base = out.undecided.size();
                 out.resolved.resize(res_base + 2 * C);
                 for (size_t i = 0; i < C; ++i) {
-                  const std::vector<Partition>& cand_frontier =
-                      cand_trees[i]->frontier();
-                  const std::vector<uint32_t>& a_off =
-                      cand_trees[i]->child_offsets();
+                  const DecompositionTree& cand = *cand_trees[i];
+                  const std::vector<double>& cand_mass = cand.masses();
+                  const std::vector<uint32_t>& a_off = cand.child_offsets();
                   double dom = old_res[i];
                   double ndom = old_res[C + i];
                   // Any inherited resolved mass means a prior iteration's
@@ -465,24 +478,21 @@ IdcaResult IdcaEngine::Run(const Pdf& target, const Pdf& reference,
                       static_cast<uint32_t>(out.undecided.size()));
                   const uint64_t cand_id = influence[i]->id();
                   for (uint32_t u = old_off[i]; u < old_off[i + 1]; ++u) {
+                    // The node's children are adjacent in the candidate's
+                    // flat frontier.
                     const uint32_t node = cur.undecided[u];
                     for (uint32_t a = a_off[node]; a < a_off[node + 1]; ++a) {
                       ++st.tests;
-                      const Partition& ap = cand_frontier[a];
                       // Resolve the triple through the cross-request memo
                       // when one is attached: a hit replays the decided
-                      // verdict an identical ClassifyDomination call
-                      // produced earlier (possibly in another request
-                      // against this snapshot); a decided miss is
-                      // recorded for later runs. Undecided stays
-                      // unrecorded — it is re-tested one level deeper
-                      // either way.
+                      // verdict an identical Classify call produced
+                      // earlier (possibly in another request against
+                      // this snapshot); a decided miss is recorded for
+                      // later runs. Undecided stays unrecorded — it is
+                      // re-tested one level deeper either way.
                       DominationClass verdict;
                       if (memo == nullptr) {
-                        verdict = ClassifyDomination(ap.region, bp.region,
-                                                     rp.region,
-                                                     config_.criterion,
-                                                     config_.norm);
+                        verdict = Classify(pair_terms, cand.box(a));
                       } else {
                         const cache::VerdictMemo::Key key = memo->MakeKey(
                             memo_run_ctx, cand_id,
@@ -493,10 +503,7 @@ IdcaResult IdcaEngine::Run(const Pdf& target, const Pdf& reference,
                                         ? DominationClass::kDominates
                                         : DominationClass::kDominated;
                         } else {
-                          verdict = ClassifyDomination(ap.region, bp.region,
-                                                       rp.region,
-                                                       config_.criterion,
-                                                       config_.norm);
+                          verdict = Classify(pair_terms, cand.box(a));
                           if (verdict != DominationClass::kUndecided) {
                             memo->Insert(
                                 key,
@@ -509,11 +516,11 @@ IdcaResult IdcaEngine::Run(const Pdf& target, const Pdf& reference,
                       }
                       switch (verdict) {
                         case DominationClass::kDominates:
-                          dom += ap.mass;
+                          dom += cand_mass[a];
                           if (!cache) out.undecided.push_back(a);
                           break;
                         case DominationClass::kDominated:
-                          ndom += ap.mass;
+                          ndom += cand_mass[a];
                           if (!cache) out.undecided.push_back(a);
                           break;
                         case DominationClass::kUndecided:

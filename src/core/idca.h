@@ -87,10 +87,11 @@ struct IdcaConfig {
   /// by every run against one immutable store snapshot: decided
   /// (candidate-partition, B', R') verdicts recorded by one run are
   /// reused by later runs over the same triples instead of re-deriving
-  /// the geometry. A memo hit reproduces exactly the verdict
-  /// ClassifyDomination would return (the memo stores only decided
-  /// triples, and its keys name deterministic frontier nodes), so every
-  /// computed bound and payload is bit-identical with the memo on or off.
+  /// the geometry. A memo hit reproduces exactly the verdict the
+  /// domination kernel's Classify would return (the memo stores only
+  /// decided triples, and its keys name deterministic frontier nodes), so
+  /// every computed bound and payload is bit-identical with the memo on or
+  /// off.
   /// nullptr (the default) costs one branch per domination test. Distinct
   /// from cache_verdicts, which reuses verdicts *within* one run.
   cache::VerdictMemo* verdict_memo = nullptr;
@@ -145,7 +146,7 @@ struct IdcaCounters {
   /// Pairs whose contribution was banked once and never re-expanded
   /// (verdict cache freeze; 0 when cache_verdicts is off).
   uint64_t pairs_frozen = 0;
-  /// Triples resolved in the refinement loop (a ClassifyDomination call,
+  /// Triples resolved in the refinement loop (a domination-kernel call,
   /// or the identical decided verdict replayed from a cross-request
   /// verdict memo — counted the same so the totals stay deterministic
   /// whatever the memo's concurrent fill state).
@@ -234,16 +235,25 @@ class IdcaEngine {
   /// `target_is_database_object` records which operand `exclude` names
   /// (true: ComputeDomCount's target; false: ComputeDomCountOfQuery's
   /// reference) — part of the verdict-memo key, since the two directions
-  /// test different geometry.
+  /// test different geometry. Dispatches the domination kernel once and
+  /// runs RunWith.
   IdcaResult Run(const Pdf& target, const Pdf& reference, ObjectId exclude,
                  bool target_is_database_object,
                  std::optional<IdcaPredicate> predicate) const;
 
-  /// Complete-domination filter (Algorithm 1, lines 3-10): counts
-  /// existentially certain complete dominators into `complete` and
-  /// collects the influence objects. Uses the R-tree when configured.
-  void Filter(const Pdf& target, const Pdf& reference, ObjectId exclude,
-              size_t& complete,
+  /// Run's body for one domination kernel: `terms` is an empty PairTerms
+  /// of the configured criterion and norm (domination/kernel.h).
+  template <class Terms>
+  IdcaResult RunWith(Terms terms, const Pdf& target, const Pdf& reference,
+                     ObjectId exclude, bool target_is_database_object,
+                     std::optional<IdcaPredicate> predicate) const;
+
+  /// Complete-domination filter (Algorithm 1, lines 3-10) against the
+  /// (target, reference) pair `terms`: counts existentially certain
+  /// complete dominators into `complete` and collects the influence
+  /// objects. Uses the R-tree when configured.
+  template <class Terms>
+  void Filter(const Terms& terms, ObjectId exclude, size_t& complete,
               std::vector<const UncertainObject*>& influence) const;
 
   const UncertainDatabase& db_;

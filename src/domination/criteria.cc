@@ -1,55 +1,37 @@
 #include "domination/criteria.h"
 
-#include <algorithm>
-#include <limits>
+#include "domination/kernel.h"
 
 namespace updb {
 
 bool MinMaxDominates(const Rect& a, const Rect& b, const Rect& r,
                      const LpNorm& norm) {
-  return norm.MaxDist(a, r) < norm.MinDist(b, r);
+  return Dominates(a, b, r, DominationCriterion::kMinMax, norm);
 }
 
 bool OptimalDominates(const Rect& a, const Rect& b, const Rect& r,
                       const LpNorm& norm) {
-  UPDB_DCHECK(a.dim() == b.dim() && b.dim() == r.dim());
-  double sum = 0.0;
-  for (size_t i = 0; i < a.dim(); ++i) {
-    const Interval& ai = a.side(i);
-    const Interval& bi = b.side(i);
-    const Interval& ri = r.side(i);
-    // max over the two endpoints of R's projection interval; for points
-    // in between, the expression is dominated by one of the endpoints
-    // (shown in Emrich et al.), so checking the endpoints is exact.
-    double worst = -std::numeric_limits<double>::infinity();
-    for (double rv : {ri.lo(), ri.hi()}) {
-      const double term = norm.Pow(ai.MaxDist(rv)) - norm.Pow(bi.MinDist(rv));
-      worst = std::max(worst, term);
-    }
-    sum += worst;
-  }
-  return sum < 0.0;
+  return Dominates(a, b, r, DominationCriterion::kOptimal, norm);
 }
 
 bool Dominates(const Rect& a, const Rect& b, const Rect& r,
                DominationCriterion criterion, const LpNorm& norm) {
-  switch (criterion) {
-    case DominationCriterion::kMinMax:
-      return MinMaxDominates(a, b, r, norm);
-    case DominationCriterion::kOptimal:
-      return OptimalDominates(a, b, r, norm);
-  }
-  UPDB_CHECK(false);
-  return false;
+  UPDB_DCHECK(a.dim() == b.dim() && b.dim() == r.dim());
+  return WithPairTerms(criterion, norm, [&](auto terms) {
+    terms.Reset(b.sides(), r.sides());
+    return Dominates(terms, a.sides());
+  });
 }
 
 DominationClass ClassifyDomination(const Rect& a, const Rect& b,
                                    const Rect& r,
                                    DominationCriterion criterion,
                                    const LpNorm& norm) {
-  if (Dominates(a, b, r, criterion, norm)) return DominationClass::kDominates;
-  if (Dominates(b, a, r, criterion, norm)) return DominationClass::kDominated;
-  return DominationClass::kUndecided;
+  UPDB_DCHECK(a.dim() == b.dim() && b.dim() == r.dim());
+  return WithPairTerms(criterion, norm, [&](auto terms) {
+    terms.Reset(b.sides(), r.sides());
+    return Classify(terms, a.sides());
+  });
 }
 
 }  // namespace updb

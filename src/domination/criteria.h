@@ -14,6 +14,15 @@
 // Both criteria decide PDom(A,B,R) = 1 regardless of the PDFs inside the
 // rectangles (only the regions matter), which is what makes them usable as
 // a filter under possible-world semantics.
+//
+// The functions below take Rects and are thin wrappers over the one
+// domination kernel (domination/kernel.h), which the engine filter, the
+// refinement loop and the RkNN candidate filter call directly on flat
+// boxes with the (B, R) half of every term precomputed. They suit callers
+// off the hot path (PDom bounds, the Monte-Carlo prefilter, tests). A NaN
+// endpoint term of the optimal criterion — inf - inf of two powers that
+// overflowed, which finite coordinates near sqrt(DBL_MAX) produce — keeps
+// the test from firing.
 
 #ifndef UPDB_DOMINATION_CRITERIA_H_
 #define UPDB_DOMINATION_CRITERIA_H_

@@ -1,32 +1,6 @@
 #include "geom/distance.h"
 
-#include <cmath>
-
 namespace updb {
-
-double LpNorm::Pow(double v) const {
-  v = std::abs(v);
-  switch (p_) {
-    case 1:
-      return v;
-    case 2:
-      return v * v;
-    default:
-      return std::pow(v, static_cast<double>(p_));
-  }
-}
-
-double LpNorm::Root(double sum_of_powers) const {
-  UPDB_DCHECK(sum_of_powers >= 0.0);
-  switch (p_) {
-    case 1:
-      return sum_of_powers;
-    case 2:
-      return std::sqrt(sum_of_powers);
-    default:
-      return std::pow(sum_of_powers, 1.0 / static_cast<double>(p_));
-  }
-}
 
 double LpNorm::Dist(const Point& a, const Point& b) const {
   UPDB_DCHECK(a.dim() == b.dim());

@@ -41,11 +41,11 @@ class Interval {
   }
 
   /// Minimal distance from any point of this interval to the scalar r;
-  /// zero when r lies inside.
+  /// zero when r lies inside. Branch-free: at most one of the two gaps is
+  /// positive, and +0.0 wins every tie, so the value is exactly
+  /// "r < lo ? lo - r : r > hi ? r - hi : 0.0".
   double MinDist(double r) const {
-    if (r < lo_) return lo_ - r;
-    if (r > hi_) return r - hi_;
-    return 0.0;
+    return std::max(0.0, std::max(lo_ - r, r - hi_));
   }
 
   /// Maximal distance from any point of this interval to the scalar r.
@@ -54,9 +54,10 @@ class Interval {
   }
 
   /// Minimal distance between the two intervals (0 when they intersect).
+  /// Branch-free like MinDist(double): the value is exactly "intersecting
+  /// ? 0.0 : the positive gap".
   double MinDist(const Interval& other) const {
-    if (Intersects(other)) return 0.0;
-    return other.lo_ > hi_ ? other.lo_ - hi_ : lo_ - other.hi_;
+    return std::max(0.0, std::max(other.lo_ - hi_, lo_ - other.hi_));
   }
 
   /// Maximal distance between the two intervals.

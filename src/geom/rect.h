@@ -3,6 +3,7 @@
 #ifndef UPDB_GEOM_RECT_H_
 #define UPDB_GEOM_RECT_H_
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -30,6 +31,9 @@ class Rect {
   static Rect Centered(const Point& center, const std::vector<double>& half);
 
   size_t dim() const { return sides_.size(); }
+
+  /// All sides, dimension i at index i.
+  std::span<const Interval> sides() const { return sides_; }
 
   const Interval& side(size_t i) const {
     UPDB_DCHECK(i < sides_.size());

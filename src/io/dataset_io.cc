@@ -207,6 +207,24 @@ Status AppendPayload(const Pdf& pdf, std::string& out, int depth) {
   return Status::Unimplemented("PDF type has no line format");
 }
 
+/// Rejects positive weights the PDF constructors cannot normalize: a sum
+/// that overflows would turn every weight into 0, and a weight that
+/// underflows to 0 against the sum would serialize as a non-positive
+/// weight. Sums in the constructors' order.
+Status CheckWeightSum(const std::vector<double>& weights) {
+  double total = 0.0;
+  for (double w : weights) total += w;
+  if (!std::isfinite(total)) {
+    return Status::InvalidArgument("weight sum is not finite");
+  }
+  for (double w : weights) {
+    if (!(w / total > 0.0)) {
+      return Status::InvalidArgument("weight vanishes when normalized");
+    }
+  }
+  return Status::OK();
+}
+
 /// Parses the payload of one `type`-tagged PDF (top-level line or mixture
 /// component) of dimensionality `dim`.
 StatusOr<std::unique_ptr<Pdf>> ParsePayload(FieldCursor& cursor, size_t dim,
@@ -256,6 +274,7 @@ StatusOr<std::unique_ptr<Pdf>> ParsePayload(FieldCursor& cursor, size_t dim,
       }
       samples.push_back(std::move(p));
     }
+    UPDB_RETURN_IF_ERROR(CheckWeightSum(weights));
     return std::unique_ptr<Pdf>(std::make_unique<DiscreteSamplePdf>(
         std::move(samples), std::move(weights)));
   }
@@ -288,6 +307,7 @@ StatusOr<std::unique_ptr<Pdf>> ParsePayload(FieldCursor& cursor, size_t dim,
       if (!comp.ok()) return comp.status();
       components.push_back(std::move(comp).value());
     }
+    UPDB_RETURN_IF_ERROR(CheckWeightSum(weights));
     return std::unique_ptr<Pdf>(std::make_unique<MixturePdf>(
         std::move(components), std::move(weights)));
   }

@@ -5,6 +5,7 @@
 
 #include "common/stopwatch.h"
 #include "common/thread_pool.h"
+#include "domination/kernel.h"
 
 namespace updb {
 
@@ -91,6 +92,67 @@ double ExpandedReachBound(const Rect& b, double reach, const LpNorm& norm) {
   return norm.Root(sum) * (1.0 + 0x1p-30);
 }
 
+/// CountRknnDominators for one domination kernel: `prototype` is an
+/// empty PairTerms of the requested criterion and norm.
+template <class Terms>
+void CountRknnDominatorsWith(Terms prototype, const UncertainDatabase& db,
+                             ObjectId b,
+                             std::span<const DominatorProbe> probes,
+                             const MinDistScan& scan, const LpNorm& norm,
+                             std::span<uint32_t> counts) {
+  UPDB_DCHECK(counts.size() == probes.size());
+  const Rect& b_mbr = db.object(b).mbr();
+  // An A that completely dominates Q w.r.t. B has MinDist(A, B) <=
+  // MaxDist(Q, B), so it intersects B's MBR expanded by that reach; the
+  // scan stops once its distance passes the bound of every probe still
+  // short of its k.
+  std::vector<double> reach(probes.size());
+  std::vector<double> bound(probes.size());
+  // terms[r] is the (Q_r, B) half of every "A dominates Q_r w.r.t. B"
+  // test, computed once per call for each probe that can count.
+  std::vector<Terms> terms(probes.size(), prototype);
+  double scan_bound = 0.0;
+  size_t open = 0;  // probes still short of their k
+  for (size_t r = 0; r < probes.size(); ++r) {
+    counts[r] = 0;
+    if (probes[r].k == 0) continue;
+    terms[r].Reset(probes[r].query->sides(), b_mbr.sides());
+    reach[r] = norm.MaxDist(*probes[r].query, b_mbr);
+    bound[r] = ExpandedReachBound(b_mbr, reach[r], norm);
+    scan_bound = std::max(scan_bound, bound[r]);
+    ++open;
+  }
+  if (open == 0) return;
+
+  scan(b_mbr, [&](const RTreeEntry& e, double dist) {
+    if (dist > scan_bound) return false;
+    // Only existentially certain objects dominate Q in *every* world.
+    if (e.id == b || !db.object(e.id).existentially_certain()) return true;
+    bool closed = false;
+    for (size_t r = 0; r < probes.size(); ++r) {
+      if (counts[r] >= probes[r].k ||
+          !IntersectsExpanded(e.mbr, b_mbr, reach[r]) ||
+          !Dominates(terms[r], e.mbr.sides())) {
+        continue;
+      }
+      if (++counts[r] == probes[r].k) {
+        --open;
+        closed = true;
+      }
+    }
+    if (open == 0) return false;
+    if (closed) {
+      scan_bound = 0.0;
+      for (size_t r = 0; r < probes.size(); ++r) {
+        if (counts[r] < probes[r].k) {
+          scan_bound = std::max(scan_bound, bound[r]);
+        }
+      }
+    }
+    return true;
+  });
+}
+
 }  // namespace
 
 double KnnPruneDistance(const UncertainDatabase& db, const Rect& q_mbr,
@@ -115,52 +177,9 @@ void CountRknnDominators(const UncertainDatabase& db, ObjectId b,
                          const MinDistScan& scan,
                          DominationCriterion criterion, const LpNorm& norm,
                          std::span<uint32_t> counts) {
-  UPDB_DCHECK(counts.size() == probes.size());
-  const Rect& b_mbr = db.object(b).mbr();
-  // An A that completely dominates Q w.r.t. B has MinDist(A, B) <=
-  // MaxDist(Q, B), so it intersects B's MBR expanded by that reach; the
-  // scan stops once its distance passes the bound of every probe still
-  // short of its k.
-  std::vector<double> reach(probes.size());
-  std::vector<double> bound(probes.size());
-  double scan_bound = 0.0;
-  size_t open = 0;  // probes still short of their k
-  for (size_t r = 0; r < probes.size(); ++r) {
-    counts[r] = 0;
-    if (probes[r].k == 0) continue;
-    reach[r] = norm.MaxDist(*probes[r].query, b_mbr);
-    bound[r] = ExpandedReachBound(b_mbr, reach[r], norm);
-    scan_bound = std::max(scan_bound, bound[r]);
-    ++open;
-  }
-  if (open == 0) return;
-
-  scan(b_mbr, [&](const RTreeEntry& e, double dist) {
-    if (dist > scan_bound) return false;
-    // Only existentially certain objects dominate Q in *every* world.
-    if (e.id == b || !db.object(e.id).existentially_certain()) return true;
-    bool closed = false;
-    for (size_t r = 0; r < probes.size(); ++r) {
-      if (counts[r] >= probes[r].k ||
-          !IntersectsExpanded(e.mbr, b_mbr, reach[r]) ||
-          !Dominates(e.mbr, *probes[r].query, b_mbr, criterion, norm)) {
-        continue;
-      }
-      if (++counts[r] == probes[r].k) {
-        --open;
-        closed = true;
-      }
-    }
-    if (open == 0) return false;
-    if (closed) {
-      scan_bound = 0.0;
-      for (size_t r = 0; r < probes.size(); ++r) {
-        if (counts[r] < probes[r].k) {
-          scan_bound = std::max(scan_bound, bound[r]);
-        }
-      }
-    }
-    return true;
+  WithPairTerms(criterion, norm, [&](auto prototype) {
+    CountRknnDominatorsWith(std::move(prototype), db, b, probes, scan, norm,
+                            counts);
   });
 }
 

@@ -472,6 +472,7 @@ std::shared_ptr<const StoreSnapshot> VersionedObjectStore::Publish(
   auto stable_by_dense = std::make_shared<std::vector<ObjectId>>();
   stable_by_dense->reserve(total_live);
   auto db = std::make_shared<UncertainDatabase>();
+  db->Reserve(total_live);
   std::vector<std::shared_ptr<std::vector<ObjectId>>> global_by_local(
       num_shards);
   for (size_t s = 0; s < num_shards; ++s) {

@@ -13,28 +13,44 @@ constexpr double kMassEpsilon = 1e-15;
 
 }  // namespace
 
+void DecompositionTree::Frontier::Clear() {
+  boxes.clear();
+  masses.clear();
+  levels.clear();
+  terminal.clear();
+}
+
+void DecompositionTree::Frontier::Append(std::span<const Interval> box,
+                                         double mass, int level,
+                                         bool is_terminal) {
+  boxes.insert(boxes.end(), box.begin(), box.end());
+  masses.push_back(mass);
+  levels.push_back(level);
+  terminal.push_back(is_terminal);
+}
+
 DecompositionTree::DecompositionTree(const Pdf* pdf, SplitPolicy policy)
     : pdf_(pdf), policy_(policy) {
   UPDB_CHECK(pdf_ != nullptr);
-  nodes_.push_back(FrontierNode{pdf_->bounds(), 1.0, /*level=*/0,
-                                /*terminal=*/false});
-  RebuildFrontierView();
+  dim_ = pdf_->bounds().dim();
+  frontier_.Append(pdf_->bounds().sides(), 1.0, /*level=*/0,
+                   /*is_terminal=*/false);
 }
 
-bool DecompositionTree::TrySplitAxis(const FrontierNode& node, size_t axis,
-                                     std::vector<FrontierNode>& out) const {
-  const Interval& side = node.region.side(axis);
+bool DecompositionTree::TrySplitAxis(const Rect& region, int level,
+                                     size_t axis, Frontier& out) const {
+  const Interval& side = region.side(axis);
   if (side.degenerate()) return false;
 
   // Candidate split coordinates: conditional median first (keeps child
   // masses balanced, the paper's scheme), then the geometric midpoint as a
   // fallback for skewed discrete distributions whose median coincides with
   // a region boundary.
-  const double median = pdf_->ConditionalMedian(node.region, axis);
+  const double median = pdf_->ConditionalMedian(region, axis);
   const double mid = side.mid();
   for (double at : {median, mid}) {
     if (at <= side.lo() || at >= side.hi()) continue;
-    auto [lower, upper] = node.region.Split(axis, at);
+    auto [lower, upper] = region.Split(axis, at);
     const double lower_mass = pdf_->Mass(lower);
     const double upper_mass = pdf_->Mass(upper);
     // Both children must carry mass for the split to make progress;
@@ -42,48 +58,44 @@ bool DecompositionTree::TrySplitAxis(const FrontierNode& node, size_t axis,
     if (lower_mass <= kMassEpsilon || upper_mass <= kMassEpsilon) continue;
     // Shrink to the support: tightens every subsequent domination test and
     // lets discrete objects converge to exact (point) partitions.
-    out.push_back(FrontierNode{pdf_->SupportMbr(lower), lower_mass,
-                               node.level + 1, /*terminal=*/false});
-    out.push_back(FrontierNode{pdf_->SupportMbr(upper), upper_mass,
-                               node.level + 1, /*terminal=*/false});
+    out.Append(pdf_->SupportMbr(lower).sides(), lower_mass, level + 1,
+               /*is_terminal=*/false);
+    out.Append(pdf_->SupportMbr(upper).sides(), upper_mass, level + 1,
+               /*is_terminal=*/false);
     return true;
   }
   return false;
 }
 
 size_t DecompositionTree::Deepen() {
-  std::vector<FrontierNode> next;
-  next.reserve(nodes_.size() * 2);
+  next_.Clear();
   child_offsets_.clear();
-  child_offsets_.reserve(nodes_.size() + 1);
+  child_offsets_.reserve(size() + 1);
   child_offsets_.push_back(0);
   size_t splits = 0;
-  for (FrontierNode& node : nodes_) {
-    if (node.terminal) {
-      next.push_back(std::move(node));
-      child_offsets_.push_back(static_cast<uint32_t>(next.size()));
-      continue;
-    }
-    const size_t dim = node.region.dim();
-    const size_t first_axis = policy_ == SplitPolicy::kRoundRobin
-                                  ? static_cast<size_t>(node.level) % dim
-                                  : node.region.LongestSide();
+  for (size_t n = 0; n < size(); ++n) {
+    const double mass = frontier_.masses[n];
+    const int level = frontier_.levels[n];
     bool split_done = false;
-    for (size_t k = 0; k < dim && !split_done; ++k) {
-      split_done = TrySplitAxis(node, (first_axis + k) % dim, next);
+    if (!frontier_.terminal[n]) {
+      const Rect node = region(n);
+      const size_t first_axis = policy_ == SplitPolicy::kRoundRobin
+                                    ? static_cast<size_t>(level) % dim_
+                                    : node.LongestSide();
+      for (size_t k = 0; k < dim_ && !split_done; ++k) {
+        split_done = TrySplitAxis(node, level, (first_axis + k) % dim_, next_);
+      }
     }
     if (split_done) {
       ++splits;
       node_count_ += 2;
     } else {
-      node.terminal = true;
-      next.push_back(std::move(node));
+      next_.Append(box(n), mass, level, /*is_terminal=*/true);
     }
-    child_offsets_.push_back(static_cast<uint32_t>(next.size()));
+    child_offsets_.push_back(static_cast<uint32_t>(next_.masses.size()));
   }
-  nodes_ = std::move(next);
+  std::swap(frontier_, next_);
   if (splits > 0) ++depth_;
-  RebuildFrontierView();
   return splits;
 }
 
@@ -93,12 +105,18 @@ void DecompositionTree::DeepenTo(int level) {
   }
 }
 
-void DecompositionTree::RebuildFrontierView() {
-  frontier_.clear();
-  frontier_.reserve(nodes_.size());
-  for (const FrontierNode& node : nodes_) {
-    frontier_.push_back(Partition{node.region, node.mass});
+Rect DecompositionTree::region(size_t i) const {
+  const std::span<const Interval> sides = box(i);
+  return Rect(std::vector<Interval>(sides.begin(), sides.end()));
+}
+
+std::vector<Partition> DecompositionTree::Partitions() const {
+  std::vector<Partition> out;
+  out.reserve(size());
+  for (size_t i = 0; i < size(); ++i) {
+    out.push_back(Partition{region(i), frontier_.masses[i]});
   }
+  return out;
 }
 
 }  // namespace updb

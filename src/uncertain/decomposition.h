@@ -9,6 +9,7 @@
 #define UPDB_UNCERTAIN_DECOMPOSITION_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "uncertain/pdf.h"
@@ -25,7 +26,8 @@ enum class SplitPolicy {
 
 /// One element of a disjunctive decomposition: a subregion and the
 /// probability that the object realizes inside it. Masses of a frontier
-/// sum to 1 (up to floating error).
+/// sum to 1 (up to floating error). DecompositionTree stores its frontier
+/// flat; Partitions() materializes this form for callers off the hot path.
 struct Partition {
   Rect region;
   double mass;
@@ -39,6 +41,11 @@ struct Partition {
 /// matching the 0.5^level property in Section V); nodes that cannot make
 /// progress (degenerate regions, point masses) remain in the frontier
 /// untouched. Children with zero mass are discarded.
+///
+/// The frontier is flat: one contiguous array of boxes, node i's d sides at
+/// [i * d, (i + 1) * d), plus one mass per node. The domination kernel
+/// (domination/kernel.h) reads boxes straight out of it, and the children
+/// of one pre-Deepen node are adjacent.
 class DecompositionTree {
  public:
   /// `pdf` must outlive the tree.
@@ -56,8 +63,28 @@ class DecompositionTree {
   /// Current depth (number of successful Deepen calls with progress).
   int depth() const { return depth_; }
 
-  /// The current disjunctive decomposition. Masses sum to 1.
-  const std::vector<Partition>& frontier() const { return frontier_; }
+  /// Number of nodes in the current frontier (the disjunctive
+  /// decomposition).
+  size_t size() const { return frontier_.masses.size(); }
+
+  /// Dimensionality of every box.
+  size_t dim() const { return dim_; }
+
+  /// Box of frontier node i.
+  std::span<const Interval> box(size_t i) const {
+    UPDB_DCHECK(i < size());
+    return {frontier_.boxes.data() + i * dim_, dim_};
+  }
+
+  /// Probability masses of the frontier nodes, in frontier order. They
+  /// sum to 1.
+  const std::vector<double>& masses() const { return frontier_.masses; }
+
+  /// Frontier node i's box as a Rect (allocates).
+  Rect region(size_t i) const;
+
+  /// The frontier as Partitions (allocates one Rect per node).
+  std::vector<Partition> Partitions() const;
 
   /// Parent-to-child frontier mapping of the most recent Deepen(): the
   /// pre-Deepen frontier node o expanded into the current frontier index
@@ -72,28 +99,33 @@ class DecompositionTree {
   size_t node_count() const { return node_count_; }
 
  private:
-  struct FrontierNode {
-    Rect region;
-    double mass;
-    int level;
-    bool terminal;  // no further split possible
+  /// Structure-of-arrays frontier: node i's box, mass, level and whether
+  /// no further split is possible.
+  struct Frontier {
+    std::vector<Interval> boxes;
+    std::vector<double> masses;
+    std::vector<int> levels;
+    std::vector<char> terminal;
+
+    void Clear();
+    void Append(std::span<const Interval> box, double mass, int level,
+                bool is_terminal);
   };
 
-  /// Attempts to split `node` along `axis` at the conditional median or,
-  /// failing that, the midpoint. Returns true and appends children to
-  /// `out` on success.
-  bool TrySplitAxis(const FrontierNode& node, size_t axis,
-                    std::vector<FrontierNode>& out) const;
+  /// Attempts to split `region` (a level-`level` node) along `axis` at the
+  /// conditional median or, failing that, the midpoint. Returns true and
+  /// appends the children to `out` on success.
+  bool TrySplitAxis(const Rect& region, int level, size_t axis,
+                    Frontier& out) const;
 
   const Pdf* pdf_;
   SplitPolicy policy_;
+  size_t dim_ = 0;
   int depth_ = 0;
   size_t node_count_ = 1;
-  std::vector<FrontierNode> nodes_;
-  std::vector<Partition> frontier_;
+  Frontier frontier_;
+  Frontier next_;  // Deepen()'s build target, swapped in (keeps capacity)
   std::vector<uint32_t> child_offsets_;
-
-  void RebuildFrontierView();
 };
 
 }  // namespace updb

@@ -214,6 +214,8 @@ MixturePdf::MixturePdf(std::vector<std::unique_ptr<Pdf>> components,
     UPDB_CHECK(w > 0.0);
     total += w;
   }
+  // An overflowed sum would normalize every weight to 0.
+  UPDB_CHECK(std::isfinite(total));
   for (double& w : weights_) w /= total;
   bounds_ = components_[0]->bounds();
   for (size_t i = 1; i < components_.size(); ++i) {
@@ -274,6 +276,8 @@ DiscreteSamplePdf::DiscreteSamplePdf(std::vector<Point> samples,
       UPDB_CHECK(w > 0.0);
       total += w;
     }
+    // An overflowed sum would normalize every weight to 0.
+    UPDB_CHECK(std::isfinite(total));
     for (double& w : weights_) w /= total;
   }
   bounds_ = Rect::FromPoint(samples_[0]);

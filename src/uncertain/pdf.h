@@ -121,7 +121,7 @@ class TruncatedGaussianPdf final : public Pdf {
 class MixturePdf final : public Pdf {
  public:
   /// Requires at least one component, matching dimensions, and positive
-  /// weights. Weights are normalized to sum to 1.
+  /// weights with a finite sum. Weights are normalized to sum to 1.
   MixturePdf(std::vector<std::unique_ptr<Pdf>> components,
              std::vector<double> weights);
 
@@ -155,8 +155,8 @@ class DiscreteSamplePdf final : public Pdf {
   /// Uniformly weighted samples. Requires at least one sample.
   explicit DiscreteSamplePdf(std::vector<Point> samples);
 
-  /// Weighted samples. Requires matching sizes and positive weights;
-  /// weights are normalized to sum to 1.
+  /// Weighted samples. Requires matching sizes and positive weights with a
+  /// finite sum; weights are normalized to sum to 1.
   DiscreteSamplePdf(std::vector<Point> samples, std::vector<double> weights);
 
   const Rect& bounds() const override { return bounds_; }

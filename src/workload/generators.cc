@@ -64,6 +64,7 @@ UncertainDatabase MakeSyntheticDatabase(const SyntheticConfig& config) {
   UPDB_CHECK(config.max_extent >= 0.0);
   Rng rng(config.seed);
   UncertainDatabase db;
+  db.Reserve(config.num_objects);
   for (size_t n = 0; n < config.num_objects; ++n) {
     Point center(config.dim);
     std::vector<double> extents(config.dim);

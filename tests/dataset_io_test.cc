@@ -201,6 +201,13 @@ TEST(ParseObjectTest, RejectsMalformedInput) {
       {"uniform,1,1000000000000,0,1", "huge dimension"},
       {"uniform,1,4611686018427387904,0,1", "dimension 2^62"},
       {"gaussian,1,1000000000000,0,1,0.5,0.1", "huge gaussian dimension"},
+      // Finite weights whose sum overflows normalize to 0 and would be
+      // written back as non-positive weights; one that underflows against
+      // the sum would too.
+      {"discrete,1,1,2,1e308,0.1,1e308,0.2", "discrete weight sum overflows"},
+      {"mixture,1,1,2,1e308,uniform,0,1,1e308,uniform,2,3",
+       "mixture weight sum overflows"},
+      {"discrete,1,1,2,1e300,0.1,1e-300,0.2", "discrete weight vanishes"},
   };
   for (const Case& c : cases) {
     const StatusOr<io::ParsedObject> parsed = ParseObject(c.line);

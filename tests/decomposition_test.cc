@@ -14,16 +14,16 @@ Rect UnitSquare() { return Rect(Point{0.0, 0.0}, Point{1.0, 1.0}); }
 
 double FrontierMass(const DecompositionTree& tree) {
   double m = 0.0;
-  for (const Partition& p : tree.frontier()) m += p.mass;
+  for (double mass : tree.masses()) m += mass;
   return m;
 }
 
 TEST(DecompositionTest, RootIsWholeObject) {
   UniformPdf pdf(UnitSquare());
   DecompositionTree tree(&pdf);
-  ASSERT_EQ(tree.frontier().size(), 1u);
-  EXPECT_EQ(tree.frontier()[0].region, pdf.bounds());
-  EXPECT_DOUBLE_EQ(tree.frontier()[0].mass, 1.0);
+  ASSERT_EQ(tree.size(), 1u);
+  EXPECT_EQ(tree.region(0), pdf.bounds());
+  EXPECT_DOUBLE_EQ(tree.masses()[0], 1.0);
   EXPECT_EQ(tree.depth(), 0);
 }
 
@@ -31,9 +31,9 @@ TEST(DecompositionTest, UniformMedianSplitHalvesMass) {
   UniformPdf pdf(UnitSquare());
   DecompositionTree tree(&pdf);
   EXPECT_EQ(tree.Deepen(), 1u);
-  ASSERT_EQ(tree.frontier().size(), 2u);
-  EXPECT_DOUBLE_EQ(tree.frontier()[0].mass, 0.5);
-  EXPECT_DOUBLE_EQ(tree.frontier()[1].mass, 0.5);
+  ASSERT_EQ(tree.size(), 2u);
+  EXPECT_DOUBLE_EQ(tree.masses()[0], 0.5);
+  EXPECT_DOUBLE_EQ(tree.masses()[1], 0.5);
   EXPECT_EQ(tree.depth(), 1);
 }
 
@@ -44,9 +44,9 @@ TEST(DecompositionTest, MassPerLevelIsTwoToMinusLevel) {
   DecompositionTree tree(&pdf);
   for (int h = 1; h <= 5; ++h) {
     tree.Deepen();
-    ASSERT_EQ(tree.frontier().size(), size_t{1} << h);
-    for (const Partition& p : tree.frontier()) {
-      EXPECT_NEAR(p.mass, std::pow(0.5, h), 1e-12);
+    ASSERT_EQ(tree.size(), size_t{1} << h);
+    for (double mass : tree.masses()) {
+      EXPECT_NEAR(mass, std::pow(0.5, h), 1e-12);
     }
   }
 }
@@ -55,14 +55,14 @@ TEST(DecompositionTest, RoundRobinAlternatesAxes) {
   UniformPdf pdf(UnitSquare());
   DecompositionTree tree(&pdf, SplitPolicy::kRoundRobin);
   tree.Deepen();  // splits axis 0
-  for (const Partition& p : tree.frontier()) {
-    EXPECT_DOUBLE_EQ(p.region.side(0).length(), 0.5);
-    EXPECT_DOUBLE_EQ(p.region.side(1).length(), 1.0);
+  for (size_t i = 0; i < tree.size(); ++i) {
+    EXPECT_DOUBLE_EQ(tree.box(i)[0].length(), 0.5);
+    EXPECT_DOUBLE_EQ(tree.box(i)[1].length(), 1.0);
   }
   tree.Deepen();  // splits axis 1
-  for (const Partition& p : tree.frontier()) {
-    EXPECT_DOUBLE_EQ(p.region.side(0).length(), 0.5);
-    EXPECT_DOUBLE_EQ(p.region.side(1).length(), 0.5);
+  for (size_t i = 0; i < tree.size(); ++i) {
+    EXPECT_DOUBLE_EQ(tree.box(i)[0].length(), 0.5);
+    EXPECT_DOUBLE_EQ(tree.box(i)[1].length(), 0.5);
   }
 }
 
@@ -70,9 +70,9 @@ TEST(DecompositionTest, LongestSidePolicySplitsLongAxis) {
   UniformPdf pdf(Rect(Point{0.0, 0.0}, Point{4.0, 1.0}));
   DecompositionTree tree(&pdf, SplitPolicy::kLongestSide);
   tree.Deepen();
-  for (const Partition& p : tree.frontier()) {
-    EXPECT_DOUBLE_EQ(p.region.side(0).length(), 2.0);
-    EXPECT_DOUBLE_EQ(p.region.side(1).length(), 1.0);
+  for (size_t i = 0; i < tree.size(); ++i) {
+    EXPECT_DOUBLE_EQ(tree.box(i)[0].length(), 2.0);
+    EXPECT_DOUBLE_EQ(tree.box(i)[1].length(), 1.0);
   }
 }
 
@@ -81,13 +81,12 @@ TEST(DecompositionTest, FrontierRegionsAreDisjointAndCover) {
   DecompositionTree tree(&pdf);
   tree.DeepenTo(4);
   double volume = 0.0;
-  const auto& frontier = tree.frontier();
-  for (size_t i = 0; i < frontier.size(); ++i) {
-    volume += frontier[i].region.Volume();
-    for (size_t j = i + 1; j < frontier.size(); ++j) {
+  for (size_t i = 0; i < tree.size(); ++i) {
+    volume += tree.region(i).Volume();
+    for (size_t j = i + 1; j < tree.size(); ++j) {
       // Regions may touch at boundaries but not overlap with volume.
-      Rect a = frontier[i].region;
-      Rect b = frontier[j].region;
+      Rect a = tree.region(i);
+      Rect b = tree.region(j);
       if (a.Intersects(b)) {
         double overlap = 1.0;
         for (size_t d = 0; d < 2; ++d) {
@@ -115,16 +114,16 @@ TEST(DecompositionTest, GaussianMedianSplitsHalveMass) {
   TruncatedGaussianPdf pdf(UnitSquare(), {0.3, 0.7}, {0.2, 0.2});
   DecompositionTree tree(&pdf);
   tree.Deepen();
-  ASSERT_EQ(tree.frontier().size(), 2u);
-  EXPECT_NEAR(tree.frontier()[0].mass, 0.5, 1e-6);
-  EXPECT_NEAR(tree.frontier()[1].mass, 0.5, 1e-6);
+  ASSERT_EQ(tree.size(), 2u);
+  EXPECT_NEAR(tree.masses()[0], 0.5, 1e-6);
+  EXPECT_NEAR(tree.masses()[1], 0.5, 1e-6);
 }
 
 TEST(DecompositionTest, PointObjectIsTerminal) {
   DiscreteSamplePdf pdf({Point{0.5, 0.5}});
   DecompositionTree tree(&pdf);
   EXPECT_EQ(tree.Deepen(), 0u);
-  EXPECT_EQ(tree.frontier().size(), 1u);
+  EXPECT_EQ(tree.size(), 1u);
   EXPECT_EQ(tree.depth(), 0);
   // Further calls remain no-ops.
   EXPECT_EQ(tree.Deepen(), 0u);
@@ -141,7 +140,7 @@ TEST(DecompositionTest, DiscreteMassesPartitionSamples) {
   for (int h = 1; h <= 5; ++h) {
     tree.Deepen();
     EXPECT_NEAR(FrontierMass(tree), 1.0, 1e-9) << "depth=" << h;
-    for (const Partition& p : tree.frontier()) EXPECT_GT(p.mass, 0.0);
+    for (double mass : tree.masses()) EXPECT_GT(mass, 0.0);
   }
 }
 
@@ -151,8 +150,8 @@ TEST(DecompositionTest, DiscreteDuplicateSamplesTerminate) {
   DiscreteSamplePdf pdf(std::move(samples));
   DecompositionTree tree(&pdf);
   EXPECT_EQ(tree.Deepen(), 0u);
-  EXPECT_EQ(tree.frontier().size(), 1u);
-  EXPECT_DOUBLE_EQ(tree.frontier()[0].mass, 1.0);
+  EXPECT_EQ(tree.size(), 1u);
+  EXPECT_DOUBLE_EQ(tree.masses()[0], 1.0);
 }
 
 TEST(DecompositionTest, DiscreteSkewedDuplicatesStillSplit) {
@@ -163,9 +162,9 @@ TEST(DecompositionTest, DiscreteSkewedDuplicatesStillSplit) {
   DiscreteSamplePdf pdf(std::move(samples));
   DecompositionTree tree(&pdf);
   EXPECT_EQ(tree.Deepen(), 1u);
-  ASSERT_EQ(tree.frontier().size(), 2u);
-  EXPECT_NEAR(tree.frontier()[0].mass + tree.frontier()[1].mass, 1.0, 1e-12);
-  EXPECT_NEAR(tree.frontier()[0].mass, 8.0 / 9.0, 1e-12);
+  ASSERT_EQ(tree.size(), 2u);
+  EXPECT_NEAR(tree.masses()[0] + tree.masses()[1], 1.0, 1e-12);
+  EXPECT_NEAR(tree.masses()[0], 8.0 / 9.0, 1e-12);
 }
 
 TEST(DecompositionTest, DeepenToStopsWhenExhausted) {
@@ -173,7 +172,7 @@ TEST(DecompositionTest, DeepenToStopsWhenExhausted) {
   DecompositionTree tree(&pdf);
   tree.DeepenTo(10);
   // Two distinct points: after one split both children are single points.
-  EXPECT_EQ(tree.frontier().size(), 2u);
+  EXPECT_EQ(tree.size(), 2u);
   EXPECT_LE(tree.depth(), 2);
 }
 
@@ -182,8 +181,32 @@ TEST(DecompositionTest, DegenerateUniformSlabSplitsOtherAxis) {
   UniformPdf pdf(Rect(Point{0.5, 0.0}, Point{0.5, 1.0}));
   DecompositionTree tree(&pdf, SplitPolicy::kRoundRobin);
   EXPECT_EQ(tree.Deepen(), 1u);
-  ASSERT_EQ(tree.frontier().size(), 2u);
-  EXPECT_DOUBLE_EQ(tree.frontier()[0].region.side(1).length(), 0.5);
+  ASSERT_EQ(tree.size(), 2u);
+  EXPECT_DOUBLE_EQ(tree.box(0)[1].length(), 0.5);
+}
+
+TEST(DecompositionTest, FlatFrontierLaysChildrenOutAfterTheirParent) {
+  TruncatedGaussianPdf pdf(UnitSquare(), {0.4, 0.6}, {0.25, 0.15});
+  DecompositionTree tree(&pdf);
+  for (int h = 1; h <= 4; ++h) {
+    const std::vector<Partition> before = tree.Partitions();
+    tree.Deepen();
+    const std::vector<uint32_t>& off = tree.child_offsets();
+    ASSERT_EQ(off.size(), before.size() + 1);
+    ASSERT_EQ(off.back(), tree.size());
+    for (size_t o = 0; o < before.size(); ++o) {
+      for (uint32_t c = off[o]; c < off[o + 1]; ++c) {
+        EXPECT_TRUE(before[o].region.Contains(tree.region(c)));
+      }
+    }
+    const std::vector<Partition> after = tree.Partitions();
+    for (size_t i = 0; i < tree.size(); ++i) {
+      // One contiguous array: node i's sides start i * dim() in.
+      EXPECT_EQ(tree.box(i).data(), tree.box(0).data() + i * tree.dim());
+      EXPECT_EQ(after[i].region, tree.region(i));
+      EXPECT_EQ(after[i].mass, tree.masses()[i]);
+    }
+  }
 }
 
 TEST(DecompositionTest, NodeCountGrows) {
@@ -206,7 +229,7 @@ TEST(DecompositionTest, MixtureDecomposesWithMassConservation) {
   DecompositionTree tree(&mix);
   tree.DeepenTo(4);
   EXPECT_NEAR(FrontierMass(tree), 1.0, 1e-9);
-  EXPECT_GT(tree.frontier().size(), 8u);
+  EXPECT_GT(tree.size(), 8u);
 }
 
 }  // namespace

@@ -2,7 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+#include <tuple>
+
 #include "common/random.h"
+#include "domination/kernel.h"
+#include "domination_oracle.h"
 
 namespace updb {
 namespace {
@@ -220,6 +226,147 @@ TEST_P(DominationPropertyTest, ShrinkingPreservesDomination) {
 
 INSTANTIATE_TEST_SUITE_P(Norms, DominationPropertyTest,
                          ::testing::Values(1, 2, 3));
+
+// ------------------------------------------------------------------
+// Overflow: finite coordinates whose powered distances overflow.
+
+Rect Box1(double lo, double hi) { return Rect({Interval(lo, hi)}); }
+
+TEST(DominationOverflowTest, InfMinusInfNeverFires) {
+  // Both powers of every term are +inf, so every term is inf - inf = NaN;
+  // the test used to fire in both directions. B is in fact the closer one
+  // (kDominated), but the arithmetic cannot show it.
+  const Rect r = Box1(0.0, 0.0);
+  const Rect a = Box1(2e154, 2e154);
+  const Rect b = Box1(1.5e154, 1.5e154);
+  const LpNorm l2 = LpNorm::Euclidean();
+  EXPECT_FALSE(OptimalDominates(a, b, r, l2));
+  EXPECT_FALSE(OptimalDominates(b, a, r, l2));
+  EXPECT_EQ(ClassifyDomination(a, b, r, DominationCriterion::kOptimal, l2),
+            DominationClass::kUndecided);
+  const LpNorm l3(3);
+  const Rect a3 = Box1(7e102, 7e102);
+  const Rect b3 = Box1(6e102, 6e102);
+  EXPECT_FALSE(OptimalDominates(a3, b3, r, l3));
+  EXPECT_FALSE(OptimalDominates(b3, a3, r, l3));
+  EXPECT_EQ(ClassifyDomination(a3, b3, r, DominationCriterion::kOptimal, l3),
+            DominationClass::kUndecided);
+  // MinMax compares two +inf distances, which never fires either.
+  EXPECT_EQ(ClassifyDomination(a, b, r, DominationCriterion::kMinMax, l2),
+            DominationClass::kUndecided);
+}
+
+TEST(DominationOverflowTest, OneSidedOverflowStillDecides) {
+  // Only the far box's powers overflow: every term is finite - inf = -inf
+  // for "near dominates far", which is the true class.
+  const Rect r = Box1(0.0, 0.0);
+  const Rect near = Box1(1.0, 2.0);
+  const Rect far = Box1(2e154, 2.1e154);
+  EXPECT_EQ(ClassifyDomination(near, far, r, DominationCriterion::kOptimal),
+            DominationClass::kDominates);
+  EXPECT_EQ(ClassifyDomination(far, near, r, DominationCriterion::kOptimal),
+            DominationClass::kDominated);
+}
+
+// ------------------------------------------------------------------
+// Kernel == oracle, bit for bit: PairTerms' Classify/Dominates and the Rect
+// wrappers against the per-call Rect loops of domination_oracle.h.
+
+/// Where a sweep draws its box coordinates from.
+enum class BoxPool {
+  kRandom,  // uniform doubles: generic positions
+  kGrid,    // a half-integer grid with +-0.0: touching boxes, point boxes
+            // and exact ties (equal powered distances)
+  kHuge,    // multiples of DBL_MAX^(1/p) (sqrt(DBL_MAX) for L2): some
+            // powers overflow to +inf
+};
+
+class KernelOracleTest
+    : public ::testing::TestWithParam<
+          std::tuple<size_t, int, DominationCriterion, BoxPool>> {
+ protected:
+  double Coordinate(Rng& rng, BoxPool pool, int p) const {
+    static constexpr double kGrid[] = {-0.0, 0.0, 0.5, 1.0, 1.5,
+                                       2.0,  -1.0, -0.5, 3.0};
+    const double root = std::pow(std::numeric_limits<double>::max(), 1.0 / p);
+    const double kHuge[] = {-0.0,          0.0,
+                            1.0,           0.25 * root,
+                            0.5 * root,    std::sqrt(0.5) * root,
+                            0.75 * root,   root,
+                            -0.5 * root,   -root};
+    switch (pool) {
+      case BoxPool::kRandom:
+        return rng.Uniform(-1.0, 3.0);
+      case BoxPool::kGrid:
+        return kGrid[rng.NextBounded(std::size(kGrid))];
+      case BoxPool::kHuge:
+        return kHuge[rng.NextBounded(std::size(kHuge))];
+    }
+    return 0.0;
+  }
+
+  /// A box of `dim` sides; one in four is a point box.
+  Rect RandomBox(Rng& rng, size_t dim, BoxPool pool, int p) const {
+    const bool point = rng.NextBounded(4) == 0;
+    std::vector<Interval> sides;
+    for (size_t i = 0; i < dim; ++i) {
+      const double x = Coordinate(rng, pool, p);
+      const double y = point ? x : Coordinate(rng, pool, p);
+      sides.emplace_back(std::min(x, y), std::max(x, y));
+    }
+    return Rect(std::move(sides));
+  }
+};
+
+TEST_P(KernelOracleTest, ClassifyAndDominatesMatchOracle) {
+  const auto [dim, p, criterion, pool] = GetParam();
+  const LpNorm norm(p);
+  Rng rng(9000 + 100 * dim + 10 * p + static_cast<int>(pool));
+  size_t seen[3] = {0, 0, 0};
+  WithPairTerms(criterion, norm, [&](auto terms) {
+    for (int pair = 0; pair < 300; ++pair) {
+      const Rect b = RandomBox(rng, dim, pool, p);
+      const Rect r = RandomBox(rng, dim, pool, p);
+      // One PairTerms serves many A boxes, as in the engine's loops.
+      terms.Reset(b.sides(), r.sides());
+      for (int trial = 0; trial < 8; ++trial) {
+        const Rect a = RandomBox(rng, dim, pool, p);
+        const DominationClass expect =
+            test_util::OracleClassify(a, b, r, criterion, norm);
+        ++seen[static_cast<int>(expect)];
+        // Streamed into a failure message only when a check fails.
+        const auto where = [&] {
+          return "A=" + a.ToString() + " B=" + b.ToString() +
+                 " R=" + r.ToString();
+        };
+        EXPECT_EQ(Classify(terms, a.sides()), expect) << where();
+        EXPECT_EQ(Dominates(terms, a.sides()),
+                  test_util::OracleDominates(a, b, r, criterion, norm))
+            << where();
+        EXPECT_EQ(ClassifyDomination(a, b, r, criterion, norm), expect)
+            << where();
+        EXPECT_EQ(Dominates(a, b, r, criterion, norm),
+                  expect == DominationClass::kDominates)
+            << where();
+      }
+    }
+  });
+  // Every sweep must reach decided verdicts, not only kUndecided.
+  EXPECT_GT(seen[static_cast<int>(DominationClass::kDominates)] +
+                seen[static_cast<int>(DominationClass::kDominated)],
+            0u);
+  EXPECT_GT(seen[static_cast<int>(DominationClass::kUndecided)], 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Sweep, KernelOracleTest,
+    ::testing::Combine(::testing::Values(size_t{1}, size_t{2}, size_t{3},
+                                         size_t{5}),
+                       ::testing::Values(1, 2, 3),
+                       ::testing::Values(DominationCriterion::kMinMax,
+                                         DominationCriterion::kOptimal),
+                       ::testing::Values(BoxPool::kRandom, BoxPool::kGrid,
+                                         BoxPool::kHuge)));
 
 }  // namespace
 }  // namespace updb

@@ -22,7 +22,7 @@ std::vector<Partition> Whole(const Pdf& pdf) {
 std::vector<Partition> DecomposeTo(const Pdf& pdf, int depth) {
   DecompositionTree tree(&pdf);
   tree.DeepenTo(depth);
-  return tree.frontier();
+  return tree.Partitions();
 }
 
 TEST(ProbabilityBoundsTest, NormalizeClampsAndRepairs) {

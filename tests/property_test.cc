@@ -151,9 +151,9 @@ TEST_P(PDomDepthTest, DualityAndMonotonicityAcrossRandomTriples) {
     tb.DeepenTo(depth);
     tr.DeepenTo(depth);
     const ProbabilityBounds ab =
-        ComputePDomBounds(ta.frontier(), tb.frontier(), tr.frontier());
+        ComputePDomBounds(ta.Partitions(), tb.Partitions(), tr.Partitions());
     const ProbabilityBounds ba =
-        ComputePDomBounds(tb.frontier(), ta.frontier(), tr.frontier());
+        ComputePDomBounds(tb.Partitions(), ta.Partitions(), tr.Partitions());
     // Lemma 2: ub(A,B) = 1 - lb(B,A).
     EXPECT_NEAR(ab.ub, 1.0 - ba.lb, 1e-9);
     // Deeper decomposition tightens.
@@ -162,7 +162,8 @@ TEST_P(PDomDepthTest, DualityAndMonotonicityAcrossRandomTriples) {
     tb2.DeepenTo(depth + 1);
     tr2.DeepenTo(depth + 1);
     const ProbabilityBounds ab2 =
-        ComputePDomBounds(ta2.frontier(), tb2.frontier(), tr2.frontier());
+        ComputePDomBounds(ta2.Partitions(), tb2.Partitions(),
+                          tr2.Partitions());
     EXPECT_GE(ab2.lb, ab.lb - 1e-9);
     EXPECT_LE(ab2.ub, ab.ub + 1e-9);
   }
@@ -239,10 +240,10 @@ TEST_P(DecompositionInvariantTest, MassConservedAndRegionsNested) {
   const Rect root = pdf->bounds();
   for (int depth = 0; depth < 6; ++depth) {
     double mass = 0.0;
-    for (const Partition& p : tree.frontier()) {
-      EXPECT_TRUE(root.Contains(p.region));
-      EXPECT_GT(p.mass, 0.0);
-      mass += p.mass;
+    for (size_t i = 0; i < tree.size(); ++i) {
+      EXPECT_TRUE(root.Contains(tree.region(i)));
+      EXPECT_GT(tree.masses()[i], 0.0);
+      mass += tree.masses()[i];
     }
     EXPECT_NEAR(mass, 1.0, 1e-9) << "depth=" << depth;
     tree.Deepen();
@@ -261,8 +262,8 @@ TEST_P(DecompositionInvariantTest, SampledPointsLandInExactlyOnePartition) {
   for (int s = 0; s < 200; ++s) {
     const Point p = pdf->Sample(rng);
     size_t containing = 0;
-    for (const Partition& part : tree.frontier()) {
-      containing += part.region.Contains(p);
+    for (size_t i = 0; i < tree.size(); ++i) {
+      containing += tree.region(i).Contains(p);
     }
     // Interior points land in exactly one region; boundary points (measure
     // zero, but floating rounding can hit them) in at most two.

@@ -52,6 +52,27 @@ TEST(KnnQueryTest, CertainLineDatabase) {
   }
 }
 
+TEST(KnnQueryTest, OverflowingDistancesNeverDecideWrong) {
+  // Finite coordinates whose squared distances overflow to +inf. The
+  // optimal criterion's inf - inf terms used to fire in both directions,
+  // so each object "dominated" the other and both came back kFalse with
+  // P = [0, 0], although object 0 is the 1-NN in every world.
+  UncertainDatabase db;
+  db.Add(std::make_shared<UniformPdf>(Rect(Point{1.5e154}, Point{1.6e154})));
+  db.Add(std::make_shared<UniformPdf>(Rect(Point{2.0e154}, Point{2.1e154})));
+  RTree index = BuildRTree(db.objects());
+  const UniformPdf q(Rect(Point{0.0}, Point{1.0}));
+  const auto results = ProbabilisticThresholdKnn(db, index, q, 1, 0.5);
+  ASSERT_EQ(results.size(), 2u);
+  for (const ThresholdQueryResult& r : results) {
+    const double truth = r.id == 0 ? 1.0 : 0.0;  // P(object is the 1-NN)
+    EXPECT_TRUE(r.prob.Contains(truth)) << "object " << r.id;
+    EXPECT_NE(r.decision, r.id == 0 ? PredicateDecision::kFalse
+                                    : PredicateDecision::kTrue)
+        << "object " << r.id;
+  }
+}
+
 TEST(KnnQueryTest, AgreesWithMonteCarloOnDiscreteData) {
   SyntheticConfig cfg;
   cfg.num_objects = 60;
