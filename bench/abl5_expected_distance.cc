@@ -48,11 +48,11 @@ int main() {
       // Ground truth: true P(object is a kNN) for a candidate pool (the
       // 4k closest by MinDist — everything else has negligible mass).
       const RTree index = BuildRTree(db.objects());
-      const auto pool = index.KnnByMinDist(query->bounds(), 4 * k);
       std::vector<std::pair<double, ObjectId>> truth;
-      for (const RTreeEntry& e : pool) {
-        truth.emplace_back(mc.ProbDomCountLessThan(e.id, *query, k), e.id);
-      }
+      index.ScanByMinDist(query->bounds(), [&](ObjectId id, double) {
+        truth.emplace_back(mc.ProbDomCountLessThan(id, *query, k), id);
+        return truth.size() < 4 * k;
+      });
       std::sort(truth.rbegin(), truth.rend());
 
       size_t overlap = 0;

@@ -130,7 +130,12 @@ void BM_RTreeKnn(benchmark::State& state) {
   for (auto _ : state) {
     const Rect q =
         Rect::Centered(Point{rng.NextDouble(), rng.NextDouble()}, {0.0, 0.0});
-    benchmark::DoNotOptimize(index.KnnByMinDist(q, 10));
+    std::vector<ObjectId> nearest;
+    index.ScanByMinDist(q, [&nearest](ObjectId id, double) {
+      nearest.push_back(id);
+      return nearest.size() < 10;
+    });
+    benchmark::DoNotOptimize(nearest.data());
   }
 }
 BENCHMARK(BM_RTreeKnn);

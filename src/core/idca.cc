@@ -199,10 +199,9 @@ void IdcaEngine::Filter(const Terms& terms, ObjectId exclude,
           }
           return RTree::VisitDecision::kDescend;
         },
-        [exclude, &admit](const RTreeEntry& e,
-                          RTree::VisitDecision decision) {
-          if (e.id == exclude) return;
-          admit(e.id, decision == RTree::VisitDecision::kTakeAll);
+        [exclude, &admit](ObjectId id, RTree::VisitDecision decision) {
+          if (id == exclude) return;
+          admit(id, decision == RTree::VisitDecision::kTakeAll);
         });
     return;
   }

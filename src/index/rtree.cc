@@ -84,7 +84,7 @@ RTree::RTree(std::vector<RTreeEntry> entries, size_t leaf_capacity)
 
 void RTree::ScanByMinDist(
     const Rect& query,
-    const std::function<bool(const RTreeEntry&, double)>& fn,
+    const std::function<bool(ObjectId, double)>& fn,
     const LpNorm& norm) const {
   if (empty()) return;
   // One queue over nodes and entries keyed by MinDist. A node's MinDist
@@ -102,7 +102,7 @@ void RTree::ScanByMinDist(
     const Item item = pq.top();
     pq.pop();
     if (item.is_entry) {
-      if (!fn(entries_[item.idx], item.dist)) return;
+      if (!fn(entries_[item.idx].id, item.dist)) return;
       continue;
     }
     const Node& node = nodes_[item.idx];
@@ -120,7 +120,7 @@ void RTree::ScanByMinDist(
 
 void RTree::Traverse(
     const std::function<VisitDecision(const Rect&)>& classify,
-    const std::function<void(const RTreeEntry&, VisitDecision)>& emit) const {
+    const std::function<void(ObjectId, VisitDecision)>& emit) const {
   if (empty()) return;
   // Stack entries: (node index, already accepted as a whole?).
   std::vector<std::pair<uint32_t, bool>> stack = {{root_, false}};
@@ -137,12 +137,12 @@ void RTree::Traverse(
     if (node.leaf) {
       for (uint32_t i = node.begin; i < node.end; ++i) {
         if (take_all) {
-          emit(entries_[i], VisitDecision::kTakeAll);
+          emit(entries_[i].id, VisitDecision::kTakeAll);
           continue;
         }
         const VisitDecision ed = classify(entries_[i].mbr);
         if (ed == VisitDecision::kSkip) continue;
-        emit(entries_[i], ed);
+        emit(entries_[i].id, ed);
       }
     } else {
       for (uint32_t c = node.begin; c < node.end; ++c) {
@@ -150,21 +150,6 @@ void RTree::Traverse(
       }
     }
   }
-}
-
-std::vector<RTreeEntry> RTree::KnnByMinDist(const Rect& query, size_t k,
-                                            const LpNorm& norm) const {
-  std::vector<RTreeEntry> out;
-  if (k == 0) return out;
-  out.reserve(std::min(k, num_entries_));
-  ScanByMinDist(
-      query,
-      [&out, k](const RTreeEntry& e, double /*dist*/) {
-        out.push_back(e);
-        return out.size() < k;
-      },
-      norm);
-  return out;
 }
 
 bool RTree::Validate() const {

@@ -4,7 +4,10 @@
 // to obtain candidates for its queries ("we will integrate our concepts
 // into existing index supported kNN- and RkNN-query algorithms"); updb uses
 // this tree to (a) pick the experiment object B by MinDist rank and (b)
-// pre-filter query candidates before running IDCA.
+// pre-filter query candidates before running IDCA. Its one query is the
+// nearest-first scan, which emits ids and distances only: a caller that
+// needs an object's box reads it from the database the tree was built
+// over.
 
 #ifndef UPDB_INDEX_RTREE_H_
 #define UPDB_INDEX_RTREE_H_
@@ -35,19 +38,13 @@ class RTree {
   size_t size() const { return num_entries_; }
   bool empty() const { return num_entries_ == 0; }
 
-  /// The k entries with smallest MinDist(mbr, query), in ascending MinDist
-  /// order (best-first search). Returns fewer when the tree is smaller, and
-  /// none for k = 0.
-  std::vector<RTreeEntry> KnnByMinDist(const Rect& query, size_t k,
-                                       const LpNorm& norm = LpNorm::Euclidean())
-      const;
-
   /// Incremental best-first scan in ascending MinDist(mbr, query) order
-  /// (Hjaltason & Samet's distance browsing). `fn(entry, min_dist)` is
-  /// called per entry; returning false stops the scan. This is the
-  /// candidate stream for threshold kNN/RkNN processing.
+  /// (Hjaltason & Samet's distance browsing). `fn(id, min_dist)` is called
+  /// per entry; returning false stops the scan, so the first k calls are
+  /// the k nearest entries. This is the candidate stream for threshold
+  /// kNN/RkNN processing.
   void ScanByMinDist(const Rect& query,
-                     const std::function<bool(const RTreeEntry&, double)>& fn,
+                     const std::function<bool(ObjectId, double)>& fn,
                      const LpNorm& norm = LpNorm::Euclidean()) const;
 
   /// Verdict of a classification traversal on a node MBR or entry MBR.
@@ -63,16 +60,15 @@ class RTree {
 
   /// Classification traversal: `classify` is invoked on node MBRs to prune
   /// or bulk-accept whole subtrees, and on individual entry MBRs at the
-  /// leaves. Every surviving entry is passed to `emit` together with the
-  /// decision that admitted it (kTakeAll for bulk/direct acceptance,
+  /// leaves. Every surviving entry's id is passed to `emit` together with
+  /// the decision that admitted it (kTakeAll for bulk/direct acceptance,
   /// kDescend for individually undecided entries). This is the hook the
   /// complete-domination filter of IDCA uses to avoid the linear database
   /// scan — valid because complete domination is monotone under shrinking
   /// rectangles, so a verdict on a node MBR holds for everything inside.
   void Traverse(
       const std::function<VisitDecision(const Rect&)>& classify,
-      const std::function<void(const RTreeEntry&, VisitDecision)>& emit)
-      const;
+      const std::function<void(ObjectId, VisitDecision)>& emit) const;
 
   /// Height of the tree (1 = a single leaf level); diagnostics.
   size_t height() const { return height_; }

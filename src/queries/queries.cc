@@ -59,14 +59,14 @@ std::vector<ThresholdQueryResult> ThresholdQuery(
   return results;
 }
 
-/// True iff `a` intersects `b` expanded by `reach` in every dimension —
-/// the box [b.lo - reach, b.hi + reach] per side, tested without building
-/// it.
-bool IntersectsExpanded(const Rect& a, const Rect& b, double reach) {
+/// True iff the box `a` intersects `b` expanded by `reach` in every
+/// dimension — the box [b.lo - reach, b.hi + reach] per side, tested
+/// without building it.
+bool IntersectsExpanded(std::span<const Interval> a, const Rect& b,
+                        double reach) {
   for (size_t i = 0; i < b.dim(); ++i) {
     const Interval& side = b.side(i);
-    if (!(side.lo() - reach <= a.side(i).hi() &&
-          a.side(i).lo() <= side.hi() + reach)) {
+    if (!(side.lo() - reach <= a[i].hi() && a[i].lo() <= side.hi() + reach)) {
       return false;
     }
   }
@@ -124,15 +124,16 @@ void CountRknnDominatorsWith(Terms prototype, const UncertainDatabase& db,
   }
   if (open == 0) return;
 
-  scan(b_mbr, [&](const RTreeEntry& e, double dist) {
+  scan(b_mbr, [&](ObjectId a, double dist) {
     if (dist > scan_bound) return false;
     // Only existentially certain objects dominate Q in *every* world.
-    if (e.id == b || !db.object(e.id).existentially_certain()) return true;
+    if (a == b || !db.object(a).existentially_certain()) return true;
+    const std::span<const Interval> a_box = db.mbr_box(a);
     bool closed = false;
     for (size_t r = 0; r < probes.size(); ++r) {
       if (counts[r] >= probes[r].k ||
-          !IntersectsExpanded(e.mbr, b_mbr, reach[r]) ||
-          !Dominates(terms[r], e.mbr.sides())) {
+          !IntersectsExpanded(a_box, b_mbr, reach[r]) ||
+          !Dominates(terms[r], a_box)) {
         continue;
       }
       if (++counts[r] == probes[r].k) {
@@ -192,9 +193,9 @@ std::vector<ObjectId> KnnCandidates(const UncertainDatabase& db,
   ThreadPool::SharedParallelFor(
       scans.size(), scans.size(), [&](size_t s, size_t /*worker*/) {
         std::vector<ObjectId>& ids = per_scan[s];
-        scans[s](q_mbr, [&ids, prune_dist](const RTreeEntry& e, double dist) {
+        scans[s](q_mbr, [&ids, prune_dist](ObjectId id, double dist) {
           if (dist > prune_dist) return false;  // all further are pruned
-          ids.push_back(e.id);
+          ids.push_back(id);
           return true;
         });
       });

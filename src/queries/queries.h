@@ -12,7 +12,10 @@
 //
 // All queries share the same two-phase structure: an index-assisted
 // spatial candidate filter, then per-candidate IDCA with an early-stopping
-// predicate.
+// predicate. The filters see the index only as nearest-first scans that
+// emit (database id, MinDist); boxes come from the database's flat MBR
+// array, so an `index` passed here must be built over `db`
+// (BuildRTree(db.objects())).
 
 #ifndef UPDB_QUERIES_QUERIES_H_
 #define UPDB_QUERIES_QUERIES_H_
@@ -95,15 +98,18 @@ std::vector<ExpectedRankEntry> ExpectedRankOrder(
 // through the three functions below, so their candidate sets, payloads
 // and stats cannot drift apart.
 
-/// Receives one entry of a MinDistScan with its MinDist; returning false
-/// stops the scan.
-using MinDistEmit = std::function<bool(const RTreeEntry&, double)>;
+/// Receives one entry of a MinDistScan as (database id, MinDist);
+/// returning false stops the scan. Entries carry no box: a filter that
+/// needs one reads db.mbr_box(id), which the scan's distance was computed
+/// from (index entries and database MBRs are both the object's
+/// pdf->bounds()).
+using MinDistEmit = std::function<bool(ObjectId, double)>;
 /// An index scan from a rect in ascending MinDist(entry, rect) order,
 /// emitting database ids — the only index query the pipeline makes. The
 /// filters take one scan per index partition: RTree::ScanByMinDist over
-/// the direct path's tree, or ShardedSnapshotIndex::ShardScanByMinDist
-/// once per store shard. Together the scans must cover every object
-/// exactly once.
+/// the direct path's tree (built over the same database), or
+/// ShardedSnapshotIndex::ShardScanByMinDist once per store shard.
+/// Together the scans must cover every object exactly once.
 using MinDistScan = std::function<void(const Rect&, const MinDistEmit&)>;
 
 /// KnnCandidates' cutoff: the k-th smallest MaxDist(object, q_mbr) over

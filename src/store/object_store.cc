@@ -1,6 +1,7 @@
 #include "store/object_store.h"
 
 #include <algorithm>
+#include <cmath>
 #include <filesystem>
 #include <utility>
 
@@ -91,6 +92,7 @@ VersionedObjectStore::VersionedObjectStore(StoreOptions options)
     : options_(options) {
   UPDB_CHECK(options_.snapshot_retention >= 1);
   UPDB_CHECK(options_.leaf_capacity >= 2);
+  UPDB_CHECK(!std::isnan(options_.compact_delta_fraction));
   UPDB_CHECK(options_.num_shards >= 1);
   RegisterMetrics();
   auto empty_table = std::make_shared<const LiveTable>();
@@ -138,22 +140,17 @@ VersionedObjectStore::VersionedObjectStore(const UncertainDatabase& db,
 void VersionedObjectStore::InstallEmptySnapshot() {
   auto no_ids = std::make_shared<const std::vector<ObjectId>>();
   std::vector<SnapshotIndex> shard_indexes;
-  std::vector<std::shared_ptr<const std::vector<ObjectId>>> global_by_local;
   shard_indexes.reserve(options_.num_shards);
-  global_by_local.reserve(options_.num_shards);
   for (size_t s = 0; s < options_.num_shards; ++s) {
     auto base = std::make_shared<const RTree>(std::vector<RTreeEntry>{},
                                               options_.leaf_capacity);
     shard_indexes.emplace_back(std::move(base), no_ids,
                                std::vector<RTreeEntry>{},
-                               std::vector<ObjectId>{}, no_ids);
-    global_by_local.push_back(no_ids);
+                               std::vector<ObjectId>{});
   }
   auto snap = std::shared_ptr<const StoreSnapshot>(new StoreSnapshot(
       /*version=*/0, std::make_shared<const UncertainDatabase>(),
-      ShardedSnapshotIndex(std::move(shard_indexes),
-                           std::move(global_by_local), no_ids),
-      no_ids));
+      ShardedSnapshotIndex(std::move(shard_indexes), no_ids), no_ids));
   latest_ = snap;
   retained_.push_back(std::move(snap));
 }
@@ -399,10 +396,6 @@ std::shared_ptr<const StoreSnapshot> VersionedObjectStore::Publish(
     }
     const LiveTable& live = *merged[s];
 
-    auto shard_ids = std::make_shared<std::vector<ObjectId>>();
-    shard_ids->reserve(live.size());
-    for (const LiveEntry& e : live) shard_ids->push_back(e.id);
-
     // Stable ids touched by this shard's window (insert/update/remove
     // alike).
     std::vector<ObjectId> touched;
@@ -448,37 +441,33 @@ std::shared_ptr<const StoreSnapshot> VersionedObjectStore::Publish(
                 static_cast<double>(std::max<size_t>(base->size(), 1));
     if (rebuild) {
       std::vector<RTreeEntry> entries;
+      auto shard_ids = std::make_shared<std::vector<ObjectId>>();
       entries.reserve(live.size());
+      shard_ids->reserve(live.size());
       for (const LiveEntry& e : live) {
         entries.push_back(RTreeEntry{e.object.pdf->bounds(), e.id});
+        shard_ids->push_back(e.id);
       }
       auto fresh = std::make_shared<const RTree>(std::move(entries),
                                                  options_.leaf_capacity);
-      shard_indexes.emplace_back(std::move(fresh), shard_ids,
+      shard_indexes.emplace_back(std::move(fresh), std::move(shard_ids),
                                  std::vector<RTreeEntry>{},
-                                 std::vector<ObjectId>{}, shard_ids);
+                                 std::vector<ObjectId>{});
     } else {
       shard_indexes.emplace_back(std::move(base), std::move(base_ids),
-                                 std::move(added), std::move(removed),
-                                 shard_ids);
+                                 std::move(added), std::move(removed));
     }
   }
 
   // Global materialization: k-way merge of the shard tables in ascending
-  // stable-id order (the dense-id space), building the database, the
-  // stable↔dense translation and the per-shard local→global maps.
+  // stable-id order (the dense-id space), building the database and the
+  // stable↔dense translation the shard scans emit dense ids through.
   size_t total_live = 0;
   for (const auto& table : merged) total_live += table->size();
   auto stable_by_dense = std::make_shared<std::vector<ObjectId>>();
   stable_by_dense->reserve(total_live);
   auto db = std::make_shared<UncertainDatabase>();
   db->Reserve(total_live);
-  std::vector<std::shared_ptr<std::vector<ObjectId>>> global_by_local(
-      num_shards);
-  for (size_t s = 0; s < num_shards; ++s) {
-    global_by_local[s] = std::make_shared<std::vector<ObjectId>>();
-    global_by_local[s]->reserve(merged[s]->size());
-  }
   std::vector<size_t> heads(num_shards, 0);
   for (size_t dense = 0; dense < total_live; ++dense) {
     size_t pick = num_shards;
@@ -491,17 +480,12 @@ std::shared_ptr<const StoreSnapshot> VersionedObjectStore::Publish(
     }
     const LiveEntry& e = (*merged[pick])[heads[pick]++];
     stable_by_dense->push_back(e.id);
-    global_by_local[pick]->push_back(static_cast<ObjectId>(dense));
     db->Add(e.object.pdf, e.object.existence);
   }
-  std::vector<std::shared_ptr<const std::vector<ObjectId>>> translations;
-  translations.reserve(num_shards);
-  for (auto& t : global_by_local) translations.push_back(std::move(t));
 
   auto snap = std::shared_ptr<const StoreSnapshot>(new StoreSnapshot(
       version, std::move(db),
-      ShardedSnapshotIndex(std::move(shard_indexes), std::move(translations),
-                           stable_by_dense),
+      ShardedSnapshotIndex(std::move(shard_indexes), stable_by_dense),
       stable_by_dense));
   local_stats.build_ms = build_timer.ElapsedMillis();
   obs_build_seconds_->Record(local_stats.build_ms / 1e3);

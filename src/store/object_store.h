@@ -115,7 +115,8 @@ struct StoreOptions {
   /// its delta_entries exceed this fraction of the shard's base tree size.
   /// 0 forces a full rebuild at every publish (the ablation baseline the
   /// churn benchmark compares against); values >= 1 effectively never
-  /// compact.
+  /// compact. Must not be NaN, which would never compact either while the
+  /// overlay every scan sorts grows without bound.
   double compact_delta_fraction = 0.25;
   /// Leaf capacity of bulk-built base R-trees.
   size_t leaf_capacity = 16;

@@ -6,26 +6,29 @@
 namespace updb {
 namespace store {
 
+namespace {
+
+/// Dense id of a live stable id: its position in the ascending live list
+/// (binary search; the id must be live).
+ObjectId DenseOf(const std::vector<ObjectId>& live, ObjectId stable) {
+  const auto it = std::lower_bound(live.begin(), live.end(), stable);
+  UPDB_DCHECK(it != live.end() && *it == stable);
+  return static_cast<ObjectId>(it - live.begin());
+}
+
+}  // namespace
+
 SnapshotIndex::SnapshotIndex(
     std::shared_ptr<const RTree> base,
     std::shared_ptr<const std::vector<ObjectId>> base_ids,
-    std::vector<RTreeEntry> added, std::vector<ObjectId> removed,
-    std::shared_ptr<const std::vector<ObjectId>> stable_by_dense)
+    std::vector<RTreeEntry> added, std::vector<ObjectId> removed)
     : base_(std::move(base)),
       base_ids_(std::move(base_ids)),
       added_(std::move(added)),
-      removed_(std::move(removed)),
-      stable_by_dense_(std::move(stable_by_dense)) {
+      removed_(std::move(removed)) {
   UPDB_CHECK(base_ != nullptr);
   UPDB_CHECK(base_ids_ != nullptr && base_ids_->size() == base_->size());
-  UPDB_CHECK(stable_by_dense_ != nullptr);
-}
-
-ObjectId SnapshotIndex::DenseOf(ObjectId stable) const {
-  const std::vector<ObjectId>& ids = *stable_by_dense_;
-  const auto it = std::lower_bound(ids.begin(), ids.end(), stable);
-  UPDB_DCHECK(it != ids.end() && *it == stable);
-  return static_cast<ObjectId>(it - ids.begin());
+  UPDB_CHECK(removed_.size() <= base_->size());
 }
 
 bool SnapshotIndex::IsRemoved(ObjectId stable) const {
@@ -33,8 +36,8 @@ bool SnapshotIndex::IsRemoved(ObjectId stable) const {
 }
 
 void SnapshotIndex::ScanByMinDist(
-    const Rect& query,
-    const std::function<bool(const RTreeEntry&, double)>& fn,
+    const Rect& query, const std::vector<ObjectId>& live,
+    const std::function<bool(ObjectId, double)>& fn,
     const LpNorm& norm) const {
   // Distance-sort the overlay up front (it is bounded by the compaction
   // threshold), then merge it into the base tree's best-first stream. At
@@ -58,27 +61,24 @@ void SnapshotIndex::ScanByMinDist(
     while (next_added < added_order.size() &&
            added_order[next_added].first <= limit) {
       const auto& [d, idx] = added_order[next_added++];
-      if (!fn(RTreeEntry{added_[idx].mbr, DenseOf(added_[idx].id)}, d)) {
-        return false;
-      }
+      if (!fn(DenseOf(live, added_[idx].id), d)) return false;
     }
     return true;
   };
-  bool live = true;
+  bool more = true;
   base_->ScanByMinDist(
       query,
-      [&](const RTreeEntry& e, double d) {
-        if (IsRemoved(e.id)) return true;
-        live = emit_added(d) && fn(RTreeEntry{e.mbr, DenseOf(e.id)}, d);
-        return live;
+      [&](ObjectId stable, double d) {
+        if (IsRemoved(stable)) return true;
+        more = emit_added(d) && fn(DenseOf(live, stable), d);
+        return more;
       },
       norm);
-  if (live) emit_added(std::numeric_limits<double>::infinity());
+  if (more) emit_added(std::numeric_limits<double>::infinity());
 }
 
-bool SnapshotIndex::Validate() const {
+bool SnapshotIndex::Validate(const std::vector<ObjectId>& live) const {
   if (!base_->Validate()) return false;
-  const std::vector<ObjectId>& live = *stable_by_dense_;
   const std::vector<ObjectId>& base_ids = *base_ids_;
   const auto sorted_unique = [](const std::vector<ObjectId>& v) {
     return std::is_sorted(v.begin(), v.end()) &&
@@ -91,18 +91,23 @@ bool SnapshotIndex::Validate() const {
   const auto is_live = [&live](ObjectId id) {
     return std::binary_search(live.begin(), live.end(), id);
   };
+  const auto in_base = [&base_ids](ObjectId id) {
+    return std::binary_search(base_ids.begin(), base_ids.end(), id);
+  };
   ObjectId prev_added = 0;
   for (size_t i = 0; i < added_.size(); ++i) {
-    if (i > 0 && added_[i].id <= prev_added) return false;  // sorted, unique
-    prev_added = added_[i].id;
-    if (!is_live(added_[i].id)) return false;
+    const ObjectId id = added_[i].id;
+    if (i > 0 && id <= prev_added) return false;  // sorted, unique
+    prev_added = id;
+    if (!is_live(id)) return false;
+    // An updated object's base entry must be masked, or the scan would
+    // emit it twice.
+    if (in_base(id) && !IsRemoved(id)) return false;
   }
   // Removed ids must mask real base entries; every surviving base entry
   // must be live; and the live count reconciles with base/overlay sizes.
   for (ObjectId id : removed_) {
-    if (!std::binary_search(base_ids.begin(), base_ids.end(), id)) {
-      return false;
-    }
+    if (!in_base(id)) return false;
   }
   size_t base_live = 0;
   for (ObjectId id : base_ids) {
@@ -110,23 +115,15 @@ bool SnapshotIndex::Validate() const {
     ++base_live;
     if (!is_live(id)) return false;
   }
-  return base_live + added_.size() == live.size();
+  return base_live + added_.size() == entry_count();
 }
 
 ShardedSnapshotIndex::ShardedSnapshotIndex(
     std::vector<SnapshotIndex> shards,
-    std::vector<std::shared_ptr<const std::vector<ObjectId>>> global_by_local,
     std::shared_ptr<const std::vector<ObjectId>> stable_by_dense)
-    : shards_(std::move(shards)),
-      global_by_local_(std::move(global_by_local)),
-      stable_by_dense_(std::move(stable_by_dense)) {
+    : shards_(std::move(shards)), stable_by_dense_(std::move(stable_by_dense)) {
   UPDB_CHECK(!shards_.empty());
-  UPDB_CHECK(global_by_local_.size() == shards_.size());
   UPDB_CHECK(stable_by_dense_ != nullptr);
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    UPDB_CHECK(global_by_local_[s] != nullptr &&
-               global_by_local_[s]->size() == shards_[s].entry_count());
-  }
 }
 
 size_t ShardedSnapshotIndex::delta_entries() const {
@@ -137,34 +134,25 @@ size_t ShardedSnapshotIndex::delta_entries() const {
 
 void ShardedSnapshotIndex::ShardScanByMinDist(
     size_t s, const Rect& query,
-    const std::function<bool(const RTreeEntry&, double)>& fn,
+    const std::function<bool(ObjectId, double)>& fn,
     const LpNorm& norm) const {
-  const std::vector<ObjectId>& translate = *global_by_local_[s];
-  shards_[s].ScanByMinDist(
-      query,
-      [&](const RTreeEntry& e, double dist) {
-        return fn(RTreeEntry{e.mbr, translate[e.id]}, dist);
-      },
-      norm);
+  shards_[s].ScanByMinDist(query, *stable_by_dense_, fn, norm);
 }
 
 bool ShardedSnapshotIndex::Validate() const {
   const std::vector<ObjectId>& global = *stable_by_dense_;
   size_t total = 0;
   for (size_t s = 0; s < shards_.size(); ++s) {
-    if (!shards_[s].Validate()) return false;
-    const std::vector<ObjectId>& locals = *shards_[s].stable_by_dense_shared();
-    const std::vector<ObjectId>& translate = *global_by_local_[s];
-    if (translate.size() != locals.size()) return false;
-    for (size_t l = 0; l < locals.size(); ++l) {
-      // Shard routing and translation must agree with the global list.
-      if (locals[l] % shards_.size() != s) return false;
-      if (translate[l] >= global.size() ||
-          global[translate[l]] != locals[l]) {
-        return false;
-      }
+    const SnapshotIndex& shard = shards_[s];
+    if (!shard.Validate(global)) return false;
+    // Shard routing must agree with the stable ids the shard holds.
+    for (ObjectId id : *shard.base_ids_shared()) {
+      if (id % shards_.size() != s) return false;
     }
-    total += locals.size();
+    for (const RTreeEntry& e : shard.added()) {
+      if (e.id % shards_.size() != s) return false;
+    }
+    total += shard.entry_count();
   }
   return total == global.size();
 }

@@ -20,10 +20,11 @@
 // ids, which never change across versions — that is what keeps one base
 // tree valid under arbitrary interleavings of inserts and removes. Query
 // callers, however, see the *dense* ids of the snapshot's materialized
-// UncertainDatabase (0..N-1 in ascending stable-id order); a shard-level
-// SnapshotIndex emits shard-local dense ids (dense within the shard's
-// live set), and the ShardedSnapshotIndex translates them to the global
-// dense space on the way out.
+// UncertainDatabase (0..N-1 in ascending stable-id order). A scan maps
+// each stable id it emits straight to that global dense id, with one
+// binary search over the snapshot's ascending live stable-id list, and
+// emits (dense id, MinDist) only: the filters read an object's box from
+// the database, whose MBRs are the same pdf->bounds() the index holds.
 
 #ifndef UPDB_STORE_SNAPSHOT_INDEX_H_
 #define UPDB_STORE_SNAPSHOT_INDEX_H_
@@ -36,26 +37,26 @@
 namespace updb {
 namespace store {
 
-/// Immutable index view of one snapshot shard. Thread-safe for concurrent
-/// reads (all state is const after construction).
+/// Immutable index view of one snapshot shard, keyed by stable ids.
+/// Thread-safe for concurrent reads (all state is const after
+/// construction).
 class SnapshotIndex {
  public:
   /// `base` is the bulk-built tree whose entries carry stable ids and
   /// `base_ids` the same ids as a sorted vector (the membership surface
   /// overlay composition needs); `added` are overlay entries (stable ids,
-  /// current MBRs) sorted by id; `removed` are stable ids masked out of
-  /// the base, sorted; and `stable_by_dense` is the snapshot's ascending
-  /// live stable-id list (dense id i names stable id stable_by_dense[i]).
-  /// Invariant: the live set equals (base entries \ removed) ∪ added, with
-  /// an updated object appearing in both `removed` (old entry) and
-  /// `added` (new entry).
+  /// current MBRs) sorted by id; and `removed` are stable ids masked out
+  /// of the base, sorted. Invariant: the shard's live set equals (base
+  /// entries \ removed) ∪ added, with an updated object appearing in both
+  /// `removed` (old entry) and `added` (new entry).
   SnapshotIndex(std::shared_ptr<const RTree> base,
                 std::shared_ptr<const std::vector<ObjectId>> base_ids,
-                std::vector<RTreeEntry> added, std::vector<ObjectId> removed,
-                std::shared_ptr<const std::vector<ObjectId>> stable_by_dense);
+                std::vector<RTreeEntry> added, std::vector<ObjectId> removed);
 
   /// Live entries served by this index (== shard live-set size).
-  size_t entry_count() const { return stable_by_dense_->size(); }
+  size_t entry_count() const {
+    return base_->size() - removed_.size() + added_.size();
+  }
 
   /// Overlay size: inserted entries + removed base ids. 0 right after a
   /// compaction (bulk rebuild).
@@ -63,20 +64,24 @@ class SnapshotIndex {
   bool compacted() const { return delta_entries() == 0; }
 
   /// Incremental best-first scan over the live entries in ascending
-  /// MinDist(mbr, query) order (shard-local dense ids): the base tree's
-  /// scan with the distance-sorted overlay merged in. Returning false from
-  /// `fn` stops the scan. At equal distance, overlay entries are emitted
-  /// before base entries and among themselves by stable id — callers that
-  /// need a canonical order must impose their own tie-break (the candidate
-  /// filters sort their output by id).
-  void ScanByMinDist(const Rect& query,
-                     const std::function<bool(const RTreeEntry&, double)>& fn,
+  /// MinDist(mbr, query) order: the base tree's scan with the
+  /// distance-sorted overlay merged in. `fn(id, min_dist)` receives each
+  /// entry's position in `live` — the snapshot's ascending live stable-id
+  /// list, which holds every live entry of this shard — i.e. its dense id
+  /// in the snapshot database. Returning false from `fn` stops the scan.
+  /// At equal distance, overlay entries are emitted before base entries
+  /// and among themselves by stable id — callers that need a canonical
+  /// order must impose their own tie-break (the candidate filters sort
+  /// their output by id).
+  void ScanByMinDist(const Rect& query, const std::vector<ObjectId>& live,
+                     const std::function<bool(ObjectId, double)>& fn,
                      const LpNorm& norm = LpNorm::Euclidean()) const;
 
   /// Debug validation: the base tree validates, overlay vectors are sorted
-  /// and duplicate-free, every added id is live, every non-removed base id
-  /// is live, and the live count reconciles with base/overlay sizes.
-  bool Validate() const;
+  /// and duplicate-free, every added id is live in `live` and masks any
+  /// base entry it shares an id with, every non-removed base id is live,
+  /// and the live count reconciles with base/overlay sizes.
+  bool Validate(const std::vector<ObjectId>& live) const;
 
   // Accessors the store uses to compose the next snapshot's overlay from
   // this one; not part of the query surface.
@@ -86,39 +91,27 @@ class SnapshotIndex {
   }
   const std::vector<RTreeEntry>& added() const { return added_; }
   const std::vector<ObjectId>& removed() const { return removed_; }
-  const std::shared_ptr<const std::vector<ObjectId>>& stable_by_dense_shared()
-      const {
-    return stable_by_dense_;
-  }
 
  private:
-  /// Shard-local dense id of a live stable id (binary search; the id must
-  /// be live).
-  ObjectId DenseOf(ObjectId stable) const;
   bool IsRemoved(ObjectId stable) const;
 
   std::shared_ptr<const RTree> base_;
   std::shared_ptr<const std::vector<ObjectId>> base_ids_;  // sorted
   std::vector<RTreeEntry> added_;    // sorted by stable id
   std::vector<ObjectId> removed_;    // sorted stable ids
-  std::shared_ptr<const std::vector<ObjectId>> stable_by_dense_;
 };
 
 /// The query surface of one published snapshot: per-shard SnapshotIndexes
-/// scanned one shard at a time, emitting *global* dense ids. Immutable
-/// and thread-safe for concurrent reads. With one shard the translation
-/// is the identity, so `num_shards = 1` behaves exactly like the
-/// unsharded store.
+/// scanned one shard at a time, emitting global dense ids. Immutable and
+/// thread-safe for concurrent reads; `num_shards = 1` behaves exactly
+/// like the unsharded store.
 class ShardedSnapshotIndex {
  public:
   /// `shards[s]` indexes the live objects routed to shard s;
-  /// `global_by_local[s][l]` is the global dense id of shard s's local
-  /// dense id l; `stable_by_dense` is the snapshot's global ascending
-  /// live stable-id list.
+  /// `stable_by_dense` is the snapshot's global ascending live stable-id
+  /// list (dense id i names stable id stable_by_dense[i]).
   ShardedSnapshotIndex(
       std::vector<SnapshotIndex> shards,
-      std::vector<std::shared_ptr<const std::vector<ObjectId>>>
-          global_by_local,
       std::shared_ptr<const std::vector<ObjectId>> stable_by_dense);
 
   size_t num_shards() const { return shards_.size(); }
@@ -130,22 +123,22 @@ class ShardedSnapshotIndex {
   size_t delta_entries() const;
   bool compacted() const { return delta_entries() == 0; }
 
-  /// Shard s's SnapshotIndex::ScanByMinDist, emitting global dense ids —
-  /// the fan-out surface the service's per-shard candidate generation
-  /// uses (reduce in ascending shard order for determinism).
-  void ShardScanByMinDist(
-      size_t s, const Rect& query,
-      const std::function<bool(const RTreeEntry&, double)>& fn,
-      const LpNorm& norm = LpNorm::Euclidean()) const;
+  /// Shard s's SnapshotIndex::ScanByMinDist over this snapshot's live
+  /// list, so `fn` receives global dense ids — the fan-out surface the
+  /// service's per-shard candidate generation uses (reduce in ascending
+  /// shard order for determinism).
+  void ShardScanByMinDist(size_t s, const Rect& query,
+                          const std::function<bool(ObjectId, double)>& fn,
+                          const LpNorm& norm = LpNorm::Euclidean()) const;
 
-  /// Debug validation: every shard validates, shard live counts reconcile
-  /// with the global live list, and the local→global translation maps
-  /// every shard-local stable id to itself in the global list.
+  /// Debug validation: every shard validates against the global live
+  /// list, every base and overlay id of shard s routes to s, and the
+  /// shard live counts add up to the global live count — so the shards'
+  /// scans together emit every global dense id exactly once.
   bool Validate() const;
 
  private:
   std::vector<SnapshotIndex> shards_;
-  std::vector<std::shared_ptr<const std::vector<ObjectId>>> global_by_local_;
   std::shared_ptr<const std::vector<ObjectId>> stable_by_dense_;
 };
 

@@ -133,9 +133,17 @@ std::shared_ptr<const Pdf> MakeQueryObject(const Point& center, double extent,
 ObjectId PickByMinDistRank(const RTree& index, const Rect& r, size_t rank,
                            const LpNorm& norm) {
   UPDB_CHECK(rank >= 1 && rank <= index.size());
-  const std::vector<RTreeEntry> nearest = index.KnnByMinDist(r, rank, norm);
-  UPDB_CHECK(nearest.size() == rank);
-  return nearest.back().id;
+  ObjectId picked = kInvalidObjectId;
+  size_t seen = 0;
+  index.ScanByMinDist(
+      r,
+      [&](ObjectId id, double /*dist*/) {
+        picked = id;
+        return ++seen < rank;
+      },
+      norm);
+  UPDB_CHECK(seen == rank);
+  return picked;
 }
 
 }  // namespace workload

@@ -31,7 +31,7 @@ TEST(RTreeTraverseTest, TakeAllEmitsEverySubtreeEntry) {
   size_t taken = 0;
   tree.Traverse(
       [](const Rect&) { return RTree::VisitDecision::kTakeAll; },
-      [&taken](const RTreeEntry&, RTree::VisitDecision d) {
+      [&taken](ObjectId, RTree::VisitDecision d) {
         EXPECT_EQ(d, RTree::VisitDecision::kTakeAll);
         ++taken;
       });
@@ -50,7 +50,7 @@ TEST(RTreeTraverseTest, SkipPrunesEverything) {
   RTree tree(entries);
   size_t taken = 0;
   tree.Traverse([](const Rect&) { return RTree::VisitDecision::kSkip; },
-                [&taken](const RTreeEntry&, RTree::VisitDecision) { ++taken; });
+                [&taken](ObjectId, RTree::VisitDecision) { ++taken; });
   EXPECT_EQ(taken, 0u);
 }
 
@@ -73,7 +73,7 @@ TEST(RTreeTraverseTest, DescendClassifiesEntriesIndividually) {
         if (mbr.side(0).lo() >= 0.5) return RTree::VisitDecision::kSkip;
         return RTree::VisitDecision::kDescend;
       },
-      [&taken](const RTreeEntry&, RTree::VisitDecision) { ++taken; });
+      [&taken](ObjectId, RTree::VisitDecision) { ++taken; });
   EXPECT_EQ(taken, expected);
 }
 

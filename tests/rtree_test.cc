@@ -44,8 +44,24 @@ ScanList FullScan(const RTree& tree, const Rect& query, const LpNorm& norm) {
   ScanList out;
   tree.ScanByMinDist(
       query,
-      [&out](const RTreeEntry& e, double dist) {
-        out.emplace_back(dist, e.id);
+      [&out](ObjectId id, double dist) {
+        out.emplace_back(dist, id);
+        return true;
+      },
+      norm);
+  return out;
+}
+
+/// The ids of the first k entries of the scan from `query`: the callback
+/// stops it on the entry after them (on the first entry for k = 0).
+std::vector<ObjectId> FirstK(const RTree& tree, const Rect& query, size_t k,
+                             const LpNorm& norm = LpNorm::Euclidean()) {
+  std::vector<ObjectId> out;
+  tree.ScanByMinDist(
+      query,
+      [&out, k](ObjectId id, double /*dist*/) {
+        if (out.size() == k) return false;
+        out.push_back(id);
         return true;
       },
       norm);
@@ -58,8 +74,8 @@ TEST(RTreeTest, EmptyTree) {
   EXPECT_EQ(tree.size(), 0u);
   const Rect query(Point{0.0, 0.0}, Point{1.0, 1.0});
   EXPECT_TRUE(FullScan(tree, query, LpNorm()).empty());
-  EXPECT_TRUE(tree.KnnByMinDist(query, 3).empty());
-  EXPECT_TRUE(tree.KnnByMinDist(query, 0).empty());
+  EXPECT_TRUE(FirstK(tree, query, 3).empty());
+  EXPECT_TRUE(FirstK(tree, query, 0).empty());
 }
 
 TEST(RTreeTest, SingleEntry) {
@@ -89,14 +105,14 @@ TEST(RTreeTest, KnnMatchesBruteForce) {
     }
     std::sort(expected.begin(), expected.end());
     // k = 0 asks for nothing and must get nothing.
-    EXPECT_TRUE(tree.KnnByMinDist(query, 0, norm).empty());
+    EXPECT_TRUE(FirstK(tree, query, 0, norm).empty());
     const size_t k = 1 + rng.NextBounded(20);
-    const auto actual = tree.KnnByMinDist(query, k, norm);
+    const auto actual = FirstK(tree, query, k, norm);
     ASSERT_EQ(actual.size(), k);
     for (size_t i = 0; i < k; ++i) {
       // Compare distances, not ids (ties can reorder equal-distance hits).
-      EXPECT_NEAR(norm.MinDist(actual[i].mbr, query), expected[i].first,
-                  1e-12)
+      EXPECT_NEAR(norm.MinDist(entries[actual[i]].mbr, query),
+                  expected[i].first, 1e-12)
           << "trial=" << trial << " i=" << i;
     }
   }
@@ -129,7 +145,7 @@ TEST(RTreeTest, ScanStopsOnFalse) {
   RTree tree(entries);
   size_t count = 0;
   tree.ScanByMinDist(Rect::Centered(Point{0.5, 0.5}, {0.0, 0.0}),
-                     [&count](const RTreeEntry&, double) {
+                     [&count](ObjectId, double) {
                        ++count;
                        return count < 5;
                      });
@@ -196,9 +212,9 @@ TEST(RTreeTest, TraverseZeroAreaMbrs) {
         if (!region.Intersects(mbr)) return RTree::VisitDecision::kSkip;
         return RTree::VisitDecision::kDescend;
       },
-      [&taken](const RTreeEntry& e, RTree::VisitDecision decision) {
+      [&taken](ObjectId id, RTree::VisitDecision decision) {
         EXPECT_EQ(decision, RTree::VisitDecision::kTakeAll);
-        taken.push_back(e.id);
+        taken.push_back(id);
       });
   std::sort(taken.begin(), taken.end());
   std::vector<ObjectId> expected;
@@ -229,8 +245,9 @@ TEST(RTreeTest, TraverseDuplicateEntriesAllEmitted) {
         if (!region.Intersects(mbr)) return RTree::VisitDecision::kSkip;
         return RTree::VisitDecision::kDescend;
       },
-      [&emitted](const RTreeEntry& e, RTree::VisitDecision) {
-        EXPECT_EQ(e.mbr, Rect::FromPoint(Point{0.5, 0.5}));
+      [&](ObjectId id, RTree::VisitDecision) {
+        ASSERT_LT(id, entries.size());
+        EXPECT_EQ(entries[id].mbr, Rect::FromPoint(Point{0.5, 0.5}));
         ++emitted;
       });
   // Every duplicate is reported individually; the far entry is pruned.
@@ -240,7 +257,7 @@ TEST(RTreeTest, TraverseDuplicateEntriesAllEmitted) {
   // A scan query at the duplicate point sees all nine at distance zero.
   size_t zero_dist = 0;
   tree.ScanByMinDist(Rect::FromPoint(Point{0.5, 0.5}),
-                     [&zero_dist](const RTreeEntry&, double dist) {
+                     [&zero_dist](ObjectId, double dist) {
                        if (dist == 0.0) ++zero_dist;
                        return true;
                      });
@@ -261,14 +278,16 @@ TEST(RTreeTest, TraverseDescendOnUndecidedEntries) {
         if (!region.Intersects(mbr)) return RTree::VisitDecision::kSkip;
         return RTree::VisitDecision::kDescend;
       },
-      [&](const RTreeEntry& e, RTree::VisitDecision decision) {
+      [&](ObjectId id, RTree::VisitDecision decision) {
+        ASSERT_LT(id, entries.size());
+        const Rect& mbr = entries[id].mbr;
         if (decision == RTree::VisitDecision::kTakeAll) {
-          EXPECT_TRUE(region.Contains(e.mbr));
+          EXPECT_TRUE(region.Contains(mbr));
           ++take_all;
         } else {
           EXPECT_EQ(decision, RTree::VisitDecision::kDescend);
-          EXPECT_TRUE(region.Intersects(e.mbr));
-          EXPECT_FALSE(region.Contains(e.mbr));
+          EXPECT_TRUE(region.Intersects(mbr));
+          EXPECT_FALSE(region.Contains(mbr));
           ++undecided;
         }
       });
@@ -291,7 +310,7 @@ TEST(RTreeTest, BuildFromObjects) {
   RTree tree = BuildRTree(db.objects());
   EXPECT_EQ(tree.size(), 50u);
   const auto knn =
-      tree.KnnByMinDist(Rect::Centered(Point{0.5, 0.5}, {0.0, 0.0}), 5);
+      FirstK(tree, Rect::Centered(Point{0.5, 0.5}, {0.0, 0.0}), 5);
   EXPECT_EQ(knn.size(), 5u);
 }
 

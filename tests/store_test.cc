@@ -4,10 +4,13 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
+#include <cstdint>
 #include <cstdlib>
 #include <limits>
 #include <memory>
 #include <numeric>
+#include <span>
 #include <thread>
 #include <vector>
 
@@ -71,25 +74,43 @@ ScanList ShardScan(const ShardedSnapshotIndex& index, size_t s,
                    size_t limit = std::numeric_limits<size_t>::max(),
                    size_t* calls = nullptr) {
   ScanList out;
-  index.ShardScanByMinDist(s, probe, [&](const RTreeEntry& e, double d) {
+  index.ShardScanByMinDist(s, probe, [&](ObjectId id, double d) {
     if (calls != nullptr) ++*calls;
     if (out.size() == limit) return false;
-    out.emplace_back(d, e.id);
+    out.emplace_back(d, id);
     return true;
   });
   return out;
 }
 
 /// Every shard's full scan from `probe`, concatenated in shard order.
-/// Expects each shard's stream to ascend in distance and the shards
-/// together to emit every live global dense id of `snap` exactly once.
+/// Expects each shard's stream to ascend in distance, every emitted
+/// distance to be bit for bit the MinDist of the database box the id
+/// names (the box the candidate filters read instead of the index's), and
+/// the shards together to emit every live global dense id of `snap`
+/// exactly once.
 ScanList ScanEveryShard(const StoreSnapshot& snap, const Rect& probe) {
+  const UncertainDatabase& db = *snap.db();
+  const LpNorm norm = LpNorm::Euclidean();
   ScanList all;
   for (size_t s = 0; s < snap.num_shards(); ++s) {
     const ScanList scan = ShardScan(snap.index(), s, probe);
     EXPECT_EQ(scan.size(), snap.shard_size(s)) << "shard=" << s;
     for (size_t i = 1; i < scan.size(); ++i) {
       EXPECT_LE(scan[i - 1].first, scan[i].first) << "shard=" << s;
+    }
+    for (const auto& [d, id] : scan) {
+      if (id >= db.size()) {
+        ADD_FAILURE() << "shard=" << s << " id=" << id << " not dense";
+        continue;
+      }
+      const std::span<const Interval> box = db.mbr_box(id);
+      const double expected =
+          norm.MinDist(Rect(std::vector<Interval>(box.begin(), box.end())),
+                       probe);
+      EXPECT_EQ(std::bit_cast<uint64_t>(d), std::bit_cast<uint64_t>(expected))
+          << "shard=" << s << " id=" << id << " d=" << d
+          << " db MinDist=" << expected;
     }
     all.insert(all.end(), scan.begin(), scan.end());
   }

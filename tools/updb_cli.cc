@@ -94,11 +94,18 @@
 //   the command first RECOVERS that history — the --db/--n seed is
 //   ignored — and then continues appending to the same log, so a killed
 //   run can simply be re-executed.
+//
+//   Numeric flags take a non-negative, finite number written out in full
+//   (integers for counts, seeds and ports); any other value prints the
+//   usage and exits 2.
 
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <map>
 #include <string>
+#include <system_error>
 #include <thread>
 
 #include "gf/kernels.h"
@@ -130,16 +137,42 @@ class Args {
   }
   double GetDouble(const std::string& key, double fallback) const {
     auto it = values_.find(key);
-    return it == values_.end() ? fallback : std::atof(it->second.c_str());
+    if (it == values_.end()) return fallback;
+    double value = 0.0;
+    if (!ParseWhole(it->second, value) || !std::isfinite(value) ||
+        value < 0.0) {
+      throw BadFlag{key, it->second, "a non-negative finite number"};
+    }
+    return value;
   }
   size_t GetSize(const std::string& key, size_t fallback) const {
     auto it = values_.find(key);
-    return it == values_.end()
-               ? fallback
-               : static_cast<size_t>(std::atoll(it->second.c_str()));
+    if (it == values_.end()) return fallback;
+    size_t value = 0;
+    if (!ParseWhole(it->second, value)) {
+      throw BadFlag{key, it->second, "a non-negative integer"};
+    }
+    return value;
   }
 
+  /// A numeric flag whose value does not parse; main() reports it and
+  /// exits 2.
+  struct BadFlag {
+    std::string key;
+    std::string value;
+    const char* expected;
+  };
+
  private:
+  /// std::from_chars over the whole of `text` (no sign for unsigned
+  /// types, no leading space, no trailing characters, no overflow).
+  template <class T>
+  static bool ParseWhole(const std::string& text, T& value) {
+    const char* end = text.data() + text.size();
+    const std::from_chars_result r = std::from_chars(text.data(), end, value);
+    return r.ec == std::errc() && r.ptr == end;
+  }
+
   std::map<std::string, std::string> values_;
 };
 
@@ -859,13 +892,18 @@ int main(int argc, char** argv) {
   if (argc < 2) return Usage();
   const std::string command = argv[1];
   const Args args(argc, argv);
-  if (command == "generate") return Generate(args);
-  if (command == "info") return Info(args);
-  if (command == "domcount") return DomCount(args);
-  if (command == "knn") return ThresholdQuery(args, /*reverse=*/false);
-  if (command == "rknn") return ThresholdQuery(args, /*reverse=*/true);
-  if (command == "serve") return Serve(args);
-  if (command == "mutate") return Mutate(args);
-  if (command == "recover") return Recover(args);
+  try {
+    if (command == "generate") return Generate(args);
+    if (command == "info") return Info(args);
+    if (command == "domcount") return DomCount(args);
+    if (command == "knn") return ThresholdQuery(args, /*reverse=*/false);
+    if (command == "rknn") return ThresholdQuery(args, /*reverse=*/true);
+    if (command == "serve") return Serve(args);
+    if (command == "mutate") return Mutate(args);
+    if (command == "recover") return Recover(args);
+  } catch (const Args::BadFlag& bad) {
+    std::fprintf(stderr, "updb_cli: --%s=%s: expected %s\n", bad.key.c_str(),
+                 bad.value.c_str(), bad.expected);
+  }
   return Usage();
 }
