@@ -27,18 +27,28 @@
 //                     vs an in-bench copy of the per-call Rect loop it
 //                     replaced (out-of-line Pow, branching MinDist).
 //                     Median/min/max over repeats.
+//   engine_run        nanoseconds per short engine run on the same
+//                     database, the threshold-query shape (one run per
+//                     candidate, few iterations): a predicate run and a
+//                     full-distribution run, each repeated on one thread so
+//                     every run after the first reuses the thread's engine
+//                     workspace. Median/min/max over repeats.
 //
-// Three oracles gate the exit status: the seed-style and engine bounds
+// Four oracles gate the exit status: the seed-style and engine bounds
 // must agree within 1e-9 (different accumulation orders), the scalar- and
 // vector-dispatch engine bounds must be IDENTICAL BITS (same blocked
-// accumulation order, gf/kernels.h), and the kernel's domination verdicts
-// must equal the Rect loop's on every test — any deviation exits 2.
+// accumulation order, gf/kernels.h), the kernel's domination verdicts
+// must equal the Rect loop's on every test, and every engine_run result
+// must equal bit for bit the same run made on a fresh thread (whose
+// workspace is new) — any deviation exits 2.
 //
 // UPDB_BENCH_SCALE scales the database size.
 
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <cstring>
+#include <functional>
 #include <limits>
 #include <span>
 #include <string>
@@ -351,6 +361,101 @@ DominationSeries BenchDomination(int p, size_t dim, int repeats) {
   return out;
 }
 
+// ---------------------------------------------------------- engine runs
+
+/// The CPU model of the recording host ("model name" in /proc/cpuinfo),
+/// or "unknown" where that file does not say.
+std::string HostCpu() {
+  std::FILE* f = std::fopen("/proc/cpuinfo", "r");
+  if (f == nullptr) return "unknown";
+  char line[256];
+  std::string model = "unknown";
+  while (std::fgets(line, sizeof(line), f) != nullptr) {
+    const std::string text(line);
+    if (text.rfind("model name", 0) != 0) continue;
+    const size_t colon = text.find(':');
+    if (colon != std::string::npos && colon + 2 <= text.size()) {
+      model = text.substr(colon + 2);
+      while (!model.empty() && (model.back() == '\n' || model.back() == ' ')) {
+        model.pop_back();
+      }
+    }
+    break;
+  }
+  std::fclose(f);
+  return model;
+}
+
+/// True iff two results carry the same bits in every payload field and
+/// the same work counters.
+bool SameResult(const IdcaResult& a, const IdcaResult& b) {
+  if (a.complete_domination_count != b.complete_domination_count ||
+      a.influence_count != b.influence_count ||
+      a.bounds.num_ranks() != b.bounds.num_ranks() ||
+      a.influence_pdom.size() != b.influence_pdom.size() ||
+      a.iterations.size() != b.iterations.size() ||
+      a.decision != b.decision) {
+    return false;
+  }
+  const auto same = [](double x, double y) {
+    return std::memcmp(&x, &y, sizeof(double)) == 0;
+  };
+  for (size_t k = 0; k < a.bounds.num_ranks(); ++k) {
+    if (!same(a.bounds.lb(k), b.bounds.lb(k)) ||
+        !same(a.bounds.ub(k), b.bounds.ub(k))) {
+      return false;
+    }
+  }
+  for (size_t i = 0; i < a.influence_pdom.size(); ++i) {
+    if (!same(a.influence_pdom[i].lb, b.influence_pdom[i].lb) ||
+        !same(a.influence_pdom[i].ub, b.influence_pdom[i].ub)) {
+      return false;
+    }
+  }
+  const IdcaCounters& x = a.counters;
+  const IdcaCounters& y = b.counters;
+  return same(a.predicate_prob.lb, b.predicate_prob.lb) &&
+         same(a.predicate_prob.ub, b.predicate_prob.ub) &&
+         x.pairs_evaluated == y.pairs_evaluated &&
+         x.pairs_frozen == y.pairs_frozen &&
+         x.domination_tests == y.domination_tests &&
+         x.verdict_cache_hits == y.verdict_cache_hits &&
+         x.verdict_cache_misses == y.verdict_cache_misses &&
+         x.ugf_multiplies == y.ugf_multiplies;
+}
+
+struct EngineRunSeries {
+  const char* kind = "";
+  size_t influence = 0;
+  size_t iterations = 0;
+  int runs_per_repeat = 0;
+  Spread ns;  // per run
+  bool agree = true;
+};
+
+EngineRunSeries BenchEngineRun(const char* kind,
+                               const std::function<IdcaResult()>& run,
+                               int runs_per_repeat, int repeats) {
+  EngineRunSeries out;
+  out.kind = kind;
+  out.runs_per_repeat = runs_per_repeat;
+  IdcaResult fresh;
+  std::thread([&] { fresh = run(); }).join();
+  IdcaResult last = run();  // warm-up: grows this thread's workspace
+  std::vector<double> ns;
+  Stopwatch timer;
+  for (int rep = 0; rep < repeats; ++rep) {
+    timer.Reset();
+    for (int i = 0; i < runs_per_repeat; ++i) last = run();
+    ns.push_back(timer.ElapsedSeconds() * 1e9 / runs_per_repeat);
+  }
+  out.influence = last.influence_count;
+  out.iterations = last.iterations_run();
+  out.ns = SpreadOf(ns);
+  out.agree = SameResult(last, fresh);
+  return out;
+}
+
 }  // namespace
 }  // namespace updb
 
@@ -359,6 +464,7 @@ int main(int argc, char** argv) {
   bench::PrintBanner("bench_hotpath_scaling",
                      "UgfBatch + verdict cache + parallel pair loop + SIMD");
   const unsigned hw = std::thread::hardware_concurrency();
+  std::printf("# host_cpu=%s\n", HostCpu().c_str());
   std::printf("# hardware_threads=%u\n", hw);
   std::printf("# kernel_dispatch=%s\n", gf::ActiveKernelName());
 
@@ -480,7 +586,41 @@ int main(int argc, char** argv) {
           s.agree ? "yes" : "NO");
     }
   }
-  const bool all_agree = checksum_ok && simd_exact && domination_agree;
+
+  // ---- Short engine runs, each thread reusing its engine workspace.
+  IdcaConfig short_run;
+  short_run.max_iterations = 2;
+  short_run.num_threads = 1;
+  const IdcaEngine short_engine(db, short_run);
+  // A predicate k inside the candidate rank window, so the predicate run
+  // refines instead of being settled by the filter.
+  const IdcaResult window = short_engine.ComputeDomCount(target, *query);
+  const size_t predicate_k =
+      window.complete_domination_count + window.influence_count / 4 + 1;
+  std::printf(
+      "series,kind,influence,iterations,runs_per_repeat,ns_median,ns_min,"
+      "ns_max,agree\n");
+  std::vector<EngineRunSeries> engine_runs;
+  engine_runs.push_back(BenchEngineRun(
+      "predicate",
+      [&] {
+        return short_engine.ComputeDomCount(target, *query,
+                                            IdcaPredicate{predicate_k, 0.5});
+      },
+      /*runs_per_repeat=*/200, /*repeats=*/7));
+  engine_runs.push_back(BenchEngineRun(
+      "full_distribution",
+      [&] { return short_engine.ComputeDomCount(target, *query); },
+      /*runs_per_repeat=*/100, /*repeats=*/7));
+  bool engine_runs_agree = true;
+  for (const EngineRunSeries& s : engine_runs) {
+    engine_runs_agree = engine_runs_agree && s.agree;
+    std::printf("engine_run,%s,%zu,%zu,%d,%.0f,%.0f,%.0f,%s\n", s.kind,
+                s.influence, s.iterations, s.runs_per_repeat, s.ns.median,
+                s.ns.min, s.ns.max, s.agree ? "yes" : "NO");
+  }
+  const bool all_agree =
+      checksum_ok && simd_exact && domination_agree && engine_runs_agree;
 
   if (argc > 1) {
     std::FILE* f = std::fopen(argv[1], "w");
@@ -489,13 +629,16 @@ int main(int argc, char** argv) {
       return 1;
     }
     std::fprintf(f, "{\n  \"bench\": \"bench_hotpath_scaling\",\n");
+    std::fprintf(f, "  \"host_cpu\": \"%s\",\n", HostCpu().c_str());
     std::fprintf(f, "  \"hardware_threads\": %u,\n", hw);
     std::fprintf(f, "  \"kernel_dispatch\": \"%s\",\n", gf::ActiveKernelName());
     std::fprintf(f,
                  "  \"note\": \"thread_scaling is bounded by "
                  "hardware_threads on the recording host; results are "
                  "bit-identical for every thread count (see "
-                 "idca_parallel_test)\",\n");
+                 "idca_parallel_test); engine_run rows reuse the thread's "
+                 "engine workspace and equal fresh-thread runs bit for bit; "
+                 "on a shared VM host compare rows of one recording only\",\n");
     std::fprintf(f, "  \"db_objects\": %zu,\n", db.size());
     std::fprintf(f, "  \"refinement_iterations\": %d,\n", iterations);
     std::fprintf(f, "  \"ugf_multiply\": [\n");
@@ -546,6 +689,21 @@ int main(int argc, char** argv) {
           s.rect_ns.max, s.kernel_ns.median, s.kernel_ns.min,
           s.kernel_ns.max, s.rect_ns.median / s.kernel_ns.median,
           s.agree ? "true" : "false", i + 1 < domination.size() ? "," : "");
+    }
+    std::fprintf(f, "  ],\n");
+    std::fprintf(f, "  \"engine_run\": [\n");
+    for (size_t i = 0; i < engine_runs.size(); ++i) {
+      const EngineRunSeries& s = engine_runs[i];
+      std::fprintf(
+          f,
+          "    {\"kind\": \"%s\", \"max_iterations\": %d, "
+          "\"influence\": %zu, \"iterations\": %zu, "
+          "\"runs_per_repeat\": %d, \"repeats\": 7, "
+          "\"ns_per_run\": {\"median\": %.0f, \"min\": %.0f, "
+          "\"max\": %.0f}, \"agree\": %s}%s\n",
+          s.kind, short_run.max_iterations, s.influence, s.iterations,
+          s.runs_per_repeat, s.ns.median, s.ns.min, s.ns.max,
+          s.agree ? "true" : "false", i + 1 < engine_runs.size() ? "," : "");
     }
     std::fprintf(f, "  ]\n}\n");
     std::fclose(f);

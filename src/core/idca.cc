@@ -2,10 +2,11 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <memory>
+#include <functional>
 #include <utility>
 
 #include "cache/verdict_memo.h"
+#include "common/capacity.h"
 #include "common/stopwatch.h"
 #include "common/thread_pool.h"
 #include "domination/kernel.h"
@@ -73,11 +74,21 @@ struct PairBlock {
     undecided.insert(undecided.end(), o.undecided.begin(), o.undecided.end());
     num_pairs += o.num_pairs;
   }
+
+  /// Grows both blocks' buffers to the larger capacity of the two (cur and
+  /// merged swap roles every iteration).
+  void EqualizeCapacity(PairBlock& o) {
+    updb::EqualizeCapacity(b_node, o.b_node);
+    updb::EqualizeCapacity(r_node, o.r_node);
+    updb::EqualizeCapacity(resolved, o.resolved);
+    updb::EqualizeCapacity(und_off, o.und_off);
+    updb::EqualizeCapacity(undecided, o.undecided);
+  }
 };
 
-/// Per-chunk workspace and partial accumulators of one refinement
-/// iteration. Chunks own their state outright, so the parallel loop writes
-/// no shared data; everything is reduced serially in chunk order.
+/// Per-chunk partial accumulators of one refinement iteration. Chunks own
+/// their partials outright, so the parallel loop writes no shared data;
+/// everything is reduced serially in chunk order.
 ///
 /// A pair whose candidates are all decided is *frozen*: its contribution
 /// is refinement-invariant (children pairs would inherit the identical
@@ -87,6 +98,30 @@ struct PairBlock {
 /// accumulators re-applied every subsequent iteration.
 struct ChunkState {
   PairBlock out;                       // next-level pair states
+  CountDistributionBounds agg{0};      // weighted count-bound partial
+  double agg_lt_lb = 0.0;              // weighted P(count < m) partial
+  double agg_lt_ub = 0.0;
+  std::vector<double> pdom_lb;         // [C] weighted per-candidate bounds
+  std::vector<double> pdom_ub;
+  CountDistributionBounds frozen_agg{0};  // pairs frozen by this chunk
+  double frozen_lt_lb = 0.0;
+  double frozen_lt_ub = 0.0;
+  std::vector<double> frozen_pdom_lb;
+  std::vector<double> frozen_pdom_ub;
+  size_t pairs = 0;
+  size_t tests = 0;
+  IdcaCounters counters;               // per-iteration work (chunk-local)
+  /// Cross-request memo probes (chunk-local; flushed once per run). Kept
+  /// OUT of IdcaCounters: whether a probe hits depends on what concurrent
+  /// runs inserted or evicted, so these are not thread-count-invariant.
+  cache::VerdictMemoTally memo_tally;
+};
+
+/// Scratch of one pair-loop participant (ParallelFor worker id): the
+/// transient state of the chunk it is running, reused by the next chunk it
+/// picks up. Nothing here outlives a chunk, so which participant runs which
+/// chunk cannot change a result.
+struct WorkerScratch {
   /// Lane-batched UGF evaluation: up to UgfBatch::kLanes pairs are staged
   /// (their per-candidate factor brackets written column-wise into
   /// stage_lb/stage_ub) and evaluated in one SoA pass. Staging and
@@ -99,28 +134,59 @@ struct ChunkState {
   double stage_w[UgfBatch::kLanes] = {};
   bool stage_frozen[UgfBatch::kLanes] = {};
   size_t staged = 0;
-  CountDistributionBounds lane_bounds; // reused EmitBounds target
-  CountDistributionBounds agg;         // weighted count-bound partial
-  double agg_lt_lb = 0.0;              // weighted P(count < m) partial
-  double agg_lt_ub = 0.0;
-  std::vector<double> pdom_lb;         // [C] weighted per-candidate bounds
-  std::vector<double> pdom_ub;
+  CountDistributionBounds lane_bounds{0};  // reused EmitBounds target
   std::vector<double> pair_pdom_lb;    // [C] scratch for the current pair
   std::vector<double> pair_pdom_ub;
-  CountDistributionBounds frozen_agg;  // pairs frozen by this chunk
-  double frozen_lt_lb = 0.0;
-  double frozen_lt_ub = 0.0;
+};
+
+/// Everything an engine run needs besides its result, kept per thread and
+/// reused by the thread's next run: after one warm-up run of a given size,
+/// later runs of that size or smaller touch the heap only for the
+/// IdcaResult they return. Buffers only grow, so a thread holds at most
+/// the footprint of the largest run it has executed.
+struct IdcaWorkspace {
+  /// Set while a run owns the workspace. A run never starts another run on
+  /// its own thread (the pair-loop bodies do not call the engine), so
+  /// finding it set means two runs would share one workspace.
+  bool busy = false;
+  std::vector<const UncertainObject*> influence;
+  DecompositionTree target_tree;
+  DecompositionTree ref_tree;
+  std::vector<DecompositionTree> cand_trees;  // the first C are in use
+  std::vector<char> cand_live;
+  PairBlock cur;                        // this level's pair states
+  PairBlock merged;                     // the chunk outputs, merged
+  std::vector<ChunkState> chunks;       // indexed by chunk
+  std::vector<WorkerScratch> workers;   // indexed by ParallelFor worker id
+  // Run-level accumulators: per-iteration aggregates and the persistent
+  // contributions of frozen pairs.
+  CountDistributionBounds agg{0};
+  CountDistributionBounds frozen_agg{0};
+  std::vector<double> pdom_lb;
+  std::vector<double> pdom_ub;
   std::vector<double> frozen_pdom_lb;
   std::vector<double> frozen_pdom_ub;
-  size_t pairs = 0;
-  size_t tests = 0;
-  IdcaCounters counters;               // per-iteration work (chunk-local)
-  /// Cross-request memo probes (chunk-local; flushed once per run). Kept
-  /// OUT of IdcaCounters: whether a probe hits depends on what concurrent
-  /// runs inserted or evicted, so these are not thread-count-invariant.
-  cache::VerdictMemoTally memo_tally;
+  std::vector<IdcaIterationStats> stats;  // copied into the result once
+};
 
-  ChunkState() : lane_bounds(0), agg(0), frozen_agg(0) {}
+/// The calling thread's engine workspace.
+thread_local IdcaWorkspace t_workspace;
+
+/// Holds the calling thread's workspace for one run.
+class WorkspaceLease {
+ public:
+  WorkspaceLease() : ws_(t_workspace) {
+    UPDB_CHECK(!ws_.busy);  // re-entrant run on one thread
+    ws_.busy = true;
+  }
+  ~WorkspaceLease() { ws_.busy = false; }
+  WorkspaceLease(const WorkspaceLease&) = delete;
+  WorkspaceLease& operator=(const WorkspaceLease&) = delete;
+
+  IdcaWorkspace& get() { return ws_; }
+
+ private:
+  IdcaWorkspace& ws_;
 };
 
 /// Fingerprint of the configuration fields a domination verdict depends
@@ -235,13 +301,23 @@ IdcaResult IdcaEngine::RunWith(Terms terms, const Pdf& target,
                                bool target_is_database_object,
                                std::optional<IdcaPredicate> predicate) const {
   Stopwatch timer;
+  WorkspaceLease lease;
+  IdcaWorkspace& ws = lease.get();
   IdcaResult result;
   const size_t total_ranks = db_.size();
   obs::TraceSpan run_span(config_.trace, "idca_run", "idca");
+  ws.stats.clear();
+  // Every exit: the iteration stats move into the result in one block.
+  const auto finish = [&]() -> IdcaResult {
+    result.iterations.assign(ws.stats.begin(), ws.stats.end());
+    result.seconds = timer.ElapsedSeconds();
+    return std::move(result);
+  };
 
   // ---- Phase 1: complete-domination filter (Algorithm 1, lines 3-10).
   size_t complete = 0;
-  std::vector<const UncertainObject*> influence;
+  std::vector<const UncertainObject*>& influence = ws.influence;
+  influence.clear();
   {
     obs::TraceSpan filter_span(config_.trace, "idca_filter", "idca");
     terms.Reset(target.bounds().sides(), reference.bounds().sides());
@@ -255,9 +331,10 @@ IdcaResult IdcaEngine::RunWith(Terms terms, const Pdf& target,
   result.influence_count = C;
   result.influence_pdom.assign(C, ProbabilityBounds{0.0, 1.0});
 
-  // Candidate-level rank window: DomCount in [complete, complete + C].
-  CountDistributionBounds window(C + 1);  // vacuous [0,1] per rank
-  result.bounds = window.ShiftRight(complete, total_ranks);
+  // Candidate-level rank window: DomCount in [complete, complete + C],
+  // vacuous [0,1] per rank.
+  ws.agg.Assign(C + 1, 0.0, 1.0);
+  ws.agg.ShiftRightInto(complete, total_ranks, &result.bounds);
 
   // Predicate bookkeeping in candidate space: P(DomCount < k) equals
   // P(#dominating candidates < m) with m = k - complete.
@@ -268,15 +345,13 @@ IdcaResult IdcaEngine::RunWith(Terms terms, const Pdf& target,
       // Every world already has >= k dominators.
       result.predicate_prob = ProbabilityBounds{0.0, 0.0};
       result.decision = Decide(result.predicate_prob, predicate->tau);
-      result.seconds = timer.ElapsedSeconds();
-      return result;
+      return finish();
     }
     if (predicate->k > complete + C) {
       // No world can reach k dominators.
       result.predicate_prob = ProbabilityBounds{1.0, 1.0};
       result.decision = Decide(result.predicate_prob, predicate->tau);
-      result.seconds = timer.ElapsedSeconds();
-      return result;
+      return finish();
     }
     m = predicate->k - complete;
     result.predicate_prob = ProbabilityBounds{0.0, 1.0};
@@ -289,30 +364,30 @@ IdcaResult IdcaEngine::RunWith(Terms terms, const Pdf& target,
     s.total_uncertainty = result.bounds.TotalUncertainty();
     s.avg_influence_uncertainty = C > 0 ? 1.0 : 0.0;
     s.cumulative_seconds = timer.ElapsedSeconds();
-    result.iterations.push_back(s);
+    ws.stats.push_back(s);
   }
 
   if (C == 0) {
     // DomCount is exactly `complete` in every world.
-    CountDistributionBounds exact = CountDistributionBounds::Exact({1.0});
-    result.bounds = exact.ShiftRight(complete, total_ranks);
+    ws.agg.Assign(1, 1.0, 1.0);
+    ws.agg.ShiftRightInto(complete, total_ranks, &result.bounds);
     if (predicate) {
       const double p = complete < predicate->k ? 1.0 : 0.0;
       result.predicate_prob = ProbabilityBounds{p, p};
       result.decision = Decide(result.predicate_prob, predicate->tau);
     }
-    result.seconds = timer.ElapsedSeconds();
-    return result;
+    return finish();
   }
 
   // ---- Phase 2: iterative refinement (Algorithm 1, lines 14-37).
-  DecompositionTree target_tree(&target, config_.split_policy);
-  DecompositionTree ref_tree(&reference, config_.split_policy);
-  std::vector<std::unique_ptr<DecompositionTree>> cand_trees;
-  cand_trees.reserve(C);
-  for (const UncertainObject* a : influence) {
-    cand_trees.push_back(
-        std::make_unique<DecompositionTree>(&a->pdf(), config_.split_policy));
+  DecompositionTree& target_tree = ws.target_tree;
+  DecompositionTree& ref_tree = ws.ref_tree;
+  target_tree.Reset(&target, config_.split_policy);
+  ref_tree.Reset(&reference, config_.split_policy);
+  std::vector<DecompositionTree>& cand_trees = ws.cand_trees;
+  if (cand_trees.size() < C) cand_trees.resize(C);
+  for (size_t i = 0; i < C; ++i) {
+    cand_trees[i].Reset(&influence[i]->pdf(), config_.split_policy);
   }
 
   const bool cache = config_.cache_verdicts;
@@ -332,29 +407,51 @@ IdcaResult IdcaEngine::RunWith(Terms terms, const Pdf& target,
   const size_t ugf_truncation =
       predicate ? m : UgfBatch::kNoTruncation;
 
+  // One scratch slot per pair-loop participant, sized for this run before
+  // the loop so no participant grows anything inside it.
+  if (ws.workers.size() < threads) ws.workers.resize(threads);
+  for (size_t w = 0; w < threads; ++w) {
+    WorkerScratch& sc = ws.workers[w];
+    sc.batch.Reserve(C, ugf_truncation);
+    sc.stage_lb.assign(C * UgfBatch::kLanes, 0.0);
+    sc.stage_ub.assign(C * UgfBatch::kLanes, 0.0);
+    sc.pair_pdom_lb.assign(C, 0.0);
+    sc.pair_pdom_ub.assign(C, 0.0);
+    if (!predicate) sc.lane_bounds.Assign(C + 1, 0.0, 0.0);
+  }
+
   // Level-0 verdict state: one pair (whole B, whole R); every candidate's
   // root node is undecided — that is precisely what the filter left open.
-  PairBlock cur;
-  cur.Clear(C);
-  cur.num_pairs = 1;
-  cur.b_node.push_back(0);
-  cur.r_node.push_back(0);
-  cur.resolved.assign(2 * C, 0.0);
-  for (uint32_t c = 0; c <= C; ++c) cur.und_off.push_back(c);
-  cur.undecided.assign(C, 0);
+  PairBlock* cur = &ws.cur;
+  PairBlock* merged = &ws.merged;  // reused merge target
+  cur->Clear(C);
+  cur->num_pairs = 1;
+  cur->b_node.push_back(0);
+  cur->r_node.push_back(0);
+  cur->resolved.assign(2 * C, 0.0);
+  for (uint32_t c = 0; c <= C; ++c) cur->und_off.push_back(c);
+  cur->undecided.assign(C, 0);
 
-  PairBlock merged;                       // reused merge target
-  std::vector<ChunkState> chunks;         // reused across iterations
-  std::vector<double> pdom_lb(C, 0.0), pdom_ub(C, 0.0);
+  std::vector<ChunkState>& chunks = ws.chunks;  // reused across iterations
+  std::vector<double>& pdom_lb = ws.pdom_lb;
+  std::vector<double>& pdom_ub = ws.pdom_ub;
+  pdom_lb.assign(C, 0.0);
+  pdom_ub.assign(C, 0.0);
 
   // Persistent contributions of frozen pairs (see ChunkState) and the
   // per-candidate liveness map: a candidate whose verdict is resolved in
   // every surviving pair is never read again, so its decomposition tree
   // stops deepening (ConditionalMedian splits are pure waste there).
-  CountDistributionBounds frozen_agg = CountDistributionBounds::Zero(C + 1);
+  CountDistributionBounds& agg = ws.agg;
+  CountDistributionBounds& frozen_agg = ws.frozen_agg;
+  if (!predicate) frozen_agg.Assign(C + 1, 0.0, 0.0);
   ProbabilityBounds frozen_lt{0.0, 0.0};
-  std::vector<double> frozen_pdom_lb(C, 0.0), frozen_pdom_ub(C, 0.0);
-  std::vector<char> cand_live(C, 1);
+  std::vector<double>& frozen_pdom_lb = ws.frozen_pdom_lb;
+  std::vector<double>& frozen_pdom_ub = ws.frozen_pdom_ub;
+  frozen_pdom_lb.assign(C, 0.0);
+  frozen_pdom_ub.assign(C, 0.0);
+  std::vector<char>& cand_live = ws.cand_live;
+  cand_live.assign(C, 1);
 
   for (int iter = 1; iter <= config_.max_iterations; ++iter) {
     obs::TraceSpan iter_span(config_.trace, "idca_iter", "idca");
@@ -363,228 +460,223 @@ IdcaResult IdcaEngine::RunWith(Terms terms, const Pdf& target,
     // 15). A dead tree's frontier and child offsets are never indexed.
     size_t splits = target_tree.Deepen() + ref_tree.Deepen();
     for (size_t i = 0; i < C; ++i) {
-      if (cand_live[i]) splits += cand_trees[i]->Deepen();
+      if (cand_live[i]) splits += cand_trees[i].Deepen();
     }
 
     const std::vector<double>& target_mass = target_tree.masses();
     const std::vector<double>& ref_mass = ref_tree.masses();
     const std::vector<uint32_t>& b_off = target_tree.child_offsets();
     const std::vector<uint32_t>& r_off = ref_tree.child_offsets();
+    const PairBlock& level = *cur;
 
-    const size_t num_chunks = std::min(kPairChunks, cur.num_pairs);
+    const size_t num_chunks = std::min(kPairChunks, level.num_pairs);
     if (chunks.size() < num_chunks) chunks.resize(num_chunks);
 
     // Every old pair expands into its children pairs; per child pair the
     // candidates' undecided nodes are re-tested one level deeper while
-    // resolved mass is inherited. All writes go to chunk-local state.
-    ThreadPool::SharedParallelFor(
-        num_chunks, threads,
-        [&](size_t chunk, size_t /*worker*/) {
-          ChunkState& st = chunks[chunk];
-          Terms pair_terms = terms;
-          st.out.Clear(C);
-          st.stage_lb.assign(C * UgfBatch::kLanes, 0.0);
-          st.stage_ub.assign(C * UgfBatch::kLanes, 0.0);
-          st.staged = 0;
-          if (!predicate) {
-            st.agg = CountDistributionBounds::Zero(C + 1);
-            st.frozen_agg = CountDistributionBounds::Zero(C + 1);
-            st.lane_bounds = CountDistributionBounds::Zero(C + 1);
-          }
-          st.agg_lt_lb = 0.0;
-          st.agg_lt_ub = 0.0;
-          st.frozen_lt_lb = 0.0;
-          st.frozen_lt_ub = 0.0;
-          st.pdom_lb.assign(C, 0.0);
-          st.pdom_ub.assign(C, 0.0);
-          st.pair_pdom_lb.assign(C, 0.0);
-          st.pair_pdom_ub.assign(C, 0.0);
-          st.frozen_pdom_lb.assign(C, 0.0);
-          st.frozen_pdom_ub.assign(C, 0.0);
-          st.pairs = 0;
-          st.tests = 0;
-          st.counters = IdcaCounters{};
-          st.memo_tally = cache::VerdictMemoTally{};
-          const uint64_t ugf_base = st.batch.total_multiplies();
+    // resolved mass is inherited. All writes go to chunk-local partials
+    // and the participant's own scratch.
+    const auto run_chunk = [&](size_t chunk, size_t worker) {
+      UPDB_DCHECK(worker < threads);
+      ChunkState& st = chunks[chunk];
+      WorkerScratch& sc = ws.workers[worker];
+      Terms pair_terms = terms;
+      st.out.Clear(C);
+      sc.staged = 0;
+      if (!predicate) {
+        st.agg.Assign(C + 1, 0.0, 0.0);
+        st.frozen_agg.Assign(C + 1, 0.0, 0.0);
+      }
+      st.agg_lt_lb = 0.0;
+      st.agg_lt_ub = 0.0;
+      st.frozen_lt_lb = 0.0;
+      st.frozen_lt_ub = 0.0;
+      st.pdom_lb.assign(C, 0.0);
+      st.pdom_ub.assign(C, 0.0);
+      st.frozen_pdom_lb.assign(C, 0.0);
+      st.frozen_pdom_ub.assign(C, 0.0);
+      st.pairs = 0;
+      st.tests = 0;
+      st.counters = IdcaCounters{};
+      st.memo_tally = cache::VerdictMemoTally{};
+      const uint64_t ugf_base = sc.batch.total_multiplies();
 
-          // Evaluates the staged pairs' UGFs in one batched pass and folds
-          // their contributions into the accumulators in pair order.
-          const auto flush_staged = [&](ChunkState& cs) {
-            if (cs.staged == 0) return;
-            cs.batch.Begin(ugf_truncation, cs.staged);
-            for (size_t i = 0; i < C; ++i) {
-              cs.batch.MultiplyFactors(
-                  cs.stage_lb.data() + i * UgfBatch::kLanes,
-                  cs.stage_ub.data() + i * UgfBatch::kLanes);
-            }
-            if (predicate) {
-              ProbabilityBounds lt[UgfBatch::kLanes];
-              cs.batch.ProbLessThanAll(m, lt);
-              for (size_t l = 0; l < cs.staged; ++l) {
-                const double lw = cs.stage_w[l];
-                if (cs.stage_frozen[l]) {
-                  cs.frozen_lt_lb += lw * lt[l].lb;
-                  cs.frozen_lt_ub += lw * lt[l].ub;
-                } else {
-                  cs.agg_lt_lb += lw * lt[l].lb;
-                  cs.agg_lt_ub += lw * lt[l].ub;
-                }
-              }
+      // Evaluates the staged pairs' UGFs in one batched pass and folds
+      // their contributions into the chunk's accumulators in pair order.
+      const auto flush_staged = [&] {
+        if (sc.staged == 0) return;
+        sc.batch.Begin(ugf_truncation, sc.staged);
+        for (size_t i = 0; i < C; ++i) {
+          sc.batch.MultiplyFactors(sc.stage_lb.data() + i * UgfBatch::kLanes,
+                                   sc.stage_ub.data() + i * UgfBatch::kLanes);
+        }
+        if (predicate) {
+          ProbabilityBounds lt[UgfBatch::kLanes];
+          sc.batch.ProbLessThanAll(m, lt);
+          for (size_t l = 0; l < sc.staged; ++l) {
+            const double lw = sc.stage_w[l];
+            if (sc.stage_frozen[l]) {
+              st.frozen_lt_lb += lw * lt[l].lb;
+              st.frozen_lt_ub += lw * lt[l].ub;
             } else {
-              cs.batch.FinishBounds();
-              for (size_t l = 0; l < cs.staged; ++l) {
-                cs.batch.EmitBounds(l, &cs.lane_bounds);
-                (cs.stage_frozen[l] ? cs.frozen_agg : cs.agg)
-                    .AccumulateWeighted(cs.lane_bounds, cs.stage_w[l]);
-              }
+              st.agg_lt_lb += lw * lt[l].lb;
+              st.agg_lt_ub += lw * lt[l].ub;
             }
-            cs.staged = 0;
-          };
+          }
+        } else {
+          sc.batch.FinishBounds();
+          for (size_t l = 0; l < sc.staged; ++l) {
+            sc.batch.EmitBounds(l, &sc.lane_bounds);
+            (sc.stage_frozen[l] ? st.frozen_agg : st.agg)
+                .AccumulateWeighted(sc.lane_bounds, sc.stage_w[l]);
+          }
+        }
+        sc.staged = 0;
+      };
 
-          const size_t p_begin = cur.num_pairs * chunk / num_chunks;
-          const size_t p_end = cur.num_pairs * (chunk + 1) / num_chunks;
-          for (size_t p = p_begin; p < p_end; ++p) {
-            const uint32_t old_b = cur.b_node[p];
-            const uint32_t old_r = cur.r_node[p];
-            const double* old_res = cur.resolved.data() + p * 2 * C;
-            const uint32_t* old_off = cur.und_off.data() + p * (C + 1);
-            for (uint32_t bi = b_off[old_b]; bi < b_off[old_b + 1]; ++bi) {
-              for (uint32_t ri = r_off[old_r]; ri < r_off[old_r + 1]; ++ri) {
-                const double w = target_mass[bi] * ref_mass[ri];
-                // The (B', R') half of every test of this pair, computed
-                // once.
-                pair_terms.Reset(target_tree.box(bi), ref_tree.box(ri));
-                ++st.pairs;
-                PairBlock& out = st.out;
-                out.b_node.push_back(bi);
-                out.r_node.push_back(ri);
-                const size_t res_base = out.resolved.size();
-                const size_t und_off_base = out.und_off.size();
-                const size_t und_base = out.undecided.size();
-                out.resolved.resize(res_base + 2 * C);
-                for (size_t i = 0; i < C; ++i) {
-                  const DecompositionTree& cand = *cand_trees[i];
-                  const std::vector<double>& cand_mass = cand.masses();
-                  const std::vector<uint32_t>& a_off = cand.child_offsets();
-                  double dom = old_res[i];
-                  double ndom = old_res[C + i];
-                  // Any inherited resolved mass means a prior iteration's
-                  // verdicts carried over for this (candidate, pair) slot.
-                  if (dom != 0.0 || ndom != 0.0) {
-                    ++st.counters.verdict_cache_hits;
-                  }
-                  out.und_off.push_back(
-                      static_cast<uint32_t>(out.undecided.size()));
-                  const uint64_t cand_id = influence[i]->id();
-                  for (uint32_t u = old_off[i]; u < old_off[i + 1]; ++u) {
-                    // The node's children are adjacent in the candidate's
-                    // flat frontier.
-                    const uint32_t node = cur.undecided[u];
-                    for (uint32_t a = a_off[node]; a < a_off[node + 1]; ++a) {
-                      ++st.tests;
-                      // Resolve the triple through the cross-request memo
-                      // when one is attached: a hit replays the decided
-                      // verdict an identical Classify call produced
-                      // earlier (possibly in another request against
-                      // this snapshot); a decided miss is recorded for
-                      // later runs. Undecided stays unrecorded — it is
-                      // re-tested one level deeper either way.
-                      DominationClass verdict;
-                      if (memo == nullptr) {
-                        verdict = Classify(pair_terms, cand.box(a));
-                      } else {
-                        const cache::VerdictMemo::Key key = memo->MakeKey(
-                            memo_run_ctx, cand_id,
-                            static_cast<uint32_t>(iter), bi, ri, a);
-                        const int found = memo->Lookup(key, st.memo_tally);
-                        if (found != 0) {
-                          verdict = found == cache::VerdictMemo::kDominates
-                                        ? DominationClass::kDominates
-                                        : DominationClass::kDominated;
-                        } else {
-                          verdict = Classify(pair_terms, cand.box(a));
-                          if (verdict != DominationClass::kUndecided) {
-                            memo->Insert(
-                                key,
-                                verdict == DominationClass::kDominates
-                                    ? cache::VerdictMemo::kDominates
-                                    : cache::VerdictMemo::kDominated,
-                                st.memo_tally);
-                          }
-                        }
-                      }
-                      switch (verdict) {
-                        case DominationClass::kDominates:
-                          dom += cand_mass[a];
-                          if (!cache) out.undecided.push_back(a);
-                          break;
-                        case DominationClass::kDominated:
-                          ndom += cand_mass[a];
-                          if (!cache) out.undecided.push_back(a);
-                          break;
-                        case DominationClass::kUndecided:
-                          out.undecided.push_back(a);
-                          break;
+      const size_t p_begin = level.num_pairs * chunk / num_chunks;
+      const size_t p_end = level.num_pairs * (chunk + 1) / num_chunks;
+      for (size_t p = p_begin; p < p_end; ++p) {
+        const uint32_t old_b = level.b_node[p];
+        const uint32_t old_r = level.r_node[p];
+        const double* old_res = level.resolved.data() + p * 2 * C;
+        const uint32_t* old_off = level.und_off.data() + p * (C + 1);
+        for (uint32_t bi = b_off[old_b]; bi < b_off[old_b + 1]; ++bi) {
+          for (uint32_t ri = r_off[old_r]; ri < r_off[old_r + 1]; ++ri) {
+            const double w = target_mass[bi] * ref_mass[ri];
+            // The (B', R') half of every test of this pair, computed once.
+            pair_terms.Reset(target_tree.box(bi), ref_tree.box(ri));
+            ++st.pairs;
+            PairBlock& out = st.out;
+            out.b_node.push_back(bi);
+            out.r_node.push_back(ri);
+            const size_t res_base = out.resolved.size();
+            const size_t und_off_base = out.und_off.size();
+            const size_t und_base = out.undecided.size();
+            out.resolved.resize(res_base + 2 * C);
+            for (size_t i = 0; i < C; ++i) {
+              const DecompositionTree& cand = cand_trees[i];
+              const std::vector<double>& cand_mass = cand.masses();
+              const std::vector<uint32_t>& a_off = cand.child_offsets();
+              double dom = old_res[i];
+              double ndom = old_res[C + i];
+              // Any inherited resolved mass means a prior iteration's
+              // verdicts carried over for this (candidate, pair) slot.
+              if (dom != 0.0 || ndom != 0.0) {
+                ++st.counters.verdict_cache_hits;
+              }
+              out.und_off.push_back(
+                  static_cast<uint32_t>(out.undecided.size()));
+              const uint64_t cand_id = influence[i]->id();
+              for (uint32_t u = old_off[i]; u < old_off[i + 1]; ++u) {
+                // The node's children are adjacent in the candidate's flat
+                // frontier.
+                const uint32_t node = level.undecided[u];
+                for (uint32_t a = a_off[node]; a < a_off[node + 1]; ++a) {
+                  ++st.tests;
+                  // Resolve the triple through the cross-request memo when
+                  // one is attached: a hit replays the decided verdict an
+                  // identical Classify call produced earlier (possibly in
+                  // another request against this snapshot); a decided miss
+                  // is recorded for later runs. Undecided stays unrecorded
+                  // — it is re-tested one level deeper either way.
+                  DominationClass verdict;
+                  if (memo == nullptr) {
+                    verdict = Classify(pair_terms, cand.box(a));
+                  } else {
+                    const cache::VerdictMemo::Key key =
+                        memo->MakeKey(memo_run_ctx, cand_id,
+                                      static_cast<uint32_t>(iter), bi, ri, a);
+                    const int found = memo->Lookup(key, st.memo_tally);
+                    if (found != 0) {
+                      verdict = found == cache::VerdictMemo::kDominates
+                                    ? DominationClass::kDominates
+                                    : DominationClass::kDominated;
+                    } else {
+                      verdict = Classify(pair_terms, cand.box(a));
+                      if (verdict != DominationClass::kUndecided) {
+                        memo->Insert(key,
+                                     verdict == DominationClass::kDominates
+                                         ? cache::VerdictMemo::kDominates
+                                         : cache::VerdictMemo::kDominated,
+                                     st.memo_tally);
                       }
                     }
                   }
-                  // With the cache off nothing may be inherited next
-                  // level — every triple is re-derived from scratch.
-                  out.resolved[res_base + i] = cache ? dom : 0.0;
-                  out.resolved[res_base + C + i] = cache ? ndom : 0.0;
-
-                  // Lemma 1/2 bracket for this candidate given (B', R'),
-                  // scaled by the existential probability: the candidate
-                  // dominates only in worlds where it exists.
-                  ProbabilityBounds pb{dom, 1.0 - ndom};
-                  pb.Normalize();
-                  const double e = influence[i]->existence();
-                  pb.lb *= e;
-                  pb.ub *= e;
-                  st.stage_lb[i * UgfBatch::kLanes + st.staged] = pb.lb;
-                  st.stage_ub[i * UgfBatch::kLanes + st.staged] = pb.ub;
-                  st.pair_pdom_lb[i] = pb.lb;
-                  st.pair_pdom_ub[i] = pb.ub;
+                  switch (verdict) {
+                    case DominationClass::kDominates:
+                      dom += cand_mass[a];
+                      if (!cache) out.undecided.push_back(a);
+                      break;
+                    case DominationClass::kDominated:
+                      ndom += cand_mass[a];
+                      if (!cache) out.undecided.push_back(a);
+                      break;
+                    case DominationClass::kUndecided:
+                      out.undecided.push_back(a);
+                      break;
+                  }
                 }
-                out.und_off.push_back(
-                    static_cast<uint32_t>(out.undecided.size()));
-
-                // Freeze fully-decided pairs: every refinement would
-                // reproduce this exact contribution, so bank it once and
-                // drop the pair instead of expanding it next level.
-                const bool frozen = cache && out.undecided.size() == und_base;
-                if (frozen) {
-                  ++st.counters.pairs_frozen;
-                  out.b_node.pop_back();
-                  out.r_node.pop_back();
-                  out.resolved.resize(res_base);
-                  out.und_off.resize(und_off_base);
-                } else {
-                  ++out.num_pairs;
-                }
-                double* acc_pdom_lb =
-                    frozen ? st.frozen_pdom_lb.data() : st.pdom_lb.data();
-                double* acc_pdom_ub =
-                    frozen ? st.frozen_pdom_ub.data() : st.pdom_ub.data();
-                for (size_t i = 0; i < C; ++i) {
-                  acc_pdom_lb[i] += w * st.pair_pdom_lb[i];
-                  acc_pdom_ub[i] += w * st.pair_pdom_ub[i];
-                }
-                // The pair's factor column is fully staged; bank its
-                // weight/freeze slot and flush once the lanes fill up.
-                st.stage_w[st.staged] = w;
-                st.stage_frozen[st.staged] = frozen;
-                ++st.staged;
-                if (st.staged == UgfBatch::kLanes) flush_staged(st);
               }
+              // With the cache off nothing may be inherited next level —
+              // every triple is re-derived from scratch.
+              out.resolved[res_base + i] = cache ? dom : 0.0;
+              out.resolved[res_base + C + i] = cache ? ndom : 0.0;
+
+              // Lemma 1/2 bracket for this candidate given (B', R'),
+              // scaled by the existential probability: the candidate
+              // dominates only in worlds where it exists.
+              ProbabilityBounds pb{dom, 1.0 - ndom};
+              pb.Normalize();
+              const double e = influence[i]->existence();
+              pb.lb *= e;
+              pb.ub *= e;
+              sc.stage_lb[i * UgfBatch::kLanes + sc.staged] = pb.lb;
+              sc.stage_ub[i * UgfBatch::kLanes + sc.staged] = pb.ub;
+              sc.pair_pdom_lb[i] = pb.lb;
+              sc.pair_pdom_ub[i] = pb.ub;
             }
+            out.und_off.push_back(static_cast<uint32_t>(out.undecided.size()));
+
+            // Freeze fully-decided pairs: every refinement would reproduce
+            // this exact contribution, so bank it once and drop the pair
+            // instead of expanding it next level.
+            const bool frozen = cache && out.undecided.size() == und_base;
+            if (frozen) {
+              ++st.counters.pairs_frozen;
+              out.b_node.pop_back();
+              out.r_node.pop_back();
+              out.resolved.resize(res_base);
+              out.und_off.resize(und_off_base);
+            } else {
+              ++out.num_pairs;
+            }
+            double* acc_pdom_lb =
+                frozen ? st.frozen_pdom_lb.data() : st.pdom_lb.data();
+            double* acc_pdom_ub =
+                frozen ? st.frozen_pdom_ub.data() : st.pdom_ub.data();
+            for (size_t i = 0; i < C; ++i) {
+              acc_pdom_lb[i] += w * sc.pair_pdom_lb[i];
+              acc_pdom_ub[i] += w * sc.pair_pdom_ub[i];
+            }
+            // The pair's factor column is fully staged; bank its
+            // weight/freeze slot and flush once the lanes fill up.
+            sc.stage_w[sc.staged] = w;
+            sc.stage_frozen[sc.staged] = frozen;
+            ++sc.staged;
+            if (sc.staged == UgfBatch::kLanes) flush_staged();
           }
-          flush_staged(st);
-          st.counters.pairs_evaluated = st.pairs;
-          st.counters.domination_tests = st.tests;
-          st.counters.verdict_cache_misses = st.tests;
-          st.counters.ugf_multiplies = st.batch.total_multiplies() - ugf_base;
-        });
+        }
+      }
+      flush_staged();
+      st.counters.pairs_evaluated = st.pairs;
+      st.counters.domination_tests = st.tests;
+      st.counters.verdict_cache_misses = st.tests;
+      st.counters.ugf_multiplies = sc.batch.total_multiplies() - ugf_base;
+    };
+    // std::cref: the pool's std::function then holds a pointer-sized
+    // reference instead of a heap copy of the closure.
+    ThreadPool::SharedParallelFor(num_chunks, threads, std::cref(run_chunk));
 
     // Deterministic reduction in chunk order: newly frozen contributions
     // join the persistent accumulators, active partials plus the frozen
@@ -603,14 +695,16 @@ IdcaResult IdcaEngine::RunWith(Terms terms, const Pdf& target,
         frozen_pdom_ub[i] += st.frozen_pdom_ub[i];
       }
     }
-    CountDistributionBounds agg = CountDistributionBounds::Zero(C + 1);
-    if (!predicate) agg.AccumulateWeighted(frozen_agg, 1.0);
+    if (!predicate) {
+      agg.Assign(C + 1, 0.0, 0.0);
+      agg.AccumulateWeighted(frozen_agg, 1.0);
+    }
     ProbabilityBounds agg_lt = frozen_lt;  // aggregated P(count < m)
     std::copy(frozen_pdom_lb.begin(), frozen_pdom_lb.end(), pdom_lb.begin());
     std::copy(frozen_pdom_ub.begin(), frozen_pdom_ub.end(), pdom_ub.begin());
     size_t pairs = 0;
     size_t candidate_partitions = 0;
-    merged.Clear(C);
+    merged->Clear(C);
     for (size_t c = 0; c < num_chunks; ++c) {
       const ChunkState& st = chunks[c];
       pairs += st.pairs;
@@ -627,14 +721,18 @@ IdcaResult IdcaEngine::RunWith(Terms terms, const Pdf& target,
         pdom_lb[i] += st.pdom_lb[i];
         pdom_ub[i] += st.pdom_ub[i];
       }
-      merged.AppendFrom(st.out);
+      merged->AppendFrom(st.out);
     }
     std::swap(cur, merged);
+    // The blocks alternate roles, so which one holds a given level depends
+    // on the iteration's parity; equal capacities let the next run replay
+    // any level reached before without allocating, whatever its parity.
+    cur->EqualizeCapacity(*merged);
 
     // Refresh the liveness map from the surviving pairs.
     std::fill(cand_live.begin(), cand_live.end(), char{0});
-    for (size_t p = 0; p < cur.num_pairs; ++p) {
-      const uint32_t* off = cur.und_off.data() + p * (C + 1);
+    for (size_t p = 0; p < cur->num_pairs; ++p) {
+      const uint32_t* off = cur->und_off.data() + p * (C + 1);
       for (size_t i = 0; i < C; ++i) {
         if (off[i + 1] > off[i]) cand_live[i] = 1;
       }
@@ -654,7 +752,7 @@ IdcaResult IdcaEngine::RunWith(Terms terms, const Pdf& target,
       result.decision = Decide(agg_lt, predicate->tau);
     } else {
       agg.Normalize();
-      result.bounds = agg.ShiftRight(complete, total_ranks);
+      agg.ShiftRightInto(complete, total_ranks, &result.bounds);
     }
 
     const double total_uncertainty =
@@ -668,7 +766,7 @@ IdcaResult IdcaEngine::RunWith(Terms terms, const Pdf& target,
       s.cumulative_seconds = timer.ElapsedSeconds();
       s.pairs = pairs;
       s.candidate_partitions = candidate_partitions;
-      result.iterations.push_back(s);
+      ws.stats.push_back(s);
     }
     iter_span.AddArg("pairs", pairs);
     iter_span.AddArg("tests", candidate_partitions);
@@ -676,15 +774,14 @@ IdcaResult IdcaEngine::RunWith(Terms terms, const Pdf& target,
     // ---- Stop criteria.
     if (predicate && result.decision != PredicateDecision::kUndecided) break;
     if (total_uncertainty <= config_.uncertainty_epsilon) break;
-    if (cur.num_pairs == 0) break;  // every pair frozen: result is final
+    if (cur->num_pairs == 0) break;  // every pair frozen: result is final
     if (splits == 0) break;  // decompositions exhausted: result is final
   }
 
   // One flush per run keeps the inner loop free of shared counters.
   if (memo != nullptr) memo->Flush(memo_tally);
 
-  result.seconds = timer.ElapsedSeconds();
-  return result;
+  return finish();
 }
 
 }  // namespace updb

@@ -200,7 +200,19 @@ struct IdcaResult {
 };
 
 /// The IDCA query engine. Stateless w.r.t. queries; one engine can serve
-/// many calls against the same database.
+/// many calls against the same database, from any number of threads.
+///
+/// Working memory is per thread, not per engine or per run: each thread
+/// keeps one engine workspace (chunk partials, pair blocks, decomposition
+/// trees, and per-worker UGF scratch for the pair loop) that every run on
+/// that thread reuses, whichever engine it goes through. Buffers only
+/// grow, so a thread holds at most the footprint of the largest run it
+/// has executed; after one warm-up run, a run of that size or smaller
+/// allocates only the IdcaResult it returns (with the linear filter and
+/// boxes of up to four dimensions). A run must not start another run on
+/// its own thread — the workspace is busy, which is a checked error.
+/// Reuse never changes a result: payloads and counters are bit-identical
+/// to a run on a fresh thread.
 class IdcaEngine {
  public:
   /// `db` must outlive the engine.

@@ -35,6 +35,12 @@ class Rect {
   /// All sides, dimension i at index i.
   std::span<const Interval> sides() const { return sides_; }
 
+  /// Replaces the sides with `sides`, keeping capacity: a scratch Rect
+  /// reassigned boxes of one dimensionality allocates only the first time.
+  void Assign(std::span<const Interval> sides) {
+    sides_.assign(sides.begin(), sides.end());
+  }
+
   const Interval& side(size_t i) const {
     UPDB_DCHECK(i < sides_.size());
     return sides_[i];

@@ -23,6 +23,12 @@ CountDistributionBounds CountDistributionBounds::Exact(
   return b;
 }
 
+void CountDistributionBounds::Assign(size_t num_ranks, double lb,
+                                     double ub) {
+  lb_.assign(num_ranks, lb);
+  ub_.assign(num_ranks, ub);
+}
+
 void CountDistributionBounds::Set(size_t k, double lb, double ub) {
   UPDB_DCHECK(k < lb_.size());
   lb_[k] = lb;
@@ -85,13 +91,18 @@ ProbabilityBounds CountDistributionBounds::ExpectedRank() const {
 
 CountDistributionBounds CountDistributionBounds::ShiftRight(
     size_t shift, size_t total_ranks) const {
-  UPDB_CHECK(shift + num_ranks() <= total_ranks);
-  CountDistributionBounds out = Zero(total_ranks);
-  for (size_t k = 0; k < num_ranks(); ++k) {
-    out.lb_[shift + k] = lb_[k];
-    out.ub_[shift + k] = ub_[k];
-  }
+  CountDistributionBounds out(0);
+  ShiftRightInto(shift, total_ranks, &out);
   return out;
+}
+
+void CountDistributionBounds::ShiftRightInto(
+    size_t shift, size_t total_ranks, CountDistributionBounds* out) const {
+  UPDB_CHECK(shift + num_ranks() <= total_ranks);
+  UPDB_CHECK(out != this);
+  out->Assign(total_ranks, 0.0, 0.0);
+  std::copy(lb_.begin(), lb_.end(), out->lb_.begin() + shift);
+  std::copy(ub_.begin(), ub_.end(), out->ub_.begin() + shift);
 }
 
 void CountDistributionBounds::AccumulateWeighted(

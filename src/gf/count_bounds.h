@@ -27,6 +27,11 @@ class CountDistributionBounds {
   /// Exact distribution: lb == ub == pdf.
   static CountDistributionBounds Exact(std::vector<double> pdf);
 
+  /// Resizes to `num_ranks` ranks, each bounded [lb, ub], keeping
+  /// capacity — the in-place form of the constructor and Zero() for
+  /// accumulators reused across runs.
+  void Assign(size_t num_ranks, double lb, double ub);
+
   size_t num_ranks() const { return lb_.size(); }
   double lb(size_t k) const { return lb_[k]; }
   double ub(size_t k) const { return ub_[k]; }
@@ -50,6 +55,10 @@ class CountDistributionBounds {
   /// for the CompleteDominationCount). Ranks outside the embedded window
   /// get exact probability 0. Requires shift + num_ranks() <= total_ranks.
   CountDistributionBounds ShiftRight(size_t shift, size_t total_ranks) const;
+
+  /// ShiftRight into `out`, reusing its capacity.
+  void ShiftRightInto(size_t shift, size_t total_ranks,
+                      CountDistributionBounds* out) const;
 
   /// this += weight * other (per-rank, both lb and ub) — the disjunctive
   /// worlds aggregation of Section IV-E. Rank counts must match.

@@ -56,6 +56,29 @@ void UgfBatch::Begin(size_t truncate_at, size_t active_lanes) {
   for (size_t l = 0; l < kLanes; ++l) flat_[l] = 1.0;  // F^0 = 1, all lanes
 }
 
+void UgfBatch::Reserve(size_t num_factors, size_t truncate_at) {
+  UPDB_CHECK(truncate_at >= 1);
+  // Untruncated, the triangle of n factors has (n+1)(n+2)/2 cells over
+  // n + 1 ranks. Truncated at k, it has at most min(n + 1, k) rows of
+  // TruncRowOffset's sizes over min(n + 1, k) ranks; Begin() itself
+  // materializes row 0 with its k + 1 cells.
+  size_t cells = 0;
+  size_t ranks = num_factors + 1;
+  if (truncate_at == kNoTruncation) {
+    cells = (num_factors + 1) * (num_factors + 2) / 2;
+  } else {
+    const size_t rows = std::min(num_factors + 1, truncate_at);
+    cells = std::max(rows * (truncate_at + 1) - rows * (rows - 1) / 2,
+                     truncate_at + 1);
+    ranks = rows;
+  }
+  flat_.reserve(cells * kLanes);
+  scratch_.reserve(cells * kLanes);
+  bounds_lb_.reserve(ranks * kLanes);
+  bounds_ub_.reserve(ranks * kLanes);
+  diff_.reserve((ranks + 1) * kLanes);
+}
+
 void UgfBatch::MultiplyFactors(const double* lb4, const double* ub4) {
   UPDB_DCHECK(active_lanes_ >= 1);
   total_multiplies_ += active_lanes_;

@@ -65,6 +65,12 @@ class UgfBatch {
   /// and must never be emitted.
   void Begin(size_t truncate_at, size_t active_lanes);
 
+  /// Grows every buffer to what `num_factors` factors under `truncate_at`
+  /// can need at most, whatever the factor values — so a workspace shared
+  /// by pair-loop chunks of one size allocates nothing inside the loop,
+  /// whichever chunks it happens to run. Never shrinks.
+  void Reserve(size_t num_factors, size_t truncate_at);
+
   /// Multiplies factor `num_factors()` of every lane: lane l takes the
   /// probability bracket [lb4[l], ub4[l]] (0 <= lb <= ub <= 1; a definite
   /// dominator is (1,1), a definite non-dominator (0,0)). Entries at

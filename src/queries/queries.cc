@@ -1,6 +1,7 @@
 #include "queries/queries.h"
 
 #include <algorithm>
+#include <functional>
 #include <limits>
 
 #include "common/stopwatch.h"
@@ -92,25 +93,38 @@ double ExpandedReachBound(const Rect& b, double reach, const LpNorm& norm) {
   return norm.Root(sum) * (1.0 + 0x1p-30);
 }
 
-/// CountRknnDominators for one domination kernel: `prototype` is an
-/// empty PairTerms of the requested criterion and norm.
+/// CountRknnDominators' per-probe buffers, sized once and reused for
+/// every object a scan task counts.
 template <class Terms>
-void CountRknnDominatorsWith(Terms prototype, const UncertainDatabase& db,
-                             ObjectId b,
+struct DominatorScratch {
+  DominatorScratch(const Terms& prototype, size_t probes)
+      : reach(probes), bound(probes), terms(probes, prototype) {}
+
+  std::vector<double> reach;
+  std::vector<double> bound;
+  /// terms[r] is the (Q_r, B) half of every "A dominates Q_r w.r.t. B"
+  /// test, recomputed per object for each probe that can count.
+  std::vector<Terms> terms;
+};
+
+/// CountRknnDominators for one domination kernel, over `scratch` (built
+/// for probes.size() probes).
+template <class Terms>
+void CountRknnDominatorsWith(const UncertainDatabase& db, ObjectId b,
                              std::span<const DominatorProbe> probes,
                              const MinDistScan& scan, const LpNorm& norm,
-                             std::span<uint32_t> counts) {
+                             std::span<uint32_t> counts,
+                             DominatorScratch<Terms>& scratch) {
   UPDB_DCHECK(counts.size() == probes.size());
+  UPDB_DCHECK(scratch.terms.size() == probes.size());
   const Rect& b_mbr = db.object(b).mbr();
   // An A that completely dominates Q w.r.t. B has MinDist(A, B) <=
   // MaxDist(Q, B), so it intersects B's MBR expanded by that reach; the
   // scan stops once its distance passes the bound of every probe still
   // short of its k.
-  std::vector<double> reach(probes.size());
-  std::vector<double> bound(probes.size());
-  // terms[r] is the (Q_r, B) half of every "A dominates Q_r w.r.t. B"
-  // test, computed once per call for each probe that can count.
-  std::vector<Terms> terms(probes.size(), prototype);
+  std::vector<double>& reach = scratch.reach;
+  std::vector<double>& bound = scratch.bound;
+  std::vector<Terms>& terms = scratch.terms;
   double scan_bound = 0.0;
   size_t open = 0;  // probes still short of their k
   for (size_t r = 0; r < probes.size(); ++r) {
@@ -124,7 +138,7 @@ void CountRknnDominatorsWith(Terms prototype, const UncertainDatabase& db,
   }
   if (open == 0) return;
 
-  scan(b_mbr, [&](ObjectId a, double dist) {
+  const auto visit = [&](ObjectId a, double dist) {
     if (dist > scan_bound) return false;
     // Only existentially certain objects dominate Q in *every* world.
     if (a == b || !db.object(a).existentially_certain()) return true;
@@ -151,7 +165,10 @@ void CountRknnDominatorsWith(Terms prototype, const UncertainDatabase& db,
       }
     }
     return true;
-  });
+  };
+  // std::cref: the MinDistEmit then holds a pointer-sized reference, not
+  // a heap copy of the closure.
+  scan(b_mbr, std::cref(visit));
 }
 
 }  // namespace
@@ -179,8 +196,8 @@ void CountRknnDominators(const UncertainDatabase& db, ObjectId b,
                          DominationCriterion criterion, const LpNorm& norm,
                          std::span<uint32_t> counts) {
   WithPairTerms(criterion, norm, [&](auto prototype) {
-    CountRknnDominatorsWith(std::move(prototype), db, b, probes, scan, norm,
-                            counts);
+    DominatorScratch scratch(prototype, probes.size());
+    CountRknnDominatorsWith(db, b, probes, scan, norm, counts, scratch);
   });
 }
 
@@ -218,30 +235,38 @@ std::vector<std::vector<ObjectId>> RknnCandidates(
   // the candidate lists come out in ascending id order.
   constexpr size_t kBlock = 1024;
   std::vector<std::vector<uint32_t>> dominators(scans.size());
-  for (size_t block_begin = 0; block_begin < db.size(); block_begin += kBlock) {
-    const size_t block = std::min(kBlock, db.size() - block_begin);
-    ThreadPool::SharedParallelFor(
-        scans.size(), scans.size(), [&](size_t s, size_t /*worker*/) {
-          std::vector<uint32_t>& counts = dominators[s];
-          counts.resize(block * count);
-          for (size_t i = 0; i < block; ++i) {
-            CountRknnDominators(
-                db, static_cast<ObjectId>(block_begin + i), probes, scans[s],
-                criterion, norm,
-                std::span<uint32_t>(counts).subspan(i * count, count));
+  WithPairTerms(criterion, norm, [&](auto prototype) {
+    // One set of per-probe buffers per scan task, reused for all its
+    // objects.
+    std::vector<DominatorScratch<decltype(prototype)>> scratch(
+        scans.size(), DominatorScratch(prototype, count));
+    for (size_t block_begin = 0; block_begin < db.size();
+         block_begin += kBlock) {
+      const size_t block = std::min(kBlock, db.size() - block_begin);
+      ThreadPool::SharedParallelFor(
+          scans.size(), scans.size(), [&](size_t s, size_t /*worker*/) {
+            std::vector<uint32_t>& counts = dominators[s];
+            counts.resize(block * count);
+            for (size_t i = 0; i < block; ++i) {
+              CountRknnDominatorsWith(
+                  db, static_cast<ObjectId>(block_begin + i), probes,
+                  scans[s], norm,
+                  std::span<uint32_t>(counts).subspan(i * count, count),
+                  scratch[s]);
+            }
+          });
+      for (size_t i = 0; i < block; ++i) {
+        const ObjectId b = static_cast<ObjectId>(block_begin + i);
+        for (size_t r = 0; r < count; ++r) {
+          size_t total = 0;
+          for (const std::vector<uint32_t>& counts : dominators) {
+            total += counts[i * count + r];
           }
-        });
-    for (size_t i = 0; i < block; ++i) {
-      const ObjectId b = static_cast<ObjectId>(block_begin + i);
-      for (size_t r = 0; r < count; ++r) {
-        size_t total = 0;
-        for (const std::vector<uint32_t>& counts : dominators) {
-          total += counts[i * count + r];
+          if (total < probes[r].k) candidates[r].push_back(b);
         }
-        if (total < probes[r].k) candidates[r].push_back(b);
       }
     }
-  }
+  });
   return candidates;
 }
 

@@ -160,7 +160,9 @@ void CountRknnDominators(const UncertainDatabase& db, ObjectId b,
 /// probe and in ascending id order, every object B with fewer than k
 /// certain complete dominators. Objects go in fixed-size blocks, so the
 /// count buffers stay O(scans x probes x block); within a block the scans
-/// count in parallel and their capped counts add up in scan order. A
+/// count in parallel and their capped counts add up in scan order. Each
+/// scan task counts all its objects in one set of per-probe buffers
+/// (reach, bound, kernel terms), allocated once per call. A
 /// probe's candidates do not depend on its batch or on `scans`' split.
 std::vector<std::vector<ObjectId>> RknnCandidates(
     const UncertainDatabase& db, std::span<const DominatorProbe> probes,

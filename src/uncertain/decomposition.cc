@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "common/capacity.h"
+
 namespace updb {
 
 namespace {
@@ -29,39 +31,60 @@ void DecompositionTree::Frontier::Append(std::span<const Interval> box,
   terminal.push_back(is_terminal);
 }
 
-DecompositionTree::DecompositionTree(const Pdf* pdf, SplitPolicy policy)
-    : pdf_(pdf), policy_(policy) {
-  UPDB_CHECK(pdf_ != nullptr);
+void DecompositionTree::Frontier::EqualizeCapacity(Frontier& o) {
+  updb::EqualizeCapacity(boxes, o.boxes);
+  updb::EqualizeCapacity(masses, o.masses);
+  updb::EqualizeCapacity(levels, o.levels);
+  updb::EqualizeCapacity(terminal, o.terminal);
+}
+
+DecompositionTree::DecompositionTree(const Pdf* pdf, SplitPolicy policy) {
+  Reset(pdf, policy);
+}
+
+void DecompositionTree::Reset(const Pdf* pdf, SplitPolicy policy) {
+  UPDB_CHECK(pdf != nullptr);
+  pdf_ = pdf;
+  policy_ = policy;
   dim_ = pdf_->bounds().dim();
+  depth_ = 0;
+  node_count_ = 1;
+  child_offsets_.clear();
+  frontier_.Clear();
+  next_.Clear();
   frontier_.Append(pdf_->bounds().sides(), 1.0, /*level=*/0,
                    /*is_terminal=*/false);
 }
 
-bool DecompositionTree::TrySplitAxis(const Rect& region, int level,
-                                     size_t axis, Frontier& out) const {
-  const Interval& side = region.side(axis);
+bool DecompositionTree::TrySplitAxis(int level, size_t axis) {
+  const Interval& side = node_.side(axis);
   if (side.degenerate()) return false;
 
   // Candidate split coordinates: conditional median first (keeps child
   // masses balanced, the paper's scheme), then the geometric midpoint as a
   // fallback for skewed discrete distributions whose median coincides with
   // a region boundary.
-  const double median = pdf_->ConditionalMedian(region, axis);
+  const double median = pdf_->ConditionalMedian(node_, axis);
   const double mid = side.mid();
   for (double at : {median, mid}) {
     if (at <= side.lo() || at >= side.hi()) continue;
-    auto [lower, upper] = region.Split(axis, at);
-    const double lower_mass = pdf_->Mass(lower);
-    const double upper_mass = pdf_->Mass(upper);
+    // Rect::Split's halves, built in the tree's scratch rects.
+    const auto [lo, hi] = side.SplitAt(at);
+    lower_ = node_;
+    upper_ = node_;
+    lower_.side(axis) = lo;
+    upper_.side(axis) = hi;
+    const double lower_mass = pdf_->Mass(lower_);
+    const double upper_mass = pdf_->Mass(upper_);
     // Both children must carry mass for the split to make progress;
     // otherwise the node would reappear unchanged one level deeper.
     if (lower_mass <= kMassEpsilon || upper_mass <= kMassEpsilon) continue;
     // Shrink to the support: tightens every subsequent domination test and
     // lets discrete objects converge to exact (point) partitions.
-    out.Append(pdf_->SupportMbr(lower).sides(), lower_mass, level + 1,
-               /*is_terminal=*/false);
-    out.Append(pdf_->SupportMbr(upper).sides(), upper_mass, level + 1,
-               /*is_terminal=*/false);
+    pdf_->ShrinkToSupport(lower_);
+    pdf_->ShrinkToSupport(upper_);
+    next_.Append(lower_.sides(), lower_mass, level + 1, /*is_terminal=*/false);
+    next_.Append(upper_.sides(), upper_mass, level + 1, /*is_terminal=*/false);
     return true;
   }
   return false;
@@ -78,12 +101,12 @@ size_t DecompositionTree::Deepen() {
     const int level = frontier_.levels[n];
     bool split_done = false;
     if (!frontier_.terminal[n]) {
-      const Rect node = region(n);
+      node_.Assign(box(n));
       const size_t first_axis = policy_ == SplitPolicy::kRoundRobin
                                     ? static_cast<size_t>(level) % dim_
-                                    : node.LongestSide();
+                                    : node_.LongestSide();
       for (size_t k = 0; k < dim_ && !split_done; ++k) {
-        split_done = TrySplitAxis(node, level, (first_axis + k) % dim_, next_);
+        split_done = TrySplitAxis(level, (first_axis + k) % dim_);
       }
     }
     if (split_done) {
@@ -95,6 +118,10 @@ size_t DecompositionTree::Deepen() {
     child_offsets_.push_back(static_cast<uint32_t>(next_.masses.size()));
   }
   std::swap(frontier_, next_);
+  // The two frontiers alternate roles, so which one a later level lands in
+  // depends on the depth's parity; equal capacities make a replay to any
+  // depth reached before allocation-free after a Reset().
+  frontier_.EqualizeCapacity(next_);
   if (splits > 0) ++depth_;
   return splits;
 }

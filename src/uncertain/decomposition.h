@@ -46,11 +46,25 @@ struct Partition {
 /// [i * d, (i + 1) * d), plus one mass per node. The domination kernel
 /// (domination/kernel.h) reads boxes straight out of it, and the children
 /// of one pre-Deepen node are adjacent.
+///
+/// A tree is reusable: Reset() starts it over on another object and keeps
+/// every buffer's capacity, and Deepen() splits nodes in scratch regions
+/// the tree owns. So a tree that has once reached a frontier size deepens
+/// to that size again without touching the heap — IDCA keeps its trees in
+/// a per-thread workspace across runs (core/idca.cc).
 class DecompositionTree {
  public:
-  /// `pdf` must outlive the tree.
+  /// An empty tree; Reset() gives it an object.
+  DecompositionTree() = default;
+
+  /// `pdf` must outlive the tree (or its next Reset()).
   explicit DecompositionTree(const Pdf* pdf,
                              SplitPolicy policy = SplitPolicy::kRoundRobin);
+
+  /// Starts over on `pdf`: level 0 again, one root node of mass 1. Keeps
+  /// the capacity of every buffer. `pdf` must outlive the tree (or its
+  /// next Reset()).
+  void Reset(const Pdf* pdf, SplitPolicy policy = SplitPolicy::kRoundRobin);
 
   /// Splits the current frontier one level deeper. Returns the number of
   /// nodes that were actually split (0 means the decomposition is
@@ -110,22 +124,27 @@ class DecompositionTree {
     void Clear();
     void Append(std::span<const Interval> box, double mass, int level,
                 bool is_terminal);
+    /// Grows both frontiers' buffers to the larger capacity of the two.
+    void EqualizeCapacity(Frontier& o);
   };
 
-  /// Attempts to split `region` (a level-`level` node) along `axis` at the
+  /// Attempts to split node_ (a level-`level` node) along `axis` at the
   /// conditional median or, failing that, the midpoint. Returns true and
-  /// appends the children to `out` on success.
-  bool TrySplitAxis(const Rect& region, int level, size_t axis,
-                    Frontier& out) const;
+  /// appends the children to next_ on success.
+  bool TrySplitAxis(int level, size_t axis);
 
-  const Pdf* pdf_;
-  SplitPolicy policy_;
+  const Pdf* pdf_ = nullptr;
+  SplitPolicy policy_ = SplitPolicy::kRoundRobin;
   size_t dim_ = 0;
   int depth_ = 0;
   size_t node_count_ = 1;
   Frontier frontier_;
   Frontier next_;  // Deepen()'s build target, swapped in (keeps capacity)
   std::vector<uint32_t> child_offsets_;
+  // Deepen()'s split scratch: the node being split and its two halves.
+  Rect node_;
+  Rect lower_;
+  Rect upper_;
 };
 
 }  // namespace updb

@@ -14,8 +14,11 @@ double Pdf::ConditionalMedian(const Rect& region, size_t axis) const {
   double lo = region.side(axis).lo();
   double hi = region.side(axis).hi();
   // Bisect the split coordinate until the lower half carries half the mass
-  // (or the interval is numerically exhausted).
-  Rect lower = region;
+  // (or the interval is numerically exhausted). The lower half is a
+  // per-thread scratch rect: a fresh copy per call would allocate once per
+  // decomposition split.
+  thread_local Rect lower;
+  lower = region;
   for (int iter = 0; iter < 64 && hi - lo > 0.0; ++iter) {
     const double mid = 0.5 * (lo + hi);
     if (mid <= lo || mid >= hi) break;  // numeric fixpoint
@@ -313,8 +316,10 @@ double DiscreteSamplePdf::ConditionalMedian(const Rect& region,
                                             size_t axis) const {
   // Weighted median coordinate of the samples inside the region, then
   // moved to the midpoint toward the adjacent distinct coordinate so the
-  // split plane never carries a sample.
-  std::vector<std::pair<double, double>> coord_weight;
+  // split plane never carries a sample. The (coordinate, weight) list is a
+  // per-thread scratch that keeps its capacity across calls.
+  thread_local std::vector<std::pair<double, double>> coord_weight;
+  coord_weight.clear();
   for (size_t i = 0; i < samples_.size(); ++i) {
     if (InRegion(samples_[i], region)) {
       coord_weight.emplace_back(samples_[i][axis], weights_[i]);
@@ -344,19 +349,24 @@ double DiscreteSamplePdf::ConditionalMedian(const Rect& region,
   return median;  // single distinct coordinate: caller's split will fail
 }
 
-Rect DiscreteSamplePdf::SupportMbr(const Rect& region) const {
-  Rect mbr;
-  bool first = true;
+void DiscreteSamplePdf::ShrinkToSupport(Rect& region) const {
+  // Every sample is tested against the region as given, so the hull grows
+  // in a per-thread scratch box and replaces the sides at the end.
+  thread_local std::vector<Interval> hull;
+  hull.clear();
   for (const Point& p : samples_) {
     if (!InRegion(p, region)) continue;
-    if (first) {
-      mbr = Rect::FromPoint(p);
-      first = false;
-    } else {
-      mbr = Rect::Hull(mbr, Rect::FromPoint(p));
+    if (hull.empty()) {
+      for (size_t i = 0; i < p.dim(); ++i) {
+        hull.push_back(Interval::FromPoint(p[i]));
+      }
+      continue;
+    }
+    for (size_t i = 0; i < p.dim(); ++i) {
+      hull[i] = Interval::Hull(hull[i], Interval::FromPoint(p[i]));
     }
   }
-  return first ? region : mbr;
+  if (!hull.empty()) region.Assign(hull);
 }
 
 std::unique_ptr<Pdf> DiscreteSamplePdf::Clone() const {

@@ -26,8 +26,12 @@ namespace updb {
 /// counted by both; the decomposition machinery avoids this by always
 /// splitting strictly between distinct sample coordinates (see
 /// DiscreteSamplePdf::ConditionalMedian) and by shrinking subregions to
-/// their support (SupportMbr). Continuous models are indifferent
+/// their support (ShrinkToSupport). Continuous models are indifferent
 /// (boundaries carry zero mass).
+///
+/// ConditionalMedian and ShrinkToSupport run once per decomposition split
+/// and allocate nothing once their per-thread scratch has grown, so IDCA's
+/// refinement loop stays off the heap.
 class Pdf {
  public:
   virtual ~Pdf() = default;
@@ -48,15 +52,17 @@ class Pdf {
 
   /// Coordinate m on `axis` such that the mass of `region` restricted to
   /// {x : x_axis <= m} is (approximately) half of Mass(region). Requires
-  /// Mass(region) > 0. The default implementation bisects on Mass().
+  /// Mass(region) > 0. The default implementation bisects on Mass() over
+  /// a per-thread scratch copy of `region`.
   virtual double ConditionalMedian(const Rect& region, size_t axis) const;
 
-  /// Minimal bounding rectangle of the support within `region` — the
-  /// tightest region that still carries Mass(region). The decomposition
-  /// shrinks every partition to this rect, which is what lets bounds on
-  /// discrete objects converge to the exact result. Default: `region`
-  /// itself (correct for continuous models with full support).
-  virtual Rect SupportMbr(const Rect& region) const { return region; }
+  /// Shrinks `region` in place to the minimal bounding rectangle of the
+  /// support inside it — the tightest region that still carries
+  /// Mass(region). The decomposition shrinks every partition this way,
+  /// which is what lets bounds on discrete objects converge to the exact
+  /// result. Default: leaves `region` as it is (correct for continuous
+  /// models with full support).
+  virtual void ShrinkToSupport(Rect& /*region*/) const {}
 
   /// Deep copy.
   virtual std::unique_ptr<Pdf> Clone() const = 0;
@@ -170,8 +176,9 @@ class DiscreteSamplePdf final : public Pdf {
   /// itself when the region holds a single distinct coordinate.
   double ConditionalMedian(const Rect& region, size_t axis) const override;
 
-  /// MBR of the samples inside `region`.
-  Rect SupportMbr(const Rect& region) const override;
+  /// Shrinks `region` to the MBR of the samples inside it; a region
+  /// holding no sample stays as it is.
+  void ShrinkToSupport(Rect& region) const override;
 
   std::unique_ptr<Pdf> Clone() const override;
 

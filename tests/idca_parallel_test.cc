@@ -9,11 +9,20 @@
 //    cached verdict can only replace a re-test that would have decided the
 //    same way; the aggregated sums group the identical masses differently,
 //    which admits floating-point noise — hence a tiny tolerance here.
+//  * A thread's reused engine workspace carries nothing from one run into
+//    the next: a sequence of runs of changing shape on one thread matches,
+//    bit for bit, the same runs each made on a fresh thread.
 
 #include "core/idca.h"
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <optional>
+#include <thread>
+#include <vector>
+
+#include "cache/verdict_memo.h"
 #include "queries/queries.h"
 #include "workload/generators.h"
 
@@ -155,6 +164,95 @@ TEST(IdcaParallelTest, CountersArePopulatedAndConsistent) {
   EXPECT_GT(with.counters.verdict_cache_hits, 0u);
   EXPECT_LT(with.counters.domination_tests,
             without.counters.domination_tests);
+}
+
+/// One engine call of the stale-workspace sequence below.
+struct SequenceRun {
+  const UncertainDatabase* db = nullptr;
+  const Pdf* query = nullptr;
+  ObjectId object = 0;
+  bool of_query = false;  // ComputeDomCountOfQuery instead of ComputeDomCount
+  std::optional<IdcaPredicate> predicate;
+  IdcaConfig config;
+};
+
+IdcaResult Execute(const SequenceRun& run) {
+  const IdcaEngine engine(*run.db, run.config);
+  return run.of_query
+             ? engine.ComputeDomCountOfQuery(*run.query, run.object,
+                                             run.predicate)
+             : engine.ComputeDomCount(run.object, *run.query, run.predicate);
+}
+
+TEST(IdcaParallelTest, ReusedWorkspaceMatchesFreshThreadRuns) {
+  // Large C -> small C -> large C on one thread, mixing predicate and
+  // full-distribution runs, both criteria, and the cross-request verdict
+  // memo attached and detached. Every run must match the same run made on
+  // a thread whose workspace has never been used.
+  const UncertainDatabase large_db = TestDatabase(60, 0.08, 77);
+  const UncertainDatabase small_db = TestDatabase(40, 0.03, 101);
+  Rng rng(21);
+  const auto large_q =
+      MakeQueryObject(Point{0.5, 0.5}, 0.08, ObjectModel::kUniform, 0, rng);
+  const auto small_q =
+      MakeQueryObject(Point{0.4, 0.6}, 0.03, ObjectModel::kUniform, 0, rng);
+  cache::VerdictMemo memo(1 << 14);
+
+  for (int threads : {1, 4}) {
+    std::vector<SequenceRun> runs;
+    // `with_predicate` puts k inside the run's candidate rank window, so
+    // the predicate run refines instead of being settled by the filter.
+    const auto add = [&](const UncertainDatabase& db, const Pdf& q,
+                         ObjectId object, bool of_query, bool with_predicate,
+                         DominationCriterion criterion, bool with_memo) {
+      SequenceRun run;
+      run.db = &db;
+      run.query = &q;
+      run.object = object;
+      run.of_query = of_query;
+      run.config.criterion = criterion;
+      run.config.max_iterations = 6;
+      run.config.num_threads = threads;
+      if (with_predicate) {
+        const IdcaResult window = Execute(run);
+        run.predicate = IdcaPredicate{
+            window.complete_domination_count + window.influence_count / 3 + 1,
+            0.5};
+      }
+      if (with_memo) {
+        run.config.verdict_memo = &memo;
+        run.config.memo_context = cache::VerdictMemo::MixContext(
+            static_cast<uint64_t>(db.size()), 7);
+      }
+      runs.push_back(run);
+    };
+    constexpr auto kOptimal = DominationCriterion::kOptimal;
+    constexpr auto kMinMax = DominationCriterion::kMinMax;
+    add(large_db, *large_q, 13, false, false, kMinMax, true);
+    add(large_db, *large_q, 13, true, true, kMinMax, true);
+    add(small_db, *small_q, 5, false, true, kOptimal, true);
+    add(small_db, *small_q, 6, true, false, kMinMax, false);
+    add(large_db, *large_q, 7, false, false, kOptimal, false);
+    add(large_db, *large_q, 11, false, true, kOptimal, true);
+    add(small_db, *small_q, 5, false, false, kMinMax, true);
+    add(large_db, *large_q, 29, true, false, kOptimal, false);
+
+    std::vector<IdcaResult> reused;
+    std::thread([&] {
+      for (const SequenceRun& run : runs) reused.push_back(Execute(run));
+    }).join();
+    uint64_t frozen = 0;
+    for (size_t i = 0; i < runs.size(); ++i) {
+      IdcaResult fresh;
+      std::thread([&] { fresh = Execute(runs[i]); }).join();
+      SCOPED_TRACE(testing::Message() << "threads=" << threads << " run=" << i);
+      EXPECT_GT(fresh.iterations_run(), 0u);
+      ExpectIdenticalResults(fresh, reused[i]);
+      frozen += fresh.counters.pairs_frozen;
+    }
+    // Frozen-pair accumulators are part of what must not go stale.
+    EXPECT_GT(frozen, 0u);
+  }
 }
 
 TEST(IdcaParallelTest, QueriesAreThreadCountInvariant) {

@@ -272,14 +272,28 @@ TEST(DiscreteSamplePdfTest, ConditionalMedianAvoidsSampleCoordinates) {
   EXPECT_NEAR(pdf.Mass(hi), 1.0 / 3.0, 1e-12);
 }
 
-TEST(DiscreteSamplePdfTest, SupportMbrShrinksToSamples) {
+TEST(DiscreteSamplePdfTest, ShrinkToSupportClipsToSamples) {
   DiscreteSamplePdf pdf({Point{0.2, 0.3}, Point{0.4, 0.8}, Point{0.9, 0.5}});
-  const Rect left(Point{0.0, 0.0}, Point{0.5, 1.0});
-  const Rect support = pdf.SupportMbr(left);
-  EXPECT_EQ(support, Rect(Point{0.2, 0.3}, Point{0.4, 0.8}));
-  // Empty region: falls back to the region itself.
+  Rect left(Point{0.0, 0.0}, Point{0.5, 1.0});
+  pdf.ShrinkToSupport(left);
+  EXPECT_EQ(left, Rect(Point{0.2, 0.3}, Point{0.4, 0.8}));
+  // Empty region: stays as it is.
   const Rect empty(Point{0.6, 0.0}, Point{0.7, 0.1});
-  EXPECT_EQ(pdf.SupportMbr(empty), empty);
+  Rect shrunk = empty;
+  pdf.ShrinkToSupport(shrunk);
+  EXPECT_EQ(shrunk, empty);
+  // A single sample inside shrinks to its point.
+  Rect right(Point{0.5, 0.0}, Point{1.0, 1.0});
+  pdf.ShrinkToSupport(right);
+  EXPECT_EQ(right, Rect::FromPoint(Point{0.9, 0.5}));
+}
+
+TEST(UniformPdfTest, ShrinkToSupportKeepsRegion) {
+  UniformPdf pdf(Rect(Point{0.0, 0.0}, Point{1.0, 1.0}));
+  const Rect part(Point{0.25, 0.0}, Point{2.0, 0.5});
+  Rect shrunk = part;
+  pdf.ShrinkToSupport(shrunk);
+  EXPECT_EQ(shrunk, part);
 }
 
 TEST(DiscreteSamplePdfTest, SampleDrawsFromTheCloud) {

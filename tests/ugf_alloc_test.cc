@@ -6,60 +6,20 @@
 // without touching the heap. Also verifies the 32-byte alignment the
 // AVX2 kernels rely on for their aligned accumulator spills.
 //
-// The global operator new/delete overrides below count every allocation in
-// the process — including the aligned overloads gf::AlignedVec uses —
-// which is why this test lives in its own binary.
+// counting_allocator.h replaces the global operator new/delete to count
+// every allocation in the process — including the aligned overloads
+// gf::AlignedVec uses — which is why this test lives in its own binary.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
 #include <cstdint>
-#include <cstdlib>
-#include <new>
+#include <vector>
 
 #include "common/random.h"
+#include "counting_allocator.h"
 #include "gf/aligned_vec.h"
 #include "gf/ugf_batch.h"
-
-namespace {
-
-std::atomic<size_t> g_allocations{0};
-
-}  // namespace
-
-void* operator new(size_t size) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
-}
-
-void* operator new(size_t size, std::align_val_t align) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  const size_t a = static_cast<size_t>(align);
-  const size_t rounded = (size + a - 1) & ~(a - 1);  // aligned_alloc demands
-  if (void* p = std::aligned_alloc(a, rounded)) return p;
-  throw std::bad_alloc();
-}
-
-void* operator new[](size_t size) { return ::operator new(size); }
-
-void* operator new[](size_t size, std::align_val_t align) {
-  return ::operator new(size, align);
-}
-
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete[](void* p, size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
 
 namespace updb {
 namespace {
@@ -68,9 +28,9 @@ namespace {
 /// allocations the replay performed.
 size_t AllocationsDuringReplay(UgfBatch& ugf,
                                const std::vector<ProbabilityBounds>& factors) {
-  const size_t before = g_allocations.load(std::memory_order_relaxed);
+  const size_t before = test::AllocationCount();
   for (const ProbabilityBounds& f : factors) ugf.MultiplyFactors(&f.lb, &f.ub);
-  return g_allocations.load(std::memory_order_relaxed) - before;
+  return test::AllocationCount() - before;
 }
 
 std::vector<ProbabilityBounds> RandomFactors(size_t n, uint64_t seed) {
@@ -158,10 +118,46 @@ TEST(UgfAllocTest, BatchReplayIsAllocationFreeOnReuse) {
     // (the trailing swap leaves the scratch buffer one growth step behind).
     replay();
     replay();
-    const size_t before = g_allocations.load(std::memory_order_relaxed);
+    const size_t before = test::AllocationCount();
     replay();
-    EXPECT_EQ(g_allocations.load(std::memory_order_relaxed) - before, 0u)
+    EXPECT_EQ(test::AllocationCount() - before, 0u)
         << "k=" << k;
+  }
+}
+
+TEST(UgfAllocTest, ReserveCoversEverySequenceOfItsLength) {
+  // Reserve(n, k) sizes for the worst case of n factors under truncation
+  // k — no degenerate factor, so nothing takes a symbolic fast path — and
+  // a fresh workspace then replays such a sequence, bounds included,
+  // without one allocation, even the first time.
+  constexpr size_t kFactors = 70;
+  Rng rng(239);
+  std::vector<double> lb4(kFactors * UgfBatch::kLanes);
+  std::vector<double> ub4(kFactors * UgfBatch::kLanes);
+  for (size_t i = 0; i < lb4.size(); ++i) {
+    lb4[i] = 0.05 + 0.4 * rng.NextDouble();
+    ub4[i] = lb4[i] + 0.5 * rng.NextDouble();
+  }
+  for (size_t k : {UgfBatch::kNoTruncation, size_t{1}, size_t{3}, size_t{9},
+                   size_t{kFactors}, size_t{500}}) {
+    for (size_t lanes : {size_t{1}, UgfBatch::kLanes}) {
+      UgfBatch batch;
+      batch.Reserve(kFactors, k);
+      const size_t nr = std::min(k, kFactors + 1);
+      CountDistributionBounds out = CountDistributionBounds::Zero(nr);
+      const size_t before = test::AllocationCount();
+      batch.Begin(k, lanes);
+      for (size_t i = 0; i < kFactors; ++i) {
+        batch.MultiplyFactors(lb4.data() + i * UgfBatch::kLanes,
+                              ub4.data() + i * UgfBatch::kLanes);
+      }
+      batch.FinishBounds();
+      for (size_t l = 0; l < lanes; ++l) batch.EmitBounds(l, &out);
+      ProbabilityBounds lt[UgfBatch::kLanes];
+      batch.ProbLessThanAll(std::min(k, size_t{2}), lt);
+      EXPECT_EQ(test::AllocationCount() - before, 0u)
+          << "k=" << k << " lanes=" << lanes;
+    }
   }
 }
 
