@@ -33,14 +33,19 @@
 //                     full-distribution run, each repeated on one thread so
 //                     every run after the first reuses the thread's engine
 //                     workspace. Median/min/max over repeats.
+//   rknn_filter       milliseconds per RknnCandidates batch (the threshold
+//                     RkNN candidate filter, one scan over an R-tree) at
+//                     1, 2 and 8 probes on a 1,000-object database of
+//                     extent 0.01. Median/min/max over repeats.
 //
-// Four oracles gate the exit status: the seed-style and engine bounds
+// Five oracles gate the exit status: the seed-style and engine bounds
 // must agree within 1e-9 (different accumulation orders), the scalar- and
 // vector-dispatch engine bounds must be IDENTICAL BITS (same blocked
 // accumulation order, gf/kernels.h), the kernel's domination verdicts
-// must equal the Rect loop's on every test, and every engine_run result
+// must equal the Rect loop's on every test, every engine_run result
 // must equal bit for bit the same run made on a fresh thread (whose
-// workspace is new) — any deviation exits 2.
+// workspace is new), and every rknn_filter candidate list must equal an
+// in-bench unindexed dominator count — any deviation exits 2.
 //
 // UPDB_BENCH_SCALE scales the database size.
 
@@ -50,6 +55,7 @@
 #include <cstring>
 #include <functional>
 #include <limits>
+#include <memory>
 #include <span>
 #include <string>
 #include <thread>
@@ -456,6 +462,97 @@ EngineRunSeries BenchEngineRun(const char* kind,
   return out;
 }
 
+// --------------------------------------------------------- RkNN filter
+
+/// The RkNN filter without index or groups: per object B and probe, count
+/// the certain A != B inside B's MBR expanded by MaxDist(Q, B) that
+/// completely dominate Q w.r.t. B, over all objects in id order, capped at
+/// k. Returns the objects below k per probe, in ascending id order.
+std::vector<std::vector<ObjectId>> UnindexedRknnCandidates(
+    const UncertainDatabase& db, std::span<const DominatorProbe> probes,
+    const LpNorm& norm) {
+  std::vector<std::vector<ObjectId>> out(probes.size());
+  for (size_t r = 0; r < probes.size(); ++r) {
+    const Rect& q = *probes[r].query;
+    for (ObjectId b = 0; b < db.size(); ++b) {
+      const Rect& b_mbr = db.object(b).mbr();
+      const double reach = norm.MaxDist(q, b_mbr);
+      std::vector<Interval> sides;
+      for (const Interval& side : b_mbr.sides()) {
+        sides.emplace_back(side.lo() - reach, side.hi() + reach);
+      }
+      const Rect box(std::move(sides));
+      size_t dominators = 0;
+      for (ObjectId a = 0; a < db.size() && dominators < probes[r].k; ++a) {
+        const UncertainObject& o = db.object(a);
+        if (a != b && o.existentially_certain() && o.mbr().Intersects(box) &&
+            Dominates(o.mbr(), q, b_mbr, DominationCriterion::kOptimal, norm)) {
+          ++dominators;
+        }
+      }
+      if (dominators < probes[r].k) out[r].push_back(b);
+    }
+  }
+  return out;
+}
+
+struct RknnFilterSeries {
+  size_t probes = 0;
+  size_t batches = 0;     // batches per repeat
+  double candidates = 0;  // mean per probe
+  Spread ms;              // per batch
+  bool agree = true;
+};
+
+/// Times RknnCandidates on `batches` batches of `probes` uniform query
+/// boxes of extent 0.01 and k in 1..10, the shape of the repo
+/// benchmark's RkNN requests.
+RknnFilterSeries BenchRknnFilter(const UncertainDatabase& db,
+                                 const RTree& index, size_t probes,
+                                 size_t batches, int repeats) {
+  const LpNorm norm = LpNorm::Euclidean();
+  Rng rng(4200 + probes);
+  std::vector<std::shared_ptr<const Pdf>> queries;
+  std::vector<std::vector<DominatorProbe>> batch_probes(batches);
+  for (std::vector<DominatorProbe>& batch : batch_probes) {
+    for (size_t r = 0; r < probes; ++r) {
+      const Point center{rng.NextDouble(), rng.NextDouble()};
+      queries.push_back(
+          MakeQueryObject(center, 0.01, ObjectModel::kUniform, 0, rng));
+      batch.push_back(DominatorProbe{&queries.back()->bounds(),
+                                     1 + rng.NextBounded(10)});
+    }
+  }
+  const MinDistScan scan = [&index, &norm](const Rect& from,
+                                           const MinDistEmit& emit) {
+    index.ScanByMinDist(from, emit, norm);
+  };
+  RknnFilterSeries out;
+  out.probes = probes;
+  out.batches = batches;
+  std::vector<std::vector<std::vector<ObjectId>>> lists(batches);
+  std::vector<double> ms;
+  Stopwatch timer;
+  for (int rep = 0; rep < repeats; ++rep) {
+    timer.Reset();
+    for (size_t b = 0; b < batches; ++b) {
+      lists[b] = RknnCandidates(db, batch_probes[b], {&scan, 1},
+                                DominationCriterion::kOptimal, norm);
+    }
+    ms.push_back(timer.ElapsedSeconds() * 1e3 / static_cast<double>(batches));
+  }
+  size_t total = 0;
+  for (size_t b = 0; b < batches; ++b) {
+    out.agree = out.agree &&
+                lists[b] == UnindexedRknnCandidates(db, batch_probes[b], norm);
+    for (const std::vector<ObjectId>& ids : lists[b]) total += ids.size();
+  }
+  out.candidates =
+      static_cast<double>(total) / static_cast<double>(batches * probes);
+  out.ms = SpreadOf(ms);
+  return out;
+}
+
 }  // namespace
 }  // namespace updb
 
@@ -619,8 +716,30 @@ int main(int argc, char** argv) {
                 s.influence, s.iterations, s.runs_per_repeat, s.ns.median,
                 s.ns.min, s.ns.max, s.agree ? "yes" : "NO");
   }
-  const bool all_agree =
-      checksum_ok && simd_exact && domination_agree && engine_runs_agree;
+
+  // ---- The threshold-RkNN candidate filter over one R-tree.
+  SyntheticConfig rknn_cfg;
+  rknn_cfg.num_objects = bench::Scaled(1000);
+  rknn_cfg.max_extent = 0.01;
+  rknn_cfg.seed = 42;
+  const UncertainDatabase rknn_db = MakeSyntheticDatabase(rknn_cfg);
+  const RTree rknn_index = BuildRTree(rknn_db.objects());
+  std::printf(
+      "series,objects,probes,batches,candidates_per_probe,ms_median,ms_min,"
+      "ms_max,agree\n");
+  std::vector<RknnFilterSeries> rknn_filter;
+  bool rknn_filter_agree = true;
+  for (size_t probes : {size_t{1}, size_t{2}, size_t{8}}) {
+    rknn_filter.push_back(BenchRknnFilter(rknn_db, rknn_index, probes,
+                                          /*batches=*/16, /*repeats=*/7));
+    const RknnFilterSeries& s = rknn_filter.back();
+    rknn_filter_agree = rknn_filter_agree && s.agree;
+    std::printf("rknn_filter,%zu,%zu,%zu,%.1f,%.3f,%.3f,%.3f,%s\n",
+                rknn_db.size(), s.probes, s.batches, s.candidates, s.ms.median,
+                s.ms.min, s.ms.max, s.agree ? "yes" : "NO");
+  }
+  const bool all_agree = checksum_ok && simd_exact && domination_agree &&
+                         engine_runs_agree && rknn_filter_agree;
 
   if (argc > 1) {
     std::FILE* f = std::fopen(argv[1], "w");
@@ -704,6 +823,21 @@ int main(int argc, char** argv) {
           s.kind, short_run.max_iterations, s.influence, s.iterations,
           s.runs_per_repeat, s.ns.median, s.ns.min, s.ns.max,
           s.agree ? "true" : "false", i + 1 < engine_runs.size() ? "," : "");
+    }
+    std::fprintf(f, "  ],\n");
+    std::fprintf(f, "  \"rknn_filter\": [\n");
+    for (size_t i = 0; i < rknn_filter.size(); ++i) {
+      const RknnFilterSeries& s = rknn_filter[i];
+      std::fprintf(
+          f,
+          "    {\"objects\": %zu, \"max_extent\": 0.01, \"probes\": %zu, "
+          "\"k\": \"1..10\", \"batches_per_repeat\": %zu, "
+          "\"repeats\": 7, \"candidates_per_probe\": %.1f, "
+          "\"ms_per_batch\": {\"median\": %.3f, \"min\": %.3f, "
+          "\"max\": %.3f}, \"agree\": %s}%s\n",
+          rknn_db.size(), s.probes, s.batches, s.candidates, s.ms.median,
+          s.ms.min, s.ms.max, s.agree ? "true" : "false",
+          i + 1 < rknn_filter.size() ? "," : "");
     }
     std::fprintf(f, "  ]\n}\n");
     std::fclose(f);

@@ -221,6 +221,7 @@ IdcaEngine::IdcaEngine(const UncertainDatabase& db, const RTree* index,
 IdcaResult IdcaEngine::ComputeDomCount(
     ObjectId b, const Pdf& r, std::optional<IdcaPredicate> predicate) const {
   UPDB_CHECK(b < db_.size());
+  UPDB_CHECK(r.bounds().dim() == db_.dim());
   return Run(db_.object(b).pdf(), r, b, /*target_is_database_object=*/true,
              predicate);
 }
@@ -229,6 +230,7 @@ IdcaResult IdcaEngine::ComputeDomCountOfQuery(
     const Pdf& q, ObjectId b_ref,
     std::optional<IdcaPredicate> predicate) const {
   UPDB_CHECK(b_ref < db_.size());
+  UPDB_CHECK(q.bounds().dim() == db_.dim());
   return Run(q, db_.object(b_ref).pdf(), b_ref,
              /*target_is_database_object=*/false, predicate);
 }

@@ -226,7 +226,8 @@ class IdcaEngine {
 
   /// Bounds for DomCount(B, R): how many database objects are closer to R
   /// than B is. `b` indexes a database object; `r` is an arbitrary
-  /// reference PDF (an uncertain query object, or another object's PDF).
+  /// reference PDF (an uncertain query object, or another object's PDF)
+  /// of the database's dimension (UPDB_CHECK).
   IdcaResult ComputeDomCount(ObjectId b, const Pdf& r,
                              std::optional<IdcaPredicate> predicate =
                                  std::nullopt) const;
@@ -234,7 +235,8 @@ class IdcaEngine {
   /// Bounds for DomCount(Q, B): how many database objects are closer to
   /// the *database object* `b_ref` than the external object Q is. This is
   /// the quantity RkNN queries need (Corollary 5: B is an RkNN of Q iff
-  /// DomCount(Q, B) < k).
+  /// DomCount(Q, B) < k). Q must have the database's dimension
+  /// (UPDB_CHECK).
   IdcaResult ComputeDomCountOfQuery(const Pdf& q, ObjectId b_ref,
                                     std::optional<IdcaPredicate> predicate =
                                         std::nullopt) const;

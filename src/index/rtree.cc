@@ -1,36 +1,13 @@
 #include "index/rtree.h"
 
 #include <algorithm>
-#include <cmath>
 #include <queue>
+
+#include "index/str_tiling.h"
 
 namespace updb {
 
 namespace {
-
-/// Recursive Sort-Tile-Recursive ordering: arranges entries so that
-/// consecutive chunks of `leaf_capacity` are spatially coherent.
-void TileSort(std::vector<RTreeEntry>& entries, size_t begin, size_t end,
-              size_t axis, size_t dim, size_t leaf_capacity) {
-  const size_t n = end - begin;
-  if (n <= leaf_capacity) return;
-  auto by_center = [axis](const RTreeEntry& a, const RTreeEntry& b) {
-    return a.mbr.side(axis).mid() < b.mbr.side(axis).mid();
-  };
-  std::sort(entries.begin() + begin, entries.begin() + end, by_center);
-  if (axis + 1 == dim) return;
-
-  const double leaves =
-      std::ceil(static_cast<double>(n) / static_cast<double>(leaf_capacity));
-  const double dims_left = static_cast<double>(dim - axis);
-  const size_t slabs = std::max<size_t>(
-      1, static_cast<size_t>(std::ceil(std::pow(leaves, 1.0 / dims_left))));
-  const size_t slab_size = (n + slabs - 1) / slabs;
-  for (size_t s = begin; s < end; s += slab_size) {
-    TileSort(entries, s, std::min(s + slab_size, end), axis + 1, dim,
-             leaf_capacity);
-  }
-}
 
 Rect HullOfEntries(const std::vector<RTreeEntry>& entries, size_t begin,
                    size_t end) {
@@ -50,7 +27,10 @@ RTree::RTree(std::vector<RTreeEntry> entries, size_t leaf_capacity)
   if (entries_.empty()) return;
 
   const size_t dim = entries_[0].mbr.dim();
-  TileSort(entries_, 0, entries_.size(), 0, dim, leaf_capacity_);
+  StrTileSort(entries_.begin(), entries_.end(), 0, dim, leaf_capacity_,
+              [](const RTreeEntry& e, size_t axis) {
+                return e.mbr.side(axis).mid();
+              });
 
   // Pack leaves over consecutive chunks.
   std::vector<uint32_t> level;

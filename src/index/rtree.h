@@ -89,10 +89,6 @@ class RTree {
     uint32_t end = 0;
   };
 
-  /// Recursively tiles `items` (a slice of entries_) into up to `fanout`
-  /// groups along dimension `axis`, packing leaves bottom-up.
-  uint32_t Build(size_t begin, size_t end, size_t level);
-
   std::vector<RTreeEntry> entries_;
   std::vector<Node> nodes_;
   uint32_t root_ = 0;

@@ -1,12 +1,15 @@
 #include "queries/queries.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <functional>
 #include <limits>
+#include <numeric>
 
 #include "common/stopwatch.h"
 #include "common/thread_pool.h"
 #include "domination/kernel.h"
+#include "index/str_tiling.h"
 
 namespace updb {
 
@@ -63,11 +66,10 @@ std::vector<ThresholdQueryResult> ThresholdQuery(
 /// True iff the box `a` intersects `b` expanded by `reach` in every
 /// dimension — the box [b.lo - reach, b.hi + reach] per side, tested
 /// without building it.
-bool IntersectsExpanded(std::span<const Interval> a, const Rect& b,
-                        double reach) {
-  for (size_t i = 0; i < b.dim(); ++i) {
-    const Interval& side = b.side(i);
-    if (!(side.lo() - reach <= a[i].hi() && a[i].lo() <= side.hi() + reach)) {
+bool IntersectsExpanded(std::span<const Interval> a,
+                        std::span<const Interval> b, double reach) {
+  for (size_t i = 0; i < b.size(); ++i) {
+    if (!(b[i].lo() - reach <= a[i].hi() && a[i].lo() <= b[i].hi() + reach)) {
       return false;
     }
   }
@@ -93,82 +95,141 @@ double ExpandedReachBound(const Rect& b, double reach, const LpNorm& norm) {
   return norm.Root(sum) * (1.0 + 0x1p-30);
 }
 
-/// CountRknnDominators' per-probe buffers, sized once and reused for
-/// every object a scan task counts.
+/// Objects per spatial group of the RkNN filter: one dominator scan
+/// serves every member of a group.
+constexpr size_t kGroup = 16;
+/// Groups per block of RknnCandidates (1,024 objects), which bounds its
+/// count buffers.
+constexpr size_t kBlockGroups = 64;
+
+/// The database's ids in STR order of their MBR centres; consecutive runs
+/// of kGroup ids are the RkNN filter's groups.
+std::vector<ObjectId> StrOrder(const UncertainDatabase& db) {
+  std::vector<ObjectId> order(db.size());
+  std::iota(order.begin(), order.end(), ObjectId{0});
+  if (!db.empty()) {
+    StrTileSort(order.begin(), order.end(), 0, db.dim(), kGroup,
+                [&db](ObjectId id, size_t axis) {
+                  return db.mbr_box(id)[axis].mid();
+                });
+  }
+  return order;
+}
+
+/// One scan task's buffers for counting the dominators of a group,
+/// indexed by pair = r * kGroup + i for probe r and member i. Sized once
+/// per RknnCandidates call and reused for every group the task counts.
 template <class Terms>
-struct DominatorScratch {
-  DominatorScratch(const Terms& prototype, size_t probes)
-      : reach(probes), bound(probes), terms(probes, prototype) {}
+struct GroupScratch {
+  GroupScratch(const Terms& prototype, size_t probes)
+      : reach(kGroup * probes),
+        bound(kGroup * probes),
+        terms(kGroup * probes, prototype) {
+    open.reserve(kGroup * probes);
+  }
 
   std::vector<double> reach;
   std::vector<double> bound;
-  /// terms[r] is the (Q_r, B) half of every "A dominates Q_r w.r.t. B"
-  /// test, recomputed per object for each probe that can count.
+  /// terms[pair] is the (Q_r, member) half of every "A dominates Q_r
+  /// w.r.t. member" test.
   std::vector<Terms> terms;
+  /// Pairs still short of their probe's k that the scan has not passed.
+  std::vector<uint32_t> open;
 };
 
-/// CountRknnDominators for one domination kernel, over `scratch` (built
-/// for probes.size() probes).
+/// Counts, for every (member, probe) pair of one group, the entries A of
+/// `scan` with A != member, A existentially certain, A's MBR intersecting
+/// the member's MBR expanded by MaxDist(Q_r, member) in every dimension,
+/// and Dominates(A, Q_r, member), capped at probes[r].k, into
+/// counts[r * kGroup + i]. Every complete dominator lies inside that box
+/// (MinDist(A, member) <= MaxDist(Q_r, member)), so the member is a
+/// candidate of probe r iff its count is below k.
+///
+/// One nearest-first scan from the hull of the members serves all pairs.
+/// The hull's sides are the exact min/max of the members' sides, so an
+/// entry's per-dimension gap to the hull is never larger than its gap to
+/// a member, and every entry inside a pair's box comes no later than
+/// that pair's ExpandedReachBound. So a pair is done once it holds its k
+/// or the scan's distance passes its bound, and the scan stops once every
+/// pair is done. A capped count does not depend on scan order, on the
+/// group or on the other probes.
 template <class Terms>
-void CountRknnDominatorsWith(const UncertainDatabase& db, ObjectId b,
-                             std::span<const DominatorProbe> probes,
-                             const MinDistScan& scan, const LpNorm& norm,
-                             std::span<uint32_t> counts,
-                             DominatorScratch<Terms>& scratch) {
-  UPDB_DCHECK(counts.size() == probes.size());
-  UPDB_DCHECK(scratch.terms.size() == probes.size());
-  const Rect& b_mbr = db.object(b).mbr();
-  // An A that completely dominates Q w.r.t. B has MinDist(A, B) <=
-  // MaxDist(Q, B), so it intersects B's MBR expanded by that reach; the
-  // scan stops once its distance passes the bound of every probe still
-  // short of its k.
+void CountGroupDominators(const UncertainDatabase& db,
+                          std::span<const ObjectId> members,
+                          std::span<const DominatorProbe> probes,
+                          const MinDistScan& scan, const LpNorm& norm,
+                          std::span<uint32_t> counts,
+                          GroupScratch<Terms>& scratch) {
+  UPDB_DCHECK(!members.empty() && members.size() <= kGroup);
+  UPDB_DCHECK(counts.size() == kGroup * probes.size());
   std::vector<double>& reach = scratch.reach;
   std::vector<double>& bound = scratch.bound;
   std::vector<Terms>& terms = scratch.terms;
+  std::vector<uint32_t>& open = scratch.open;
+  open.clear();
   double scan_bound = 0.0;
-  size_t open = 0;  // probes still short of their k
-  for (size_t r = 0; r < probes.size(); ++r) {
-    counts[r] = 0;
-    if (probes[r].k == 0) continue;
-    terms[r].Reset(probes[r].query->sides(), b_mbr.sides());
-    reach[r] = norm.MaxDist(*probes[r].query, b_mbr);
-    bound[r] = ExpandedReachBound(b_mbr, reach[r], norm);
-    scan_bound = std::max(scan_bound, bound[r]);
-    ++open;
+  for (size_t i = 0; i < members.size(); ++i) {
+    const Rect& m_mbr = db.object(members[i]).mbr();
+    for (size_t r = 0; r < probes.size(); ++r) {
+      const size_t pair = r * kGroup + i;
+      counts[pair] = 0;
+      if (probes[r].k == 0) continue;
+      terms[pair].Reset(probes[r].query->sides(), m_mbr.sides());
+      reach[pair] = norm.MaxDist(*probes[r].query, m_mbr);
+      bound[pair] = ExpandedReachBound(m_mbr, reach[pair], norm);
+      scan_bound = std::max(scan_bound, bound[pair]);
+      open.push_back(static_cast<uint32_t>(pair));
+    }
   }
-  if (open == 0) return;
+  if (open.empty()) return;
 
+  const std::span<const Interval> first = db.mbr_box(members[0]);
+  std::vector<Interval> hull(first.begin(), first.end());
+  for (size_t i = 1; i < members.size(); ++i) {
+    const std::span<const Interval> box = db.mbr_box(members[i]);
+    for (size_t d = 0; d < hull.size(); ++d) {
+      hull[d] = Interval(std::min(hull[d].lo(), box[d].lo()),
+                         std::max(hull[d].hi(), box[d].hi()));
+    }
+  }
+
+  // A pair leaves `open` once it holds its k, or once the scan passes its
+  // bound (no later entry can lie inside its box); scan_bound is the
+  // largest bound still open.
   const auto visit = [&](ObjectId a, double dist) {
     if (dist > scan_bound) return false;
     // Only existentially certain objects dominate Q in *every* world.
-    if (a == b || !db.object(a).existentially_certain()) return true;
+    if (!db.object(a).existentially_certain()) return true;
     const std::span<const Interval> a_box = db.mbr_box(a);
-    bool closed = false;
-    for (size_t r = 0; r < probes.size(); ++r) {
-      if (counts[r] >= probes[r].k ||
-          !IntersectsExpanded(a_box, b_mbr, reach[r]) ||
-          !Dominates(terms[r], a_box)) {
+    scan_bound = 0.0;
+    for (size_t j = 0; j < open.size();) {
+      const uint32_t pair = open[j];
+      const ObjectId member = members[pair % kGroup];
+      bool done = dist > bound[pair];
+      if (!done && member != a &&
+          IntersectsExpanded(a_box, db.mbr_box(member), reach[pair]) &&
+          Dominates(terms[pair], a_box)) {
+        done = ++counts[pair] == probes[pair / kGroup].k;
+      }
+      if (done) {
+        open[j] = open.back();
+        open.pop_back();
         continue;
       }
-      if (++counts[r] == probes[r].k) {
-        --open;
-        closed = true;
-      }
+      scan_bound = std::max(scan_bound, bound[pair]);
+      ++j;
     }
-    if (open == 0) return false;
-    if (closed) {
-      scan_bound = 0.0;
-      for (size_t r = 0; r < probes.size(); ++r) {
-        if (counts[r] < probes[r].k) {
-          scan_bound = std::max(scan_bound, bound[r]);
-        }
-      }
-    }
-    return true;
+    return !open.empty();
   };
   // std::cref: the MinDistEmit then holds a pointer-sized reference, not
   // a heap copy of the closure.
-  scan(b_mbr, std::cref(visit));
+  scan(Rect(std::move(hull)), std::cref(visit));
+}
+
+/// Every query of a filter call must have the database's dimension; the
+/// kernels index both boxes by the same dimension.
+void CheckQueryDim(const UncertainDatabase& db, const Rect& query) {
+  UPDB_CHECK(db.empty() || query.dim() == db.dim());
 }
 
 }  // namespace
@@ -176,6 +237,7 @@ void CountRknnDominatorsWith(const UncertainDatabase& db, ObjectId b,
 double KnnPruneDistance(const UncertainDatabase& db, const Rect& q_mbr,
                         size_t k, const LpNorm& norm) {
   UPDB_CHECK(k >= 1);
+  CheckQueryDim(db, q_mbr);
   // k-th smallest MaxDist (partial selection) over the certain objects.
   std::vector<double> maxdists;
   maxdists.reserve(db.size());
@@ -188,17 +250,6 @@ double KnnPruneDistance(const UncertainDatabase& db, const Rect& q_mbr,
   const size_t kth = k - 1;
   std::nth_element(maxdists.begin(), maxdists.begin() + kth, maxdists.end());
   return maxdists[kth];
-}
-
-void CountRknnDominators(const UncertainDatabase& db, ObjectId b,
-                         std::span<const DominatorProbe> probes,
-                         const MinDistScan& scan,
-                         DominationCriterion criterion, const LpNorm& norm,
-                         std::span<uint32_t> counts) {
-  WithPairTerms(criterion, norm, [&](auto prototype) {
-    DominatorScratch scratch(prototype, probes.size());
-    CountRknnDominatorsWith(db, b, probes, scan, norm, counts, scratch);
-  });
 }
 
 std::vector<ObjectId> KnnCandidates(const UncertainDatabase& db,
@@ -229,44 +280,52 @@ std::vector<std::vector<ObjectId>> RknnCandidates(
     std::span<const MinDistScan> scans, DominationCriterion criterion,
     const LpNorm& norm) {
   const size_t count = probes.size();
+  for (const DominatorProbe& probe : probes) CheckQueryDim(db, *probe.query);
   std::vector<std::vector<ObjectId>> candidates(count);
-  // dominators[s][i * count + r] is scan s's count for object
-  // block_begin + i and probe r. Block and scan order are both fixed, so
-  // the candidate lists come out in ascending id order.
-  constexpr size_t kBlock = 1024;
+  const std::vector<ObjectId> order = StrOrder(db);
+  // dominators[s][g * kGroup * count + r * kGroup + i] is scan s's count
+  // for member i of the block's group g and probe r; the shard totals add
+  // up in scan order.
+  constexpr size_t kBlock = kGroup * kBlockGroups;
+  const size_t slots = kGroup * count;  // counts per group
   std::vector<std::vector<uint32_t>> dominators(scans.size());
   WithPairTerms(criterion, norm, [&](auto prototype) {
-    // One set of per-probe buffers per scan task, reused for all its
-    // objects.
-    std::vector<DominatorScratch<decltype(prototype)>> scratch(
-        scans.size(), DominatorScratch(prototype, count));
-    for (size_t block_begin = 0; block_begin < db.size();
+    std::vector<GroupScratch<decltype(prototype)>> scratch(
+        scans.size(), GroupScratch(prototype, count));
+    for (size_t block_begin = 0; block_begin < order.size();
          block_begin += kBlock) {
-      const size_t block = std::min(kBlock, db.size() - block_begin);
+      const size_t block = std::min(kBlock, order.size() - block_begin);
+      const size_t groups = (block + kGroup - 1) / kGroup;
       ThreadPool::SharedParallelFor(
           scans.size(), scans.size(), [&](size_t s, size_t /*worker*/) {
             std::vector<uint32_t>& counts = dominators[s];
-            counts.resize(block * count);
-            for (size_t i = 0; i < block; ++i) {
-              CountRknnDominatorsWith(
-                  db, static_cast<ObjectId>(block_begin + i), probes,
-                  scans[s], norm,
-                  std::span<uint32_t>(counts).subspan(i * count, count),
-                  scratch[s]);
+            counts.resize(groups * slots);
+            for (size_t g = 0; g < groups; ++g) {
+              const size_t first = block_begin + g * kGroup;
+              const size_t members = std::min(kGroup, order.size() - first);
+              CountGroupDominators(db, {&order[first], members}, probes,
+                                   scans[s], norm, {&counts[g * slots], slots},
+                                   scratch[s]);
             }
           });
-      for (size_t i = 0; i < block; ++i) {
-        const ObjectId b = static_cast<ObjectId>(block_begin + i);
+      for (size_t q = 0; q < block; ++q) {
+        const size_t slot = (q / kGroup) * slots + q % kGroup;
         for (size_t r = 0; r < count; ++r) {
           size_t total = 0;
           for (const std::vector<uint32_t>& counts : dominators) {
-            total += counts[i * count + r];
+            total += counts[slot + r * kGroup];
           }
-          if (total < probes[r].k) candidates[r].push_back(b);
+          if (total < probes[r].k) {
+            candidates[r].push_back(order[block_begin + q]);
+          }
         }
       }
     }
   });
+  // Groups come in STR order; a payload needs ascending ids.
+  for (std::vector<ObjectId>& ids : candidates) {
+    std::sort(ids.begin(), ids.end());
+  }
   return candidates;
 }
 

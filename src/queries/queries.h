@@ -20,7 +20,6 @@
 #ifndef UPDB_QUERIES_QUERIES_H_
 #define UPDB_QUERIES_QUERIES_H_
 
-#include <cstdint>
 #include <functional>
 #include <span>
 #include <vector>
@@ -116,7 +115,8 @@ using MinDistScan = std::function<void(const Rect&, const MinDistEmit&)>;
 /// the *existentially certain* objects (an object that may be absent
 /// cannot guarantee to push a candidate out of the kNN set in every
 /// world). Returns +infinity when fewer than k certain objects exist —
-/// nothing is spatially prunable then.
+/// nothing is spatially prunable then. `q_mbr` must have the database's
+/// dimension (UPDB_CHECK, here and in KnnCandidates).
 double KnnPruneDistance(const UncertainDatabase& db, const Rect& q_mbr,
                         size_t k, const LpNorm& norm);
 
@@ -137,33 +137,29 @@ struct DominatorProbe {
   size_t k = 0;
 };
 
-/// Threshold-RkNN dominator count for one object B and a batch of
-/// probes: B is no RkNN of a probe's Q once at least k existentially
-/// certain objects completely dominate Q w.r.t. B (Corollary 5 with the
-/// domination `criterion`). Sets counts[r] to the number of entries A of
-/// `scan` with A != B, A existentially certain, A's MBR intersecting B's
-/// MBR expanded by MaxDist(Q_r, B) in every dimension, and
-/// Dominates(A, Q_r, B) — capped at probes[r].k. Every complete
-/// dominator lies inside that box, so B is a candidate of probe r iff
-/// counts[r] < probes[r].k. The scan walks B's neighbours nearest-first
-/// and stops once every probe holds its k or its distance passes every
-/// open probe's box, so a far B ends after its first few neighbours. A
-/// capped count does not depend on scan order or on the other probes, so
-/// RknnCandidates can count per scan and add the capped counts up.
-void CountRknnDominators(const UncertainDatabase& db, ObjectId b,
-                         std::span<const DominatorProbe> probes,
-                         const MinDistScan& scan,
-                         DominationCriterion criterion, const LpNorm& norm,
-                         std::span<uint32_t> counts);
-
-/// Threshold-RkNN candidate filter for a batch of probes: returns, per
-/// probe and in ascending id order, every object B with fewer than k
-/// certain complete dominators. Objects go in fixed-size blocks, so the
-/// count buffers stay O(scans x probes x block); within a block the scans
-/// count in parallel and their capped counts add up in scan order. Each
-/// scan task counts all its objects in one set of per-probe buffers
-/// (reach, bound, kernel terms), allocated once per call. A
-/// probe's candidates do not depend on its batch or on `scans`' split.
+/// Threshold-RkNN candidate filter for a batch of probes (Corollary 5
+/// with the domination `criterion`): B is no RkNN of a probe's Q once at
+/// least k existentially certain objects A != B completely dominate Q
+/// w.r.t. B. Every such dominator intersects B's MBR expanded by
+/// MaxDist(Q, B) in every dimension, so the filter counts the certain
+/// objects inside that box with Dominates(A, Q, B), capped at the probe's
+/// k, and returns, per probe and in ascending id order, every object whose
+/// count stays below k. Each probe's query must have the database's
+/// dimension (UPDB_CHECK).
+///
+/// The objects are tiled into spatial groups of 16 in Sort-Tile-Recursive
+/// order of their MBR centres (the R-tree's bulk-load order). Each scan
+/// runs once per group, nearest-first from the hull of the members' MBRs,
+/// and tests every emitted certain A against every (member, probe) pair
+/// still short of its k; it stops once every pair holds its k or its
+/// distance passes every open pair's box. A box entry is never farther
+/// from the hull than from its member, so no dominator is missed, and a
+/// capped count does not depend on scan order, so the counts are those of
+/// one scan per object. Groups go in blocks of 64, which keeps the count
+/// buffers O(scans x probes x 1,024); within a block the scans count in
+/// parallel, each in one set of per-pair buffers allocated once per call,
+/// and their capped counts add up in scan order. A probe's candidates do
+/// not depend on its batch or on `scans`' split.
 std::vector<std::vector<ObjectId>> RknnCandidates(
     const UncertainDatabase& db, std::span<const DominatorProbe> probes,
     std::span<const MinDistScan> scans, DominationCriterion criterion,

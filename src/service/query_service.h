@@ -23,9 +23,9 @@
 // a batch, threshold kNN and RkNN requests run the direct query path's
 // pipeline (queries/queries.h) over one scan per store shard: a
 // KnnCandidates call per kNN request, one RknnCandidates pass per batch
-// for RkNN (one nearest-first dominator scan per object counts every
-// request at once), then RefineThresholdCandidates per request under its
-// compiled budget. The filters fan out per shard
+// for RkNN (one nearest-first dominator scan per spatial group of 16
+// objects counts every request at once for every member), then
+// RefineThresholdCandidates per request under its compiled budget. The filters fan out per shard
 // (ThreadPool::SharedParallelFor) and reduce in fixed shard order — a
 // distance cutoff and a capped dominator count are partition-invariant,
 // so candidate sets are identical for every num_shards. The shard

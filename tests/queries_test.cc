@@ -282,6 +282,128 @@ TEST(RknnQueryTest, AgreesWithBruteForceIdca) {
   }
 }
 
+/// `n` random boxes of extent up to 0.05 in the unit cube of `dim`
+/// dimensions, every fifth only 0.6 likely to exist, so most groups of 16
+/// mix certain and uncertain members. With `same_box`, every object has
+/// the MBR [0.4, 0.45]^dim, so every STR sort ties.
+UncertainDatabase GroupingDatabase(size_t n, size_t dim, bool same_box,
+                                   uint64_t seed) {
+  Rng rng(seed);
+  UncertainDatabase db;
+  for (size_t i = 0; i < n; ++i) {
+    std::vector<Interval> sides;
+    for (size_t d = 0; d < dim; ++d) {
+      const double lo = same_box ? 0.4 : rng.NextDouble();
+      sides.emplace_back(lo, lo + (same_box ? 0.05 : 0.05 * rng.NextDouble()));
+    }
+    db.Add(std::make_shared<UniformPdf>(Rect(std::move(sides))),
+           i % 5 == 4 ? 0.6 : 1.0);
+  }
+  return db;
+}
+
+/// A query box of extent 0.02 with its low corner at `corner` in every
+/// dimension.
+Rect CubeQuery(size_t dim, double corner) {
+  return Rect(std::vector<Interval>(dim, Interval(corner, corner + 0.02)));
+}
+
+TEST(RknnQueryTest, GroupedCountsMatchBruteForceAtGroupEdges) {
+  // RknnCandidates scans once per STR group of 16 objects, in blocks of
+  // 64 groups. Its candidate lists must equal the unindexed per-object
+  // count at sizes around the group and block edges, with all MBRs equal
+  // (STR ties), in 1-D and 3-D, under p = 1, 2, 3 and both criteria, for
+  // one batch of mixed-k probes (k > N included), and with the objects
+  // split over 2 and 7 R-trees (id % s) passed as separate scans.
+  struct Case {
+    size_t n;
+    size_t dim;
+    int p;
+    bool same_box;
+  };
+  const Case cases[] = {
+      {1, 2, 2, false},
+      {15, 2, 2, false},
+      {16, 2, 2, false},
+      {17, 2, 1, false},
+      {33, 2, 2, false},
+      {1025, 2, 2, false},
+      {40, 2, 2, true},
+      {100, 1, 2, false},
+      {100, 3, 3, false},
+      {60, 3, 1, false},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(testing::Message() << "n=" << c.n << " dim=" << c.dim);
+    const UncertainDatabase db =
+        GroupingDatabase(c.n, c.dim, c.same_box, 17 + c.n + c.dim);
+    const LpNorm norm(c.p);
+    // Inside the cloud, at its edge and far outside it. A k above N
+    // makes the oracle count every object, so one probe carries it.
+    const std::vector<Rect> queries = {CubeQuery(c.dim, 0.41),
+                                       CubeQuery(c.dim, 0.0),
+                                       CubeQuery(c.dim, 3.0)};
+    std::vector<DominatorProbe> probes = {{&queries[0], c.n + 2}};
+    for (const Rect& q : queries) {
+      for (const size_t k : {1, 3}) probes.push_back(DominatorProbe{&q, k});
+    }
+    const DominationCriterion criteria[] = {DominationCriterion::kOptimal,
+                                            DominationCriterion::kMinMax};
+    std::vector<std::vector<ObjectId>> expected[2];
+    for (size_t ci = 0; ci < 2; ++ci) {
+      for (const DominatorProbe& probe : probes) {
+        expected[ci].push_back(BruteForceRknnCandidates(
+            db, *probe.query, probe.k, criteria[ci], norm));
+      }
+    }
+    for (const size_t shards : {1, 2, 7}) {
+      SCOPED_TRACE(testing::Message() << "shards=" << shards);
+      std::vector<RTree> trees;
+      for (size_t s = 0; s < shards; ++s) {
+        std::vector<RTreeEntry> entries;
+        for (ObjectId id = s; id < db.size(); id += shards) {
+          entries.push_back(RTreeEntry{db.object(id).mbr(), id});
+        }
+        trees.emplace_back(std::move(entries));
+      }
+      std::vector<MinDistScan> scans;
+      for (const RTree& tree : trees) {
+        scans.push_back([&tree, &norm](const Rect& from,
+                                       const MinDistEmit& emit) {
+          tree.ScanByMinDist(from, emit, norm);
+        });
+      }
+      for (size_t ci = 0; ci < 2; ++ci) {
+        SCOPED_TRACE(testing::Message() << "criterion=" << ci);
+        const std::vector<std::vector<ObjectId>> lists =
+            RknnCandidates(db, probes, scans, criteria[ci], norm);
+        ASSERT_EQ(lists.size(), probes.size());
+        for (size_t r = 0; r < probes.size(); ++r) {
+          SCOPED_TRACE(testing::Message() << "probe=" << r);
+          EXPECT_EQ(lists[r], expected[ci][r]);
+        }
+      }
+    }
+  }
+}
+
+TEST(QueryDimensionDeathTest, QueryOfAnotherDimensionIsRejected) {
+  // A 3-D query on a 2-D database used to read past the 2-D boxes (RkNN)
+  // or answer from mismatched boxes (kNN); every entry point now stops
+  // at a UPDB_CHECK. The threadsafe style re-runs the test in a fresh
+  // process, so no shared-pool thread is lost to fork().
+  testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  UncertainDatabase db;
+  for (int i = 0; i < 5; ++i) db.Add(PointObject(i, 0.0));
+  const RTree index = BuildRTree(db.objects());
+  const UniformPdf q3(Rect(Point{0.0, 0.0, 0.0}, Point{0.1, 0.1, 0.1}));
+  const char* const kDimCheck = "UPDB_CHECK failed.*dim";
+  EXPECT_DEATH(ProbabilisticThresholdKnn(db, index, q3, 1, 0.5), kDimCheck);
+  EXPECT_DEATH(ProbabilisticThresholdRknn(db, index, q3, 1, 0.5), kDimCheck);
+  EXPECT_DEATH(ProbabilisticInverseRanking(db, 0, q3), kDimCheck);
+  EXPECT_DEATH(ExpectedRankOrder(db, q3), kDimCheck);
+}
+
 TEST(InverseRankingTest, CertainChainHasDeterministicRank) {
   UncertainDatabase db;
   for (int i = 1; i <= 5; ++i) {
