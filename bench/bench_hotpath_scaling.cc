@@ -180,13 +180,12 @@ CountDistributionBounds SeedStyleRefine(const UncertainDatabase& db,
   }
   const size_t C = influence.size();
 
-  DecompositionTree target_tree(&target, config.split_policy);
-  DecompositionTree ref_tree(&reference, config.split_policy);
+  DecompositionTree target_tree(&target);
+  DecompositionTree ref_tree(&reference);
   std::vector<std::unique_ptr<DecompositionTree>> cand_trees;
   cand_trees.reserve(C);
   for (const UncertainObject* a : influence) {
-    cand_trees.push_back(
-        std::make_unique<DecompositionTree>(&a->pdf(), config.split_policy));
+    cand_trees.push_back(std::make_unique<DecompositionTree>(&a->pdf()));
   }
 
   CountDistributionBounds agg = CountDistributionBounds::Zero(C + 1);
@@ -456,7 +455,7 @@ EngineRunSeries BenchEngineRun(const char* kind,
     ns.push_back(timer.ElapsedSeconds() * 1e9 / runs_per_repeat);
   }
   out.influence = last.influence_count;
-  out.iterations = last.iterations_run();
+  out.iterations = last.iterations_run;
   out.ns = SpreadOf(ns);
   out.agree = SameResult(last, fresh);
   return out;

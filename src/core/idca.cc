@@ -29,7 +29,7 @@ PredicateDecision Decide(const ProbabilityBounds& p, double tau) {
 /// so the floating-point result is identical for any num_threads.
 constexpr size_t kPairChunks = 64;
 
-/// Verdict-cache state for a batch of (B', R') partition pairs, stored as
+/// Verdict-inheritance state for a batch of (B', R') partition pairs, stored as
 /// a structure of flat arrays (one heap buffer each instead of per-pair
 /// allocations). For every pair and candidate it holds the probability
 /// mass already resolved as dominating/dominated at an ancestor level plus
@@ -194,7 +194,6 @@ class WorkspaceLease {
 /// settings can never share entries.
 uint64_t ConfigFingerprint(const IdcaConfig& config) {
   return static_cast<uint64_t>(config.criterion) |
-         (static_cast<uint64_t>(config.split_policy) << 8) |
          (static_cast<uint64_t>(config.norm.p()) << 16);
 }
 
@@ -384,15 +383,14 @@ IdcaResult IdcaEngine::RunWith(Terms terms, const Pdf& target,
   // ---- Phase 2: iterative refinement (Algorithm 1, lines 14-37).
   DecompositionTree& target_tree = ws.target_tree;
   DecompositionTree& ref_tree = ws.ref_tree;
-  target_tree.Reset(&target, config_.split_policy);
-  ref_tree.Reset(&reference, config_.split_policy);
+  target_tree.Reset(&target);
+  ref_tree.Reset(&reference);
   std::vector<DecompositionTree>& cand_trees = ws.cand_trees;
   if (cand_trees.size() < C) cand_trees.resize(C);
   for (size_t i = 0; i < C; ++i) {
-    cand_trees[i].Reset(&influence[i]->pdf(), config_.split_policy);
+    cand_trees[i].Reset(&influence[i]->pdf());
   }
 
-  const bool cache = config_.cache_verdicts;
   // Cross-request memo context: the caller's (snapshot version, query
   // token) context plus this run's database-object operand, its direction
   // and the geometry-relevant configuration. Everything else a verdict
@@ -608,11 +606,9 @@ IdcaResult IdcaEngine::RunWith(Terms terms, const Pdf& target,
                   switch (verdict) {
                     case DominationClass::kDominates:
                       dom += cand_mass[a];
-                      if (!cache) out.undecided.push_back(a);
                       break;
                     case DominationClass::kDominated:
                       ndom += cand_mass[a];
-                      if (!cache) out.undecided.push_back(a);
                       break;
                     case DominationClass::kUndecided:
                       out.undecided.push_back(a);
@@ -620,10 +616,10 @@ IdcaResult IdcaEngine::RunWith(Terms terms, const Pdf& target,
                   }
                 }
               }
-              // With the cache off nothing may be inherited next level —
-              // every triple is re-derived from scratch.
-              out.resolved[res_base + i] = cache ? dom : 0.0;
-              out.resolved[res_base + C + i] = cache ? ndom : 0.0;
+              // Decided mass is inherited by every child pair: a decided
+              // triple stays decided under refinement.
+              out.resolved[res_base + i] = dom;
+              out.resolved[res_base + C + i] = ndom;
 
               // Lemma 1/2 bracket for this candidate given (B', R'),
               // scaled by the existential probability: the candidate
@@ -643,7 +639,7 @@ IdcaResult IdcaEngine::RunWith(Terms terms, const Pdf& target,
             // Freeze fully-decided pairs: every refinement would reproduce
             // this exact contribution, so bank it once and drop the pair
             // instead of expanding it next level.
-            const bool frozen = cache && out.undecided.size() == und_base;
+            const bool frozen = out.undecided.size() == und_base;
             if (frozen) {
               ++st.counters.pairs_frozen;
               out.b_node.pop_back();
@@ -760,6 +756,7 @@ IdcaResult IdcaEngine::RunWith(Terms terms, const Pdf& target,
     const double total_uncertainty =
         predicate ? result.predicate_prob.width()
                   : result.bounds.TotalUncertainty();
+    result.iterations_run = static_cast<size_t>(iter);
     if (config_.collect_stats) {
       IdcaIterationStats s;
       s.iteration = iter;

@@ -16,6 +16,14 @@
 //     (Lemma 1/2; independent across candidates by Lemma 5), combine them
 //     with an uncertain generating function (Section IV-C/D), and
 //     aggregate the per-pair count bounds weighted by P(B')P(R').
+//     Complete domination is monotone under shrinking rectangles, so a
+//     decided (A', B', R') triple stays decided in every refinement: only
+//     undecided triples are re-tested one level deeper, decided mass is
+//     inherited, and a pair whose candidates are all decided is frozen —
+//     its contribution is banked once instead of being expanded 4x per
+//     level. This is the engine's only refinement path; its bounds equal
+//     a from-scratch evaluation of every level-h triple up to
+//     floating-point regrouping (tests/idca_oracle.h).
 //  3. Stop: when a query predicate P(DomCount < k) vs tau is decided, the
 //     accumulated uncertainty drops below a budget, the decompositions are
 //     exhausted (exact result), or max_iterations is reached.
@@ -46,7 +54,6 @@ struct IdcaConfig {
   /// loop. kOptimal is the paper's contribution; kMinMax is the baseline
   /// compared against in Figure 6.
   DominationCriterion criterion = DominationCriterion::kOptimal;
-  SplitPolicy split_policy = SplitPolicy::kRoundRobin;
   /// Maximum number of refinement iterations (kd-tree height h).
   int max_iterations = 8;
   /// Run the complete-domination filter through an R-tree instead of a
@@ -58,7 +65,9 @@ struct IdcaConfig {
   /// Stop once the accumulated uncertainty Sum_k (ub_k - lb_k) falls to or
   /// below this value.
   double uncertainty_epsilon = 0.0;
-  /// Record per-iteration statistics (uncertainty/time curves).
+  /// Record per-iteration statistics (uncertainty/time curves). The
+  /// iteration count itself (IdcaResult::iterations_run) is kept either
+  /// way.
   bool collect_stats = true;
   /// Threads used for the per-iteration (B', R') partition-pair loop.
   /// 1 = serial (default), 0 = all hardware threads, N = exactly N. The
@@ -66,19 +75,6 @@ struct IdcaConfig {
   /// accumulators that are reduced in chunk order, so the result is
   /// identical for every thread count.
   int num_threads = 1;
-  /// Reuse domination verdicts across refinement iterations. Complete
-  /// domination is monotone under shrinking rectangles, so once a
-  /// (candidate-partition, B', R') triple is decided kDominates or
-  /// kDominated every refinement of it inherits the verdict; with the
-  /// cache only still-undecided triples are re-tested after each Deepen(),
-  /// pairs whose candidates are all decided are frozen (their refinement-
-  /// invariant contribution is accumulated once instead of being expanded
-  /// 4x per level), and decomposition trees of globally-decided candidates
-  /// stop deepening. Off recomputes every triple from scratch each
-  /// iteration (the seed behavior; kept as an ablation/debug toggle —
-  /// bounds agree up to floating-point noise, since the cache groups the
-  /// same mass sums at coarser granularity).
-  bool cache_verdicts = true;
   /// Optional span sink ("idca_run" + one "idca_iter" per refinement
   /// iteration). nullptr (the default) costs one branch per iteration and
   /// never affects any computed bound or payload.
@@ -93,7 +89,8 @@ struct IdcaConfig {
   /// every computed bound and payload is bit-identical with the memo on or
   /// off.
   /// nullptr (the default) costs one branch per domination test. Distinct
-  /// from cache_verdicts, which reuses verdicts *within* one run.
+  /// from the engine's verdict inheritance, which reuses verdicts *within*
+  /// one run.
   cache::VerdictMemo* verdict_memo = nullptr;
   /// Caller-supplied memo key context (VerdictMemo::MixContext of the
   /// snapshot version and the query object's canonical serialization
@@ -130,8 +127,8 @@ struct IdcaIterationStats {
   size_t pairs = 0;
   /// Candidate partitions actually tested against pairs this iteration
   /// (upper bounds the number of domination tests up to a factor of 2).
-  /// With cache_verdicts this counts only the still-undecided triples, so
-  /// it directly exposes the work the verdict cache saves.
+  /// Only triples left undecided one level up are re-tested, so this
+  /// exposes the work verdict inheritance saves.
   size_t candidate_partitions = 0;
 };
 
@@ -144,15 +141,15 @@ struct IdcaCounters {
   /// Partition pairs (B', R') evaluated across all iterations.
   uint64_t pairs_evaluated = 0;
   /// Pairs whose contribution was banked once and never re-expanded
-  /// (verdict cache freeze; 0 when cache_verdicts is off).
+  /// because every candidate's verdict in them was decided.
   uint64_t pairs_frozen = 0;
   /// Triples resolved in the refinement loop (a domination-kernel call,
   /// or the identical decided verdict replayed from a cross-request
   /// verdict memo — counted the same so the totals stay deterministic
   /// whatever the memo's concurrent fill state).
   uint64_t domination_tests = 0;
-  /// (candidate, pair) verdicts inherited from a previous iteration via
-  /// the verdict cache, vs. resolved by a fresh domination test.
+  /// (candidate, pair) slots that inherited resolved mass from the
+  /// previous iteration, vs. triples resolved by a fresh domination test.
   uint64_t verdict_cache_hits = 0;
   uint64_t verdict_cache_misses = 0;
   /// UGF factor multiplications (the engine's inner-loop unit of work).
@@ -184,19 +181,18 @@ struct IdcaResult {
   /// Bounds on P(DomCount < k); only set when a predicate was given.
   ProbabilityBounds predicate_prob;
   PredicateDecision decision = PredicateDecision::kUndecided;
-  /// Iterations actually executed (excluding the filter entry at index 0).
+  /// Per-iteration telemetry when collect_stats is on: the filter's entry
+  /// at index 0, then one entry per refinement iteration. Empty when
+  /// collect_stats is off.
   std::vector<IdcaIterationStats> iterations;
+  /// Refinement iterations executed (the filter is not one), whatever
+  /// collect_stats is.
+  size_t iterations_run = 0;
   /// Deterministic work counters (profiling; outside the digest).
   IdcaCounters counters;
   double seconds = 0.0;
 
   IdcaResult() : bounds(0) {}
-
-  /// Refinement iterations executed: `iterations` minus its filter entry
-  /// (0 when collect_stats is off).
-  size_t iterations_run() const {
-    return iterations.empty() ? 0 : iterations.size() - 1;
-  }
 };
 
 /// The IDCA query engine. Stateless w.r.t. queries; one engine can serve

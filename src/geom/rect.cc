@@ -69,15 +69,6 @@ double Rect::Volume() const {
   return v;
 }
 
-size_t Rect::LongestSide() const {
-  UPDB_DCHECK(!sides_.empty());
-  size_t best = 0;
-  for (size_t i = 1; i < sides_.size(); ++i) {
-    if (sides_[i].length() > sides_[best].length()) best = i;
-  }
-  return best;
-}
-
 bool Rect::Contains(const Point& p) const {
   UPDB_DCHECK(p.dim() == dim());
   for (size_t i = 0; i < dim(); ++i) {

@@ -57,9 +57,6 @@ class Rect {
   /// Product of side lengths (0 for degenerate rects).
   double Volume() const;
 
-  /// Length of the longest side and its dimension index.
-  size_t LongestSide() const;
-
   bool Contains(const Point& p) const;
   bool Contains(const Rect& other) const;
   bool Intersects(const Rect& other) const;

@@ -25,7 +25,7 @@ MinDistScan IndexScan(const RTree& index, const LpNorm& norm) {
 
 /// What one IDCA run adds to a QueryStats.
 QueryStats RunStats(const IdcaResult& r) {
-  return QueryStats{1, r.iterations_run(), r.counters};
+  return QueryStats{1, r.iterations_run, r.counters};
 }
 
 /// Per-run stats summed in run order; `seconds` is left to the caller.
@@ -430,11 +430,9 @@ std::vector<RankWinner> UkRanksQuery(const UncertainDatabase& db,
 std::vector<ExpectedRankEntry> ExpectedRankOrder(const UncertainDatabase& db,
                                                  const Pdf& q,
                                                  const IdcaConfig& config,
-                                                 const RTree* index,
                                                  QueryStats* stats) {
   Stopwatch timer;
-  IdcaEngine engine = index != nullptr ? IdcaEngine(db, index, config)
-                                       : IdcaEngine(db, config);
+  const IdcaEngine engine(db, config);
   std::vector<ExpectedRankEntry> entries(db.size());
   std::vector<QueryStats> runs(db.size());
   ThreadPool::SharedParallelFor(

@@ -82,14 +82,14 @@ struct ExpectedRankEntry {
 
 /// Orders all database objects by (the midpoint of) their expected-rank
 /// bounds w.r.t. the query object Q — the expected-rank semantics of
-/// Cormode et al. referenced by Corollary 6. `index` (optional) is handed
-/// to the engine for config.use_index_filter; `stats` (optional) receives
-/// every object as a candidate and the summed iterations and counters of
-/// the per-object runs. The serving layer calls this too, so its payloads
-/// cannot diverge from the direct path.
+/// Cormode et al. referenced by Corollary 6. Every object is refined, so
+/// no index is taken (config.use_index_filter must be off); `stats`
+/// (optional) receives every object as a candidate and the summed
+/// iterations and counters of the per-object runs. The serving layer
+/// calls this too, so its payloads cannot diverge from the direct path.
 std::vector<ExpectedRankEntry> ExpectedRankOrder(
     const UncertainDatabase& db, const Pdf& q, const IdcaConfig& config = {},
-    const RTree* index = nullptr, QueryStats* stats = nullptr);
+    QueryStats* stats = nullptr);
 
 // ---- The threshold-query pipeline (Section VI): a spatial candidate
 // filter, then IDCA on each candidate with an early-stopping predicate.

@@ -546,7 +546,7 @@ void QueryService::ExecInverseRanking(const store::StoreSnapshot& snap,
   const IdcaResult result =
       engine.ComputeDomCount(dense_target, *p.request.query);
   p.response.rank_bounds = result.bounds;
-  const QueryStats stats{result.influence_count, result.iterations_run(),
+  const QueryStats stats{result.influence_count, result.iterations_run,
                         result.counters};
   const bool unresolved =
       result.bounds.TotalUncertainty() > p.request.budget.uncertainty_epsilon;
@@ -567,7 +567,7 @@ void QueryService::ExecExpectedRank(const store::StoreSnapshot& snap,
   // so the service payload cannot diverge from ExpectedRankOrder.
   QueryStats stats;
   p.response.expected =
-      ExpectedRankOrder(*snap.db(), *p.request.query, cfg, nullptr, &stats);
+      ExpectedRankOrder(*snap.db(), *p.request.query, cfg, &stats);
   double total_width = 0.0;
   for (const ExpectedRankEntry& e : p.response.expected) {
     total_width += e.expected_rank.width();

@@ -17,7 +17,7 @@ namespace {
 
 constexpr size_t kFrameHeaderBytes = 8;  // u32 length + u32 crc
 
-// ---------------------------------------------------------------- codecs
+// ---------------------------------------------------- payload encodings
 
 /// Appends a fixed-width little-endian-agnostic (host order) scalar.
 template <typename T>
@@ -102,20 +102,7 @@ StatusOr<WalRecord> DecodeObjectMutation(std::string_view payload,
   return record;
 }
 
-StatusOr<std::string> EncodeInsert(const WalRecord& r) {
-  return EncodeObjectMutation(r);
-}
-StatusOr<WalRecord> DecodeInsert(std::string_view payload) {
-  return DecodeObjectMutation(payload, WalRecordKind::kInsert);
-}
-StatusOr<std::string> EncodeUpdate(const WalRecord& r) {
-  return EncodeObjectMutation(r);
-}
-StatusOr<WalRecord> DecodeUpdate(std::string_view payload) {
-  return DecodeObjectMutation(payload, WalRecordKind::kUpdate);
-}
-
-StatusOr<std::string> EncodeRemove(const WalRecord& record) {
+std::string EncodeRemove(const WalRecord& record) {
   std::string out;
   PutScalar<uint64_t>(out, record.sequence);
   PutScalar<uint64_t>(out, record.id);
@@ -136,7 +123,7 @@ StatusOr<WalRecord> DecodeRemove(std::string_view payload) {
   return record;
 }
 
-StatusOr<std::string> EncodePublish(const WalRecord& record) {
+std::string EncodePublish(const WalRecord& record) {
   std::string out;
   PutScalar<uint64_t>(out, record.sequence);
   PutScalar<uint64_t>(out, record.version);
@@ -200,46 +187,26 @@ uint32_t Crc32c(const void* data, size_t n) {
   return ~crc;
 }
 
-WalRecordRegistry::WalRecordRegistry() {
-  Register({static_cast<uint8_t>(WalRecordKind::kInsert), "insert",
-            &EncodeInsert, &DecodeInsert});
-  Register({static_cast<uint8_t>(WalRecordKind::kUpdate), "update",
-            &EncodeUpdate, &DecodeUpdate});
-  Register({static_cast<uint8_t>(WalRecordKind::kRemove), "remove",
-            &EncodeRemove, &DecodeRemove});
-  Register({static_cast<uint8_t>(WalRecordKind::kPublish), "publish",
-            &EncodePublish, &DecodePublish});
-}
-
-const WalRecordRegistry& WalRecordRegistry::Instance() {
-  static const WalRecordRegistry registry;
-  return registry;
-}
-
-void WalRecordRegistry::Register(const WalRecordCodec& codec) {
-  UPDB_CHECK(!registered_[codec.kind]);
-  UPDB_CHECK(codec.encode != nullptr && codec.decode != nullptr);
-  codecs_[codec.kind] = codec;
-  registered_[codec.kind] = true;
-}
-
-const WalRecordCodec* WalRecordRegistry::Find(uint8_t kind) const {
-  return registered_[kind] ? &codecs_[kind] : nullptr;
-}
-
 StatusOr<std::string> EncodeWalFrame(const WalRecord& record) {
-  const WalRecordCodec* codec =
-      WalRecordRegistry::Instance().Find(static_cast<uint8_t>(record.kind));
-  if (codec == nullptr) {
-    return Status::InvalidArgument("no codec registered for WAL kind " +
-                                   std::to_string(static_cast<int>(
-                                       record.kind)));
+  StatusOr<std::string> payload = Status::InvalidArgument(
+      "unknown WAL record kind " +
+      std::to_string(static_cast<int>(record.kind)));
+  switch (record.kind) {
+    case WalRecordKind::kInsert:
+    case WalRecordKind::kUpdate:
+      payload = EncodeObjectMutation(record);
+      break;
+    case WalRecordKind::kRemove:
+      payload = EncodeRemove(record);
+      break;
+    case WalRecordKind::kPublish:
+      payload = EncodePublish(record);
+      break;
   }
-  const StatusOr<std::string> payload = codec->encode(record);
   if (!payload.ok()) return payload.status();
   std::string body;
   body.reserve(1 + payload->size());
-  body.push_back(static_cast<char>(codec->kind));
+  body.push_back(static_cast<char>(record.kind));
   body += *payload;
   std::string frame;
   frame.reserve(kFrameHeaderBytes + body.size());
@@ -266,7 +233,6 @@ StatusOr<WalReadResult> ReadWalFile(const std::string& path) {
   }
 
   WalReadResult result;
-  const WalRecordRegistry& registry = WalRecordRegistry::Instance();
   size_t pos = 0;
   auto truncate_at = [&](const std::string& reason) {
     result.valid_bytes = pos;
@@ -294,16 +260,35 @@ StatusOr<WalReadResult> ReadWalFile(const std::string& path) {
       truncate_at("CRC32C mismatch");
       return result;
     }
-    const uint8_t kind = static_cast<uint8_t>(body[0]);
-    const WalRecordCodec* codec = registry.Find(kind);
-    if (codec == nullptr) {
-      truncate_at("unknown record kind " + std::to_string(kind));
+    const WalRecordKind kind = static_cast<WalRecordKind>(body[0]);
+    const std::string_view payload(body + 1, length - 1);
+    const char* name = nullptr;  // stays null for an unknown kind byte
+    StatusOr<WalRecord> record = Status::DataLoss("unknown record kind");
+    switch (kind) {
+      case WalRecordKind::kInsert:
+        name = "insert";
+        record = DecodeObjectMutation(payload, kind);
+        break;
+      case WalRecordKind::kUpdate:
+        name = "update";
+        record = DecodeObjectMutation(payload, kind);
+        break;
+      case WalRecordKind::kRemove:
+        name = "remove";
+        record = DecodeRemove(payload);
+        break;
+      case WalRecordKind::kPublish:
+        name = "publish";
+        record = DecodePublish(payload);
+        break;
+    }
+    if (name == nullptr) {
+      truncate_at("unknown record kind " +
+                  std::to_string(static_cast<uint8_t>(body[0])));
       return result;
     }
-    StatusOr<WalRecord> record =
-        codec->decode(std::string_view(body + 1, length - 1));
     if (!record.ok()) {
-      truncate_at(std::string(codec->name) +
+      truncate_at(std::string(name) +
                   " payload rejected: " + record.status().ToString());
       return result;
     }

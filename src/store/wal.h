@@ -14,11 +14,9 @@
 // ReadWalFile() truncates at the first torn or corrupt frame and reports
 // how many tail bytes it dropped — it never aborts on a damaged file.
 //
-// Record kinds are routed through a registry/dispatch table
-// (WalRecordRegistry): each kind registers a named codec, and both the
-// encode and the decode path look the codec up by kind byte instead of
-// switching inline. New durable record kinds plug in by registering a
-// codec, leaving the framing and replay machinery untouched.
+// EncodeWalFrame() and ReadWalFile() each switch over WalRecordKind to
+// pick a kind's payload encoding; a kind byte that names no kind is
+// corruption to the reader.
 //
 // Mutation payloads reuse the textual object serialization of
 // io/dataset_io (round-trip exact: doubles are printed with %.17g), so a
@@ -94,35 +92,9 @@ struct WalRecord {
   uint64_t version = 0;
 };
 
-/// Codec of one record kind: encodes a WalRecord's payload bytes (without
-/// the frame header or kind byte) and decodes them back.
-struct WalRecordCodec {
-  uint8_t kind = 0;
-  const char* name = "";
-  StatusOr<std::string> (*encode)(const WalRecord& record) = nullptr;
-  StatusOr<WalRecord> (*decode)(std::string_view payload) = nullptr;
-};
-
-/// Dispatch table of record codecs, keyed by kind byte. The built-in
-/// kinds register themselves in the singleton's constructor; Find()
-/// returns nullptr for unknown kinds (readers treat those as corruption).
-class WalRecordRegistry {
- public:
-  static const WalRecordRegistry& Instance();
-
-  /// Registers a codec; refuses duplicate kind bytes.
-  void Register(const WalRecordCodec& codec);
-  /// The codec for `kind`, or nullptr when none is registered.
-  const WalRecordCodec* Find(uint8_t kind) const;
-
- private:
-  WalRecordRegistry();
-  WalRecordCodec codecs_[256] = {};
-  bool registered_[256] = {};
-};
-
 /// Encodes one record as a complete frame (header + kind + payload).
-/// Fails with Unimplemented when the PDF type has no serialization.
+/// Fails with Unimplemented when the PDF type has no serialization and
+/// with InvalidArgument on a kind WalRecordKind does not name.
 StatusOr<std::string> EncodeWalFrame(const WalRecord& record);
 
 /// Result of reading one WAL file. A damaged tail is not an error: the

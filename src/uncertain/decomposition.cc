@@ -38,14 +38,11 @@ void DecompositionTree::Frontier::EqualizeCapacity(Frontier& o) {
   updb::EqualizeCapacity(terminal, o.terminal);
 }
 
-DecompositionTree::DecompositionTree(const Pdf* pdf, SplitPolicy policy) {
-  Reset(pdf, policy);
-}
+DecompositionTree::DecompositionTree(const Pdf* pdf) { Reset(pdf); }
 
-void DecompositionTree::Reset(const Pdf* pdf, SplitPolicy policy) {
+void DecompositionTree::Reset(const Pdf* pdf) {
   UPDB_CHECK(pdf != nullptr);
   pdf_ = pdf;
-  policy_ = policy;
   dim_ = pdf_->bounds().dim();
   depth_ = 0;
   node_count_ = 1;
@@ -102,9 +99,7 @@ size_t DecompositionTree::Deepen() {
     bool split_done = false;
     if (!frontier_.terminal[n]) {
       node_.Assign(box(n));
-      const size_t first_axis = policy_ == SplitPolicy::kRoundRobin
-                                    ? static_cast<size_t>(level) % dim_
-                                    : node_.LongestSide();
+      const size_t first_axis = static_cast<size_t>(level) % dim_;
       for (size_t k = 0; k < dim_ && !split_done; ++k) {
         split_done = TrySplitAxis(level, (first_axis + k) % dim_);
       }

@@ -16,14 +16,6 @@
 
 namespace updb {
 
-/// How the split axis for a node is chosen.
-enum class SplitPolicy {
-  /// Cycle through dimensions by tree level (the paper's kd-tree scheme).
-  kRoundRobin,
-  /// Always split the longest side of the node's region (ablation 3).
-  kLongestSide,
-};
-
 /// One element of a disjunctive decomposition: a subregion and the
 /// probability that the object realizes inside it. Masses of a frontier
 /// sum to 1 (up to floating error). DecompositionTree stores its frontier
@@ -36,10 +28,12 @@ struct Partition {
 /// Progressive median-split decomposition of one object.
 ///
 /// Level 0 is the whole uncertainty region with mass 1. Deepen() splits
-/// every frontier node at the conditional median along the policy-chosen
-/// axis (so for median splits each child carries half the parent's mass,
-/// matching the 0.5^level property in Section V); nodes that cannot make
-/// progress (degenerate regions, point masses) remain in the frontier
+/// every frontier node at the conditional median along axis level % d —
+/// the paper's kd-tree scheme, cycling through the dimensions by tree
+/// level — and tries the following axes in turn when that one cannot
+/// split (so for median splits each child carries half the parent's
+/// mass, matching the 0.5^level property in Section V); nodes that cannot
+/// make progress (degenerate regions, point masses) remain in the frontier
 /// untouched. Children with zero mass are discarded.
 ///
 /// The frontier is flat: one contiguous array of boxes, node i's d sides at
@@ -58,13 +52,12 @@ class DecompositionTree {
   DecompositionTree() = default;
 
   /// `pdf` must outlive the tree (or its next Reset()).
-  explicit DecompositionTree(const Pdf* pdf,
-                             SplitPolicy policy = SplitPolicy::kRoundRobin);
+  explicit DecompositionTree(const Pdf* pdf);
 
   /// Starts over on `pdf`: level 0 again, one root node of mass 1. Keeps
   /// the capacity of every buffer. `pdf` must outlive the tree (or its
   /// next Reset()).
-  void Reset(const Pdf* pdf, SplitPolicy policy = SplitPolicy::kRoundRobin);
+  void Reset(const Pdf* pdf);
 
   /// Splits the current frontier one level deeper. Returns the number of
   /// nodes that were actually split (0 means the decomposition is
@@ -134,7 +127,6 @@ class DecompositionTree {
   bool TrySplitAxis(int level, size_t axis);
 
   const Pdf* pdf_ = nullptr;
-  SplitPolicy policy_ = SplitPolicy::kRoundRobin;
   size_t dim_ = 0;
   int depth_ = 0;
   size_t node_count_ = 1;

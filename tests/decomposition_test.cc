@@ -53,7 +53,7 @@ TEST(DecompositionTest, MassPerLevelIsTwoToMinusLevel) {
 
 TEST(DecompositionTest, RoundRobinAlternatesAxes) {
   UniformPdf pdf(UnitSquare());
-  DecompositionTree tree(&pdf, SplitPolicy::kRoundRobin);
+  DecompositionTree tree(&pdf);
   tree.Deepen();  // splits axis 0
   for (size_t i = 0; i < tree.size(); ++i) {
     EXPECT_DOUBLE_EQ(tree.box(i)[0].length(), 0.5);
@@ -66,13 +66,14 @@ TEST(DecompositionTest, RoundRobinAlternatesAxes) {
   }
 }
 
-TEST(DecompositionTest, LongestSidePolicySplitsLongAxis) {
-  UniformPdf pdf(Rect(Point{0.0, 0.0}, Point{4.0, 1.0}));
-  DecompositionTree tree(&pdf, SplitPolicy::kLongestSide);
+TEST(DecompositionTest, SplitAxisFollowsLevelNotSideLength) {
+  // The axis is level % d, whichever side is longest.
+  UniformPdf pdf(Rect(Point{0.0, 0.0}, Point{1.0, 4.0}));
+  DecompositionTree tree(&pdf);
   tree.Deepen();
   for (size_t i = 0; i < tree.size(); ++i) {
-    EXPECT_DOUBLE_EQ(tree.box(i)[0].length(), 2.0);
-    EXPECT_DOUBLE_EQ(tree.box(i)[1].length(), 1.0);
+    EXPECT_DOUBLE_EQ(tree.box(i)[0].length(), 0.5);
+    EXPECT_DOUBLE_EQ(tree.box(i)[1].length(), 4.0);
   }
 }
 
@@ -179,7 +180,7 @@ TEST(DecompositionTest, DeepenToStopsWhenExhausted) {
 TEST(DecompositionTest, DegenerateUniformSlabSplitsOtherAxis) {
   // Zero extent on axis 0; round-robin must skip to axis 1.
   UniformPdf pdf(Rect(Point{0.5, 0.0}, Point{0.5, 1.0}));
-  DecompositionTree tree(&pdf, SplitPolicy::kRoundRobin);
+  DecompositionTree tree(&pdf);
   EXPECT_EQ(tree.Deepen(), 1u);
   ASSERT_EQ(tree.size(), 2u);
   EXPECT_DOUBLE_EQ(tree.box(0)[1].length(), 0.5);

@@ -108,10 +108,9 @@ TEST(RectTest, FromPointIsDegenerate) {
   EXPECT_FALSE(r.Contains(Point{1.0, 2.1}));
 }
 
-TEST(RectTest, VolumeAndLongestSide) {
+TEST(RectTest, Volume) {
   Rect r(Point{0.0, 0.0, 0.0}, Point{2.0, 3.0, 1.0});
   EXPECT_DOUBLE_EQ(r.Volume(), 6.0);
-  EXPECT_EQ(r.LongestSide(), 1u);
 }
 
 TEST(RectTest, ContainsAndIntersects) {

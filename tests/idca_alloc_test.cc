@@ -115,7 +115,7 @@ TEST(IdcaAllocTest, WarmRunsAllocateOnlyTheirResult) {
           // The runs must have refined, or the workspace was never used.
           EXPECT_GT(knn.influence_count, 0u) << label;
           EXPECT_GT(rknn.influence_count, 0u) << label;
-          EXPECT_GE(full.iterations_run(), 2u) << label;
+          EXPECT_GE(full.iterations_run, 2u) << label;
         }
       }
     }

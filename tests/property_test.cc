@@ -1,6 +1,5 @@
 // Randomized property sweeps over the paper's central invariants, run
-// across object models, domination criteria, and split policies via
-// parameterized gtest.
+// across object models and domination criteria via parameterized gtest.
 
 #include <gtest/gtest.h>
 
@@ -17,14 +16,13 @@ using workload::MakeSyntheticDatabase;
 using workload::ObjectModel;
 using workload::SyntheticConfig;
 
-// (model, criterion, split policy)
-using Config = std::tuple<ObjectModel, DominationCriterion, SplitPolicy>;
+// (model, criterion)
+using Config = std::tuple<ObjectModel, DominationCriterion>;
 
 class IdcaInvariantTest : public ::testing::TestWithParam<Config> {
  protected:
   ObjectModel model() const { return std::get<0>(GetParam()); }
   DominationCriterion criterion() const { return std::get<1>(GetParam()); }
-  SplitPolicy policy() const { return std::get<2>(GetParam()); }
 
   UncertainDatabase MakeDb(uint64_t seed, size_t n = 40) const {
     SyntheticConfig cfg;
@@ -39,7 +37,6 @@ class IdcaInvariantTest : public ::testing::TestWithParam<Config> {
   IdcaConfig MakeConfig(int iterations) const {
     IdcaConfig config;
     config.criterion = criterion();
-    config.split_policy = policy();
     config.max_iterations = iterations;
     return config;
   }
@@ -123,9 +120,7 @@ INSTANTIATE_TEST_SUITE_P(
         ::testing::Values(ObjectModel::kUniform, ObjectModel::kGaussian,
                           ObjectModel::kDiscrete),
         ::testing::Values(DominationCriterion::kOptimal,
-                          DominationCriterion::kMinMax),
-        ::testing::Values(SplitPolicy::kRoundRobin,
-                          SplitPolicy::kLongestSide)));
+                          DominationCriterion::kMinMax)));
 
 // --------------------------------------------------------------------
 // PDom invariants across decomposition depths.
@@ -227,16 +222,16 @@ INSTANTIATE_TEST_SUITE_P(Sizes, UgfEnumerationTest,
                          ::testing::Values(1, 2, 3, 5, 8));
 
 // --------------------------------------------------------------------
-// Decomposition invariants across PDF models and policies.
+// Decomposition invariants across PDF models.
 
 class DecompositionInvariantTest
-    : public ::testing::TestWithParam<std::tuple<ObjectModel, SplitPolicy>> {};
+    : public ::testing::TestWithParam<ObjectModel> {};
 
 TEST_P(DecompositionInvariantTest, MassConservedAndRegionsNested) {
-  const auto [model, policy] = GetParam();
+  const ObjectModel model = GetParam();
   Rng rng(1000);
   const auto pdf = MakeQueryObject(Point{0.5, 0.5}, 0.3, model, 64, rng);
-  DecompositionTree tree(pdf.get(), policy);
+  DecompositionTree tree(pdf.get());
   const Rect root = pdf->bounds();
   for (int depth = 0; depth < 6; ++depth) {
     double mass = 0.0;
@@ -251,13 +246,13 @@ TEST_P(DecompositionInvariantTest, MassConservedAndRegionsNested) {
 }
 
 TEST_P(DecompositionInvariantTest, SampledPointsLandInExactlyOnePartition) {
-  const auto [model, policy] = GetParam();
+  const ObjectModel model = GetParam();
   if (model == ObjectModel::kDiscrete) {
     GTEST_SKIP() << "half-open membership is a counting rule, not geometric";
   }
   Rng rng(1001);
   const auto pdf = MakeQueryObject(Point{0.5, 0.5}, 0.3, model, 64, rng);
-  DecompositionTree tree(pdf.get(), policy);
+  DecompositionTree tree(pdf.get());
   tree.DeepenTo(5);
   for (int s = 0; s < 200; ++s) {
     const Point p = pdf->Sample(rng);
@@ -272,13 +267,10 @@ TEST_P(DecompositionInvariantTest, SampledPointsLandInExactlyOnePartition) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Sweep, DecompositionInvariantTest,
-    ::testing::Combine(::testing::Values(ObjectModel::kUniform,
-                                         ObjectModel::kGaussian,
-                                         ObjectModel::kDiscrete),
-                       ::testing::Values(SplitPolicy::kRoundRobin,
-                                         SplitPolicy::kLongestSide)));
+INSTANTIATE_TEST_SUITE_P(Sweep, DecompositionInvariantTest,
+                         ::testing::Values(ObjectModel::kUniform,
+                                           ObjectModel::kGaussian,
+                                           ObjectModel::kDiscrete));
 
 }  // namespace
 }  // namespace updb

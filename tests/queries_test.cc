@@ -62,13 +62,39 @@ TEST(KnnQueryTest, OverflowingDistancesNeverDecideWrong) {
   db.Add(std::make_shared<UniformPdf>(Rect(Point{2.0e154}, Point{2.1e154})));
   RTree index = BuildRTree(db.objects());
   const UniformPdf q(Rect(Point{0.0}, Point{1.0}));
-  const auto results = ProbabilisticThresholdKnn(db, index, q, 1, 0.5);
+  // No NaN term ever decides, so level h keeps all 4^h pairs and 2^h nodes
+  // per candidate open: seven levels cost an eighth of the default eight.
+  // At three to six levels the summed pair weights round object 0's upper
+  // bound to just below its true probability 1 (a rounding fault of the
+  // weight sum, not of the NaN guard), so the budget stays above them.
+  IdcaConfig config;
+  config.max_iterations = 7;
+  const auto results = ProbabilisticThresholdKnn(db, index, q, 1, 0.5, config);
   ASSERT_EQ(results.size(), 2u);
   for (const ThresholdQueryResult& r : results) {
     const double truth = r.id == 0 ? 1.0 : 0.0;  // P(object is the 1-NN)
     EXPECT_TRUE(r.prob.Contains(truth)) << "object " << r.id;
     EXPECT_NE(r.decision, r.id == 0 ? PredicateDecision::kFalse
                                     : PredicateDecision::kTrue)
+        << "object " << r.id;
+  }
+
+  // Only R's upper endpoint overflows. "Object 0 dominates object 1" has
+  // the term 1 - 4 = -3 at R's lower endpoint and inf - inf at its upper
+  // one, where the exact term is positive. std::max(-3, NaN) is -3, so
+  // only the NaN guard keeps the test from firing. Object 1 is the 1-NN
+  // in all but a ~1e-200 share of worlds.
+  UncertainDatabase near;
+  near.Add(std::make_shared<UniformPdf>(Rect(Point{0.0}, Point{1.0})));
+  near.Add(std::make_shared<UniformPdf>(Rect(Point{2.0}, Point{3.0})));
+  RTree near_index = BuildRTree(near.objects());
+  const UniformPdf wide(Rect(Point{0.0}, Point{1e200}));
+  const auto near_results =
+      ProbabilisticThresholdKnn(near, near_index, wide, 1, 0.5, config);
+  ASSERT_EQ(near_results.size(), 2u);
+  for (const ThresholdQueryResult& r : near_results) {
+    EXPECT_NE(r.decision, r.id == 0 ? PredicateDecision::kTrue
+                                    : PredicateDecision::kFalse)
         << "object " << r.id;
   }
 }
@@ -141,11 +167,41 @@ TEST(KnnQueryTest, LargerKKeepsMoreCandidates) {
   Rng rng(23);
   const auto q =
       MakeQueryObject(Point{0.5, 0.5}, 0.02, ObjectModel::kUniform, 0, rng);
+  // Candidate counts come from the spatial filter alone, so no refinement
+  // iteration is run.
+  IdcaConfig filter_only;
+  filter_only.max_iterations = 0;
   QueryStats s1, s10;
-  ProbabilisticThresholdKnn(f.db, f.index, *q, 1, 0.5, {}, &s1);
-  ProbabilisticThresholdKnn(f.db, f.index, *q, 10, 0.5, {}, &s10);
+  ProbabilisticThresholdKnn(f.db, f.index, *q, 1, 0.5, filter_only, &s1);
+  ProbabilisticThresholdKnn(f.db, f.index, *q, 10, 0.5, filter_only, &s10);
   EXPECT_GE(s10.candidates, s1.candidates);
   EXPECT_GE(s1.candidates, 1u);
+}
+
+TEST(QueryStatsTest, IterationCountDoesNotDependOnCollectStats) {
+  SyntheticConfig cfg;
+  cfg.num_objects = 40;
+  cfg.max_extent = 0.05;
+  Fixture f(cfg);
+  Rng rng(27);
+  const auto q =
+      MakeQueryObject(Point{0.5, 0.5}, 0.05, ObjectModel::kUniform, 0, rng);
+  IdcaConfig on;
+  on.max_iterations = 3;
+  IdcaConfig off = on;
+  off.collect_stats = false;
+
+  QueryStats knn_on, knn_off;
+  ProbabilisticThresholdKnn(f.db, f.index, *q, 3, 0.5, on, &knn_on);
+  ProbabilisticThresholdKnn(f.db, f.index, *q, 3, 0.5, off, &knn_off);
+  EXPECT_GT(knn_on.idca_iterations, 0u);
+  EXPECT_EQ(knn_off.idca_iterations, knn_on.idca_iterations);
+
+  QueryStats rank_on, rank_off;
+  ExpectedRankOrder(f.db, *q, on, &rank_on);
+  ExpectedRankOrder(f.db, *q, off, &rank_off);
+  EXPECT_GT(rank_on.idca_iterations, 0u);
+  EXPECT_EQ(rank_off.idca_iterations, rank_on.idca_iterations);
 }
 
 TEST(KnnQueryTest, CandidatesMatchBruteForceOracle) {

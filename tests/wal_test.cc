@@ -9,6 +9,7 @@
 #include <limits>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "store/object_store.h"
@@ -63,23 +64,76 @@ TEST(FsyncPolicyTest, NamesRoundTrip) {
             StatusCode::kInvalidArgument);
 }
 
-TEST(WalRecordRegistryTest, BuiltinKindsRegisteredUnknownRejected) {
-  const WalRecordRegistry& registry = WalRecordRegistry::Instance();
-  const WalRecordCodec* insert =
-      registry.Find(static_cast<uint8_t>(WalRecordKind::kInsert));
-  ASSERT_NE(insert, nullptr);
-  EXPECT_STREQ(insert->name, "insert");
-  EXPECT_STREQ(
-      registry.Find(static_cast<uint8_t>(WalRecordKind::kUpdate))->name,
-      "update");
-  EXPECT_STREQ(
-      registry.Find(static_cast<uint8_t>(WalRecordKind::kRemove))->name,
-      "remove");
-  EXPECT_STREQ(
-      registry.Find(static_cast<uint8_t>(WalRecordKind::kPublish))->name,
-      "publish");
-  EXPECT_EQ(registry.Find(0), nullptr);
-  EXPECT_EQ(registry.Find(99), nullptr);
+/// A CRC-valid frame whose body is `kind` followed by `payload`.
+std::string RawFrame(uint8_t kind, const std::string& payload) {
+  std::string body(1, static_cast<char>(kind));
+  body += payload;
+  std::string frame;
+  const uint32_t len = static_cast<uint32_t>(body.size());
+  const uint32_t crc = Crc32c(body.data(), body.size());
+  frame.append(reinterpret_cast<const char*>(&len), sizeof(len));
+  frame.append(reinterpret_cast<const char*>(&crc), sizeof(crc));
+  return frame + body;
+}
+
+TEST(WalRecordKindTest, BuiltinKindsFrameUnknownRejected) {
+  const std::string path = TempPath("wal_kinds.log");
+  // Each built-in kind writes its on-disk kind byte right after the
+  // 8-byte header and reads back as that kind.
+  std::vector<WalRecord> records;
+  records.push_back(InsertRecord(1, 7));
+  records.push_back(InsertRecord(2, 7));
+  records.back().kind = WalRecordKind::kUpdate;
+  records.push_back(InsertRecord(3, 7));
+  records.back().kind = WalRecordKind::kRemove;
+  records.push_back(InsertRecord(4, 0));
+  records.back().kind = WalRecordKind::kPublish;
+  records.back().version = 9;
+  const uint8_t kind_bytes[] = {1, 2, 3, 4};
+  std::string file;
+  for (size_t i = 0; i < records.size(); ++i) {
+    const StatusOr<std::string> frame = EncodeWalFrame(records[i]);
+    ASSERT_TRUE(frame.ok()) << i;
+    EXPECT_EQ(static_cast<uint8_t>((*frame)[8]), kind_bytes[i]);
+    file += *frame;
+  }
+  WriteBytes(path, file);
+  StatusOr<WalReadResult> read = ReadWalFile(path);
+  ASSERT_TRUE(read.ok());
+  ASSERT_EQ(read->records.size(), records.size());
+  EXPECT_EQ(read->truncated_bytes, 0u);
+  for (size_t i = 0; i < records.size(); ++i) {
+    EXPECT_EQ(read->records[i].kind, records[i].kind) << i;
+  }
+
+  // A rejected payload is reported under its kind's name.
+  const std::pair<uint8_t, const char*> names[] = {
+      {1, "insert"}, {2, "update"}, {3, "remove"}, {4, "publish"}};
+  for (const auto& [kind, name] : names) {
+    WriteBytes(path, RawFrame(kind, "x"));
+    read = ReadWalFile(path);
+    ASSERT_TRUE(read.ok());
+    EXPECT_TRUE(read->records.empty());
+    EXPECT_EQ(read->truncation_reason.rfind(std::string(name) +
+                                                " payload rejected",
+                                            0),
+              0u)
+        << read->truncation_reason;
+  }
+
+  // A kind byte that names no kind truncates, and no such kind encodes.
+  for (uint8_t kind : {uint8_t{0}, uint8_t{99}}) {
+    WriteBytes(path, RawFrame(kind, "payload"));
+    read = ReadWalFile(path);
+    ASSERT_TRUE(read.ok());
+    EXPECT_TRUE(read->records.empty());
+    EXPECT_EQ(read->truncation_reason,
+              "unknown record kind " + std::to_string(kind));
+    WalRecord bad = InsertRecord(1, 0);
+    bad.kind = static_cast<WalRecordKind>(kind);
+    EXPECT_EQ(EncodeWalFrame(bad).status().code(),
+              StatusCode::kInvalidArgument);
+  }
 }
 
 TEST(WalFrameTest, AllKindsRoundTripThroughAFile) {
