@@ -46,6 +46,10 @@ namespace obs {
 /// a {label="value"} series suffix from non-literal text.
 std::string EscapeLabelValue(const std::string& value);
 
+/// Escapes text for a JSON string literal: quotes, backslashes and every
+/// control byte (the admin plane's and the store's JSON reports).
+std::string JsonEscape(const std::string& in);
+
 /// Builds a labeled series key — name{k1="v1",k2="v2"} with every value
 /// escaped — suitable for MetricsRegistry::Counter/Gauge/Histogram, whose
 /// series keys keep the label suffix verbatim. Labels are emitted in the

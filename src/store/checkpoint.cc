@@ -67,25 +67,6 @@ Status SyncDir(const std::string& dir) {
   return Status::OK();
 }
 
-/// Extracts the version from a checkpoint file name; false for other
-/// names (including .tmp leftovers).
-bool ParseCheckpointFileName(std::string_view name, uint64_t* version) {
-  const std::string_view prefix(kFilePrefix);
-  const std::string_view suffix(kFileSuffix);
-  if (name.size() <= prefix.size() + suffix.size()) return false;
-  if (name.substr(0, prefix.size()) != prefix) return false;
-  if (name.substr(name.size() - suffix.size()) != suffix) return false;
-  const std::string_view digits =
-      name.substr(prefix.size(), name.size() - prefix.size() - suffix.size());
-  uint64_t value = 0;
-  for (char c : digits) {
-    if (c < '0' || c > '9') return false;
-    value = value * 10 + static_cast<uint64_t>(c - '0');
-  }
-  if (version != nullptr) *version = value;
-  return true;
-}
-
 /// Validates and parses one checkpoint file's full content.
 StatusOr<CheckpointState> ParseCheckpoint(const std::string& data) {
   // Split off the CRC trailer: the last non-empty line.
@@ -225,7 +206,7 @@ StatusOr<LoadedCheckpoint> LoadNewestCheckpoint(const std::string& dir) {
   for (const auto& it : std::filesystem::directory_iterator(dir, ec)) {
     uint64_t version = 0;
     const std::string name = it.path().filename().string();
-    if (ParseCheckpointFileName(name, &version)) {
+    if (ParseNumberedFileName(name, kFilePrefix, kFileSuffix, &version)) {
       candidates.emplace_back(version, it.path().string());
     }
   }
@@ -287,7 +268,7 @@ Status PruneCheckpoints(const std::string& dir, size_t keep) {
   for (const auto& it : std::filesystem::directory_iterator(dir, ec)) {
     const std::string name = it.path().filename().string();
     uint64_t version = 0;
-    if (ParseCheckpointFileName(name, &version)) {
+    if (ParseNumberedFileName(name, kFilePrefix, kFileSuffix, &version)) {
       checkpoints.emplace_back(version, it.path().string());
     } else if (name.size() > std::strlen(kTmpSuffix) &&
                name.rfind(kTmpSuffix) == name.size() -

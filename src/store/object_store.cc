@@ -49,15 +49,23 @@ std::vector<CheckpointEntry> CheckpointEntriesOf(const StoreSnapshot& snap) {
   return entries;
 }
 
-/// True when `dir` already holds WAL segments or checkpoints.
-bool DirHoldsStoreData(const std::string& dir) {
+/// Open()'s check of the WAL directory: named, and holding no WAL
+/// segments or checkpoints a fresh store would overwrite.
+Status CheckFreshWalDir(const std::string& dir) {
+  if (dir.empty()) {
+    return Status::InvalidArgument("Open() requires durability.wal_dir");
+  }
   std::error_code ec;
   for (const auto& it : std::filesystem::directory_iterator(dir, ec)) {
     const std::string name = it.path().filename().string();
-    if (ParseWalShardFileName(name, nullptr)) return true;
-    if (name.rfind("checkpoint-", 0) == 0) return true;
+    if (ParseWalShardFileName(name, nullptr) ||
+        name.rfind("checkpoint-", 0) == 0) {
+      return Status::FailedPrecondition(
+          "'" + dir + "' already holds WAL segments or checkpoints; recover "
+          "them with store::RecoverStore instead of overwriting");
+    }
   }
-  return false;
+  return Status::OK();
 }
 
 }  // namespace
@@ -200,87 +208,75 @@ bool VersionedObjectStore::IsLiveLocked(const Shard& shard,
 
 StatusOr<ObjectId> VersionedObjectStore::ApplyLocked(
     const Mutation& mutation) {
+  WalRecord record;
+  record.kind = WalKindOf(mutation.kind);
+  record.sequence = next_sequence_;
+  record.id =
+      mutation.kind == Mutation::Kind::kInsert ? next_id_ : mutation.id;
+  record.existence = mutation.existence;
+  record.pdf = mutation.pdf;
   // Validate fully before touching any state: a rejected mutation must
   // leave both the live view and the write-ahead windows unchanged.
-  ObjectId target = mutation.id;
-  switch (mutation.kind) {
-    case Mutation::Kind::kInsert:
-    case Mutation::Kind::kUpdate: {
-      if (mutation.pdf == nullptr) {
-        return Status::InvalidArgument("mutation without PDF");
-      }
-      if (mutation.existence <= 0.0 || mutation.existence > 1.0) {
-        return Status::InvalidArgument("existence must be in (0, 1]");
-      }
-      if (dim_ != 0 && mutation.pdf->bounds().dim() != dim_) {
-        return Status::InvalidArgument("object dimensionality mismatch");
-      }
-      if (mutation.kind == Mutation::Kind::kUpdate &&
-          !IsLiveLocked(shards_[ShardOf(target)], target)) {
-        return Status::NotFound("update of unknown object id");
-      }
-      break;
-    }
-    case Mutation::Kind::kRemove:
-      if (!IsLiveLocked(shards_[ShardOf(target)], target)) {
-        return Status::NotFound("remove of unknown object id");
-      }
-      break;
-  }
-  if (mutation.kind == Mutation::Kind::kInsert) target = next_id_;
+  UPDB_RETURN_IF_ERROR(ValidateLocked(record));
 
   // Durable stores write ahead to the target shard's WAL segment before
   // any in-memory state changes; a failed (or unencodable) append rejects
   // the mutation with no side effects, and IO failures additionally stop
   // the store via the sticky wal_status_.
-  if (durable_) {
-    WalRecord wal_record;
-    wal_record.kind = WalKindOf(mutation.kind);
-    wal_record.sequence = next_sequence_;
-    wal_record.id = target;
-    wal_record.existence = mutation.existence;
-    wal_record.pdf = mutation.pdf;
-    UPDB_RETURN_IF_ERROR(WalAppendLocked(wal_record));
-  }
-
-  if (mutation.kind == Mutation::Kind::kInsert) {
-    ++next_id_;
-    if (dim_ == 0) dim_ = mutation.pdf->bounds().dim();
-  }
-  CommitMutationLocked(mutation, target, next_sequence_++);
-  return target;
+  if (durable_) UPDB_RETURN_IF_ERROR(WalAppendLocked(record));
+  CommitMutationLocked(record);
+  return record.id;
 }
 
-void VersionedObjectStore::CommitMutationLocked(const Mutation& mutation,
-                                                ObjectId target,
-                                                uint64_t sequence) {
-  Shard& shard = shards_[ShardOf(target)];
+Status VersionedObjectStore::ValidateLocked(const WalRecord& record) const {
+  switch (record.kind) {
+    case WalRecordKind::kInsert:
+    case WalRecordKind::kUpdate:
+      if (record.pdf == nullptr) {
+        return Status::InvalidArgument("mutation without PDF");
+      }
+      // Written as a negated range test so that NaN fails it too.
+      if (!(record.existence > 0.0 && record.existence <= 1.0)) {
+        return Status::InvalidArgument("existence must be in (0, 1]");
+      }
+      if (dim_ != 0 && record.pdf->bounds().dim() != dim_) {
+        return Status::InvalidArgument("object dimensionality mismatch");
+      }
+      if (record.kind == WalRecordKind::kUpdate &&
+          !IsLiveLocked(shards_[ShardOf(record.id)], record.id)) {
+        return Status::NotFound("update of unknown object id");
+      }
+      return Status::OK();
+    case WalRecordKind::kRemove:
+      if (!IsLiveLocked(shards_[ShardOf(record.id)], record.id)) {
+        return Status::NotFound("remove of unknown object id");
+      }
+      return Status::OK();
+    case WalRecordKind::kPublish:
+      break;
+  }
+  return Status::InvalidArgument("not a mutation record");
+}
+
+void VersionedObjectStore::CommitMutationLocked(const WalRecord& record) {
+  Shard& shard = shards_[ShardOf(record.id)];
 
   // Write-ahead: log first, then apply to the shard's live delta.
-  LogRecord record;
-  record.sequence = sequence;
-  record.mutation = mutation;
-  record.mutation.id = target;
-  record.assigned_id = target;
-  shard.wal.push_back(std::move(record));
+  shard.wal.push_back(record);
   ++total_mutations_;
+  next_sequence_ = std::max(next_sequence_, record.sequence + 1);
 
-  switch (mutation.kind) {
-    case Mutation::Kind::kInsert:
-      shard.delta[target] = LiveDelta{false,
-                                      LiveObject{mutation.pdf,
-                                                 mutation.existence}};
-      ++shard.live_count;
-      break;
-    case Mutation::Kind::kUpdate:
-      shard.delta[target] = LiveDelta{false,
-                                      LiveObject{mutation.pdf,
-                                                 mutation.existence}};
-      break;
-    case Mutation::Kind::kRemove:
-      shard.delta[target] = LiveDelta{true, LiveObject{}};
-      --shard.live_count;
-      break;
+  if (record.kind == WalRecordKind::kRemove) {
+    shard.delta[record.id] = LiveDelta{true, LiveObject{}};
+    --shard.live_count;
+    return;
+  }
+  shard.delta[record.id] =
+      LiveDelta{false, LiveObject{record.pdf, record.existence}};
+  if (record.kind == WalRecordKind::kInsert) {
+    ++shard.live_count;
+    next_id_ = std::max(next_id_, record.id + 1);
+    if (dim_ == 0) dim_ = record.pdf->bounds().dim();
   }
 }
 
@@ -307,7 +303,7 @@ std::shared_ptr<const StoreSnapshot> VersionedObjectStore::Publish(
   PublishStats local_stats;
   std::vector<std::shared_ptr<const LiveTable>> tables(num_shards);
   std::vector<std::shared_ptr<const DeltaMap>> draining(num_shards);
-  std::vector<std::vector<LogRecord>> windows(num_shards);
+  std::vector<std::vector<WalRecord>> windows(num_shards);
   std::shared_ptr<const StoreSnapshot> prev;
   Version version = 0;
   bool checkpoint_due = false;
@@ -362,13 +358,11 @@ std::shared_ptr<const StoreSnapshot> VersionedObjectStore::Publish(
   obs_drain_seconds_->Record(local_stats.drain_ms / 1e3);
   if (options_.trace != nullptr) {
     // Backdated: the span covers the writer-mutex hold just released.
-    const uint64_t dur_ns = static_cast<uint64_t>(local_stats.drain_ms * 1e6);
-    const uint64_t now_ns = options_.trace->NowNs();
     const obs::TraceArg args[2] = {
         {"version", version}, {"drained", local_stats.drained_mutations}};
-    options_.trace->RecordSpan("publish_drain", "store",
-                               now_ns > dur_ns ? now_ns - dur_ns : 0, dur_ns,
-                               args, 2);
+    options_.trace->RecordBackdatedSpan(
+        "publish_drain", "store", options_.trace->NowNs(),
+        static_cast<uint64_t>(local_stats.drain_ms * 1e6), args, 2);
   }
 
   Stopwatch build_timer;
@@ -400,7 +394,7 @@ std::shared_ptr<const StoreSnapshot> VersionedObjectStore::Publish(
     // alike).
     std::vector<ObjectId> touched;
     touched.reserve(windows[s].size());
-    for (const LogRecord& r : windows[s]) touched.push_back(r.assigned_id);
+    for (const WalRecord& r : windows[s]) touched.push_back(r.id);
     std::sort(touched.begin(), touched.end());
     touched.erase(std::unique(touched.begin(), touched.end()),
                   touched.end());
@@ -490,12 +484,10 @@ std::shared_ptr<const StoreSnapshot> VersionedObjectStore::Publish(
   local_stats.build_ms = build_timer.ElapsedMillis();
   obs_build_seconds_->Record(local_stats.build_ms / 1e3);
   if (options_.trace != nullptr) {
-    const uint64_t dur_ns = static_cast<uint64_t>(local_stats.build_ms * 1e6);
-    const uint64_t now_ns = options_.trace->NowNs();
     const obs::TraceArg args[1] = {{"version", version}};
-    options_.trace->RecordSpan("publish_build", "store",
-                               now_ns > dur_ns ? now_ns - dur_ns : 0, dur_ns,
-                               args, 1);
+    options_.trace->RecordBackdatedSpan(
+        "publish_build", "store", options_.trace->NowNs(),
+        static_cast<uint64_t>(local_stats.build_ms * 1e6), args, 1);
   }
 
   // Under every_publish/every_batch, force the drained records to stable
@@ -573,15 +565,7 @@ std::shared_ptr<const StoreSnapshot> VersionedObjectStore::Publish(
 
 StatusOr<std::unique_ptr<VersionedObjectStore>> VersionedObjectStore::Open(
     StoreOptions options) {
-  const std::string& dir = options.durability.wal_dir;
-  if (dir.empty()) {
-    return Status::InvalidArgument("Open() requires durability.wal_dir");
-  }
-  if (DirHoldsStoreData(dir)) {
-    return Status::FailedPrecondition(
-        "'" + dir + "' already holds WAL segments or checkpoints; recover "
-        "them with store::RecoverStore instead of overwriting");
-  }
+  UPDB_RETURN_IF_ERROR(CheckFreshWalDir(options.durability.wal_dir));
   auto store = std::make_unique<VersionedObjectStore>(options);
   UPDB_RETURN_IF_ERROR(store->AttachDurability(options.durability));
   return store;
@@ -589,15 +573,7 @@ StatusOr<std::unique_ptr<VersionedObjectStore>> VersionedObjectStore::Open(
 
 StatusOr<std::unique_ptr<VersionedObjectStore>> VersionedObjectStore::Open(
     const UncertainDatabase& db, StoreOptions options) {
-  const std::string& dir = options.durability.wal_dir;
-  if (dir.empty()) {
-    return Status::InvalidArgument("Open() requires durability.wal_dir");
-  }
-  if (DirHoldsStoreData(dir)) {
-    return Status::FailedPrecondition(
-        "'" + dir + "' already holds WAL segments or checkpoints; recover "
-        "them with store::RecoverStore instead of overwriting");
-  }
+  UPDB_RETURN_IF_ERROR(CheckFreshWalDir(options.durability.wal_dir));
   auto store = std::make_unique<VersionedObjectStore>(db, options);
   UPDB_RETURN_IF_ERROR(store->AttachDurability(options.durability));
   return store;
@@ -630,7 +606,7 @@ Status VersionedObjectStore::AttachDurability(
   // crash at any point below replays the pending tail from whichever
   // segment set (old or fresh) survives.
   CheckpointState ck;
-  std::vector<LogRecord> pending;
+  std::vector<WalRecord> pending;
   std::shared_ptr<const StoreSnapshot> snap;
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -642,7 +618,7 @@ Status VersionedObjectStore::AttachDurability(
       pending.insert(pending.end(), shard.wal.begin(), shard.wal.end());
     }
     std::sort(pending.begin(), pending.end(),
-              [](const LogRecord& a, const LogRecord& b) {
+              [](const WalRecord& a, const WalRecord& b) {
                 return a.sequence < b.sequence;
               });
     ck.next_sequence =
@@ -678,15 +654,8 @@ Status VersionedObjectStore::AttachDurability(
                                obs_wal_fsyncs_);
     writers.push_back(std::move(writer).value());
   }
-  for (const LogRecord& r : pending) {
-    WalRecord wal_record;
-    wal_record.kind = WalKindOf(r.mutation.kind);
-    wal_record.sequence = r.sequence;
-    wal_record.id = r.assigned_id;
-    wal_record.existence = r.mutation.existence;
-    wal_record.pdf = r.mutation.pdf;
-    UPDB_RETURN_IF_ERROR(
-        writers[ShardOf(r.assigned_id)]->Append(wal_record));
+  for (const WalRecord& r : pending) {
+    UPDB_RETURN_IF_ERROR(writers[ShardOf(r.id)]->Append(r));
   }
   for (const auto& writer : writers) {
     UPDB_RETURN_IF_ERROR(writer->Sync());
@@ -711,17 +680,6 @@ Status VersionedObjectStore::wal_status() const {
 }
 
 std::string WalStats::ToJson(const Status& wal_status) const {
-  std::string status_text = wal_status.ToString();
-  std::string escaped;
-  escaped.reserve(status_text.size());
-  for (char c : status_text) {
-    if (c == '"' || c == '\\') escaped.push_back('\\');
-    if (c == '\n') {
-      escaped += "\\n";
-    } else {
-      escaped.push_back(c);
-    }
-  }
   std::string json = "{\"durable\":";
   json += durable ? "true" : "false";
   json += ",\"fsync_policy\":\"";
@@ -731,7 +689,7 @@ std::string WalStats::ToJson(const Status& wal_status) const {
   json += ",\"fsyncs\":" + std::to_string(fsyncs);
   json += ",\"checkpoint_writes\":" + std::to_string(checkpoint_writes);
   json += ",\"checkpoint_failures\":" + std::to_string(checkpoint_failures);
-  json += ",\"status\":\"" + escaped + "\"}";
+  json += ",\"status\":\"" + obs::JsonEscape(wal_status.ToString()) + "\"}";
   return json;
 }
 
@@ -775,66 +733,20 @@ Status VersionedObjectStore::ApplyForRecovery(const WalRecord& record) {
     return Status::FailedPrecondition(
         "recovery replay after durability attached");
   }
-  Mutation m;
-  switch (record.kind) {
-    case WalRecordKind::kInsert:
-      m.kind = Mutation::Kind::kInsert;
-      break;
-    case WalRecordKind::kUpdate:
-      m.kind = Mutation::Kind::kUpdate;
-      break;
-    case WalRecordKind::kRemove:
-      m.kind = Mutation::Kind::kRemove;
-      break;
-    case WalRecordKind::kPublish:
-      return Status::InvalidArgument(
-          "publish marker is not a mutation record");
-  }
-  m.id = record.id;
-  m.pdf = record.pdf;
-  m.existence = record.existence;
-  if (m.id == kInvalidObjectId) {
-    return Status::DataLoss("replayed record without a target id");
-  }
-
   // A CRC-valid record whose content cannot apply is corruption too —
   // reject with DataLoss (the caller truncates replay there), never abort.
-  switch (m.kind) {
-    case Mutation::Kind::kInsert:
-    case Mutation::Kind::kUpdate: {
-      if (m.pdf == nullptr) {
-        return Status::DataLoss("replayed mutation without PDF");
-      }
-      if (m.existence <= 0.0 || m.existence > 1.0) {
-        return Status::DataLoss("replayed existence outside (0, 1]");
-      }
-      if (dim_ != 0 && m.pdf->bounds().dim() != dim_) {
-        return Status::DataLoss("replayed object dimensionality mismatch");
-      }
-      if (m.kind == Mutation::Kind::kInsert) {
-        if (m.id < next_id_) {
-          return Status::DataLoss("replayed insert id regresses");
-        }
-      } else if (!IsLiveLocked(shards_[ShardOf(m.id)], m.id)) {
-        return Status::DataLoss("replayed update of a dead id");
-      }
-      break;
-    }
-    case Mutation::Kind::kRemove:
-      if (!IsLiveLocked(shards_[ShardOf(m.id)], m.id)) {
-        return Status::DataLoss("replayed remove of a dead id");
-      }
-      break;
+  if (record.id == kInvalidObjectId) {
+    return Status::DataLoss("replayed record without a target id");
   }
-
-  if (m.kind == Mutation::Kind::kInsert) {
-    next_id_ = m.id + 1;
-    if (dim_ == 0) dim_ = m.pdf->bounds().dim();
+  if (record.kind == WalRecordKind::kInsert && record.id < next_id_) {
+    return Status::DataLoss("replayed insert id regresses");
   }
-  CommitMutationLocked(m, m.id, record.sequence);
-  if (record.sequence >= next_sequence_) {
-    next_sequence_ = record.sequence + 1;
+  const Status valid = ValidateLocked(record);
+  if (!valid.ok()) {
+    return Status::DataLoss("replayed record cannot apply: " +
+                            valid.message());
   }
+  CommitMutationLocked(record);
   return Status::OK();
 }
 
@@ -925,14 +837,14 @@ PublishMetrics VersionedObjectStore::publish_metrics() const {
   return publish_metrics_;
 }
 
-std::vector<LogRecord> VersionedObjectStore::PendingLog() const {
+std::vector<WalRecord> VersionedObjectStore::PendingLog() const {
   std::lock_guard<std::mutex> lock(mu_);
-  std::vector<LogRecord> log;
+  std::vector<WalRecord> log;
   for (const Shard& shard : shards_) {
     log.insert(log.end(), shard.wal.begin(), shard.wal.end());
   }
   std::sort(log.begin(), log.end(),
-            [](const LogRecord& a, const LogRecord& b) {
+            [](const WalRecord& a, const WalRecord& b) {
               return a.sequence < b.sequence;
             });
   return log;

@@ -9,10 +9,12 @@
 //    window, its own copy-on-write live table, and — per snapshot — its
 //    own delta-overlay SnapshotIndex; one snapshot's query surface merges
 //    the shards in deterministic shard order (see store/snapshot_index.h).
-//  * Writers apply Insert/Update/Remove mutations. Each mutation is
-//    appended to the target shard's write-ahead window *before* the live
-//    state is touched; the pending windows are the source of truth for
-//    what the next snapshot must re-index.
+//  * Writers apply Insert/Update/Remove mutations. Each mutation becomes
+//    the WalRecord the WAL encodes (inserts carry the stable id the store
+//    assigned) and is appended to the target shard's write-ahead window
+//    *before* the live state is touched; the pending windows are the
+//    source of truth for what the next snapshot must re-index. Live
+//    writes and WAL replay validate and commit through the same code.
 //  * The live table of a shard is copy-on-write: an immutable sorted
 //    snapshot array (shared with published snapshots and in-flight
 //    builds) plus a small mutable delta map of changes since the last
@@ -80,14 +82,6 @@ struct Mutation {
 
 /// Stable name of a Mutation::Kind ("insert", "update", "remove").
 const char* MutationKindName(Mutation::Kind kind);
-
-/// One write-ahead log record: the mutation plus its global sequence
-/// number and, for inserts, the stable id the store assigned.
-struct LogRecord {
-  uint64_t sequence = 0;  // 1-based, global over the store's lifetime
-  Mutation mutation;
-  ObjectId assigned_id = kInvalidObjectId;
-};
 
 /// Durable-mode configuration. A store with a non-empty `wal_dir` (opened
 /// via VersionedObjectStore::Open or store::RecoverStore +
@@ -325,7 +319,7 @@ class VersionedObjectStore {
   }
   /// Copy of the pending write-ahead window, in application order
   /// (ascending global sequence, merged across shards).
-  std::vector<LogRecord> PendingLog() const;
+  std::vector<WalRecord> PendingLog() const;
   /// Sorted live stable ids (the deterministic targeting surface for
   /// churn generators).
   std::vector<ObjectId> LiveIds() const;
@@ -341,11 +335,13 @@ class VersionedObjectStore {
   // before durability attaches). They replay history with the *original*
   // ids, sequence numbers and version numbers so recovered snapshots are
   // bit-identical to the lost process's — a replayed record that cannot
-  // apply (dead target, duplicate id, dimensionality clash) fails with
-  // DataLoss instead of aborting, and the caller stops replay there.
+  // apply fails with DataLoss instead of aborting, and the caller stops
+  // replay there.
 
   /// Applies one replayed mutation record with its forced stable id and
-  /// sequence number.
+  /// sequence number. Beyond the checks live writes pass, the id must be
+  /// set and an insert id must not go below the next stable id; every
+  /// failure is DataLoss.
   Status ApplyForRecovery(const WalRecord& record);
   /// Publishes with a forced version number (replaying a kPublish
   /// marker). DataLoss when `version` does not advance the store.
@@ -374,7 +370,7 @@ class VersionedObjectStore {
     /// live view until the merged table is installed.
     std::shared_ptr<const DeltaMap> draining;
     /// Pending write-ahead window.
-    std::vector<LogRecord> wal;
+    std::vector<WalRecord> wal;
     /// |table ∘ draining ∘ delta| — maintained incrementally.
     size_t live_count = 0;
   };
@@ -383,18 +379,21 @@ class VersionedObjectStore {
   /// Liveness of `id` in its shard's logical view (delta over draining
   /// over table); requires mu_.
   bool IsLiveLocked(const Shard& shard, ObjectId id) const;
+  /// The one mutation check of live writes and replay: a PDF of the
+  /// store's dimensionality and an existence in (0, 1] for inserts and
+  /// updates, a live target for updates and removes. InvalidArgument or
+  /// NotFound; requires mu_.
+  Status ValidateLocked(const WalRecord& record) const;
   /// Installs the version-0 empty snapshot at construction.
   void InstallEmptySnapshot();
   /// Appends `record` to the WAL segment of shard ShardOf(record.id)
   /// (kPublish markers go to shard 0); requires mu_ and durable_. On
   /// failure the error becomes the sticky wal_status_.
   Status WalAppendLocked(const WalRecord& record);
-  /// Applies an already-validated mutation to its shard: WAL window +
-  /// delta map + live count; requires mu_. `sequence` is consumed by the
-  /// caller (normal appliers pass next_sequence_++, recovery the replayed
-  /// record's).
-  void CommitMutationLocked(const Mutation& mutation, ObjectId target,
-                            uint64_t sequence);
+  /// Applies a validated mutation record to its shard (WAL window, delta
+  /// map, live count) and advances the id, sequence and dimension
+  /// watermarks past it; requires mu_.
+  void CommitMutationLocked(const WalRecord& record);
   /// Registers the store's metric series (constructor helper).
   void RegisterMetrics();
 

@@ -11,24 +11,6 @@
 namespace updb {
 namespace store {
 
-namespace {
-
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    if (c == '\n') {
-      out += "\\n";
-    } else {
-      out.push_back(c);
-    }
-  }
-  return out;
-}
-
-}  // namespace
-
 std::string RecoveryReport::ToJson() const {
   std::string json = "{";
   const auto field = [&json](const char* name, uint64_t value) {
@@ -51,7 +33,7 @@ std::string RecoveryReport::ToJson() const {
   json += ",\"warnings\":[";
   for (size_t i = 0; i < warnings.size(); ++i) {
     if (i > 0) json += ",";
-    json += "\"" + JsonEscape(warnings[i]) + "\"";
+    json += "\"" + obs::JsonEscape(warnings[i]) + "\"";
   }
   json += "]}";
   return json;

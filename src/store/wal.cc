@@ -303,21 +303,26 @@ std::string WalShardFileName(size_t shard) {
   return "wal-shard-" + std::to_string(shard) + ".log";
 }
 
-bool ParseWalShardFileName(std::string_view name, size_t* shard) {
-  constexpr std::string_view kPrefix = "wal-shard-";
-  constexpr std::string_view kSuffix = ".log";
-  if (name.size() <= kPrefix.size() + kSuffix.size()) return false;
-  if (name.substr(0, kPrefix.size()) != kPrefix) return false;
-  if (name.substr(name.size() - kSuffix.size()) != kSuffix) return false;
+bool ParseNumberedFileName(std::string_view name, std::string_view prefix,
+                           std::string_view suffix, uint64_t* number) {
+  if (name.size() <= prefix.size() + suffix.size()) return false;
+  if (name.substr(0, prefix.size()) != prefix) return false;
+  if (name.substr(name.size() - suffix.size()) != suffix) return false;
   const std::string_view digits =
-      name.substr(kPrefix.size(),
-                  name.size() - kPrefix.size() - kSuffix.size());
-  size_t value = 0;
+      name.substr(prefix.size(), name.size() - prefix.size() - suffix.size());
+  uint64_t value = 0;
   for (char c : digits) {
     if (c < '0' || c > '9') return false;
-    value = value * 10 + static_cast<size_t>(c - '0');
+    value = value * 10 + static_cast<uint64_t>(c - '0');
   }
-  if (shard != nullptr) *shard = value;
+  if (number != nullptr) *number = value;
+  return true;
+}
+
+bool ParseWalShardFileName(std::string_view name, size_t* shard) {
+  uint64_t value = 0;
+  if (!ParseNumberedFileName(name, "wal-shard-", ".log", &value)) return false;
+  if (shard != nullptr) *shard = static_cast<size_t>(value);
   return true;
 }
 

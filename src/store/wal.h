@@ -113,6 +113,12 @@ struct WalReadResult {
 /// CRC-corrupt record. Unavailable when the file cannot be opened.
 StatusOr<WalReadResult> ReadWalFile(const std::string& path);
 
+/// Parses "<prefix><decimal digits><suffix>" back to its number; false
+/// for any other name. The one parser of the numbered file names in a WAL
+/// directory (WAL segments here, checkpoints in store/checkpoint.h).
+bool ParseNumberedFileName(std::string_view name, std::string_view prefix,
+                           std::string_view suffix, uint64_t* number);
+
 /// Name of shard `s`'s WAL segment within a WAL directory.
 std::string WalShardFileName(size_t shard);
 /// Parses a WalShardFileName back to its shard number (for directory

@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
@@ -484,6 +485,131 @@ TEST(RecoveryTest, ResumeAfterRecoveryAndCrashAgain) {
   ExpectStoresEquivalent(**recovered, *reference, "double recovery");
 }
 
+/// A record that passes its CRC check but cannot apply is corruption:
+/// recovery stops at its sequence, drops it and every later record, and
+/// serves the valid prefix before it. The prefix inserts ids 0 and 1,
+/// removes 1, publishes version 1 and leaves an update of 0 pending; each
+/// case then appends one bad record (sequence 6) and two valid ones.
+TEST(RecoveryTest, UnreplayableRecordStopsReplayAtItsSequence) {
+  const auto box = [](double lo, size_t dim = 2) {
+    return std::make_shared<UniformPdf>(
+        Rect(Point(std::vector<double>(dim, lo)),
+             Point(std::vector<double>(dim, lo + 0.1))));
+  };
+  const auto mutation = [](WalRecordKind kind, uint64_t sequence,
+                           ObjectId id, std::shared_ptr<const Pdf> pdf,
+                           double existence = 1.0) {
+    WalRecord r;
+    r.kind = kind;
+    r.sequence = sequence;
+    r.id = id;
+    r.pdf = std::move(pdf);
+    r.existence = existence;
+    return r;
+  };
+  const auto publish = [](uint64_t sequence, uint64_t version) {
+    WalRecord r;
+    r.kind = WalRecordKind::kPublish;
+    r.sequence = sequence;
+    r.version = version;
+    return r;
+  };
+  const std::vector<WalRecord> prefix = {
+      mutation(WalRecordKind::kInsert, 1, 0, box(0.1)),
+      mutation(WalRecordKind::kInsert, 2, 1, box(0.5), 0.5),
+      mutation(WalRecordKind::kRemove, 3, 1, nullptr),
+      publish(4, 1),
+      mutation(WalRecordKind::kUpdate, 5, 0, box(0.3), 0.75),
+  };
+  const std::vector<WalRecord> later = {
+      mutation(WalRecordKind::kInsert, 7, 2, box(0.6)), publish(8, 2)};
+  VersionedObjectStore reference(BaseOptions());
+  ASSERT_TRUE(reference.Insert(box(0.1)).ok());
+  ASSERT_TRUE(reference.Insert(box(0.5), 0.5).ok());
+  ASSERT_TRUE(reference.Remove(1).ok());
+  reference.Publish();
+  ASSERT_TRUE(reference.Update(0, box(0.3), 0.75).ok());
+
+  // An encoder cannot write existence 0 (it builds an UncertainObject),
+  // so that frame is an encoded existence-0.5 insert with its object
+  // line patched to "0.0" and its CRC re-sealed.
+  StatusOr<std::string> zero_frame =
+      EncodeWalFrame(mutation(WalRecordKind::kInsert, 6, 2, box(0.2), 0.5));
+  ASSERT_TRUE(zero_frame.ok());
+  const size_t at = zero_frame->find(",0.5,");
+  ASSERT_NE(at, std::string::npos);
+  zero_frame->replace(at, 5, ",0.0,");
+  const uint32_t crc = Crc32c(zero_frame->data() + 8, zero_frame->size() - 8);
+  std::memcpy(zero_frame->data() + 4, &crc, sizeof(crc));
+
+  const struct {
+    const char* name;
+    std::string bad_frame;
+    bool decoder_rejects = false;
+  } cases[] = {
+      {"update_dead_id",
+       *EncodeWalFrame(mutation(WalRecordKind::kUpdate, 6, 1, box(0.2)))},
+      {"remove_dead_id",
+       *EncodeWalFrame(mutation(WalRecordKind::kRemove, 6, 1, nullptr))},
+      {"insert_below_next_id",
+       *EncodeWalFrame(mutation(WalRecordKind::kInsert, 6, 1, box(0.2)))},
+      {"wrong_dimension",
+       *EncodeWalFrame(
+           mutation(WalRecordKind::kInsert, 6, 2, box(0.2, /*dim=*/3)))},
+      {"existence_zero", *zero_frame, /*decoder_rejects=*/true},
+  };
+  for (const auto& c : cases) {
+    const std::string dir = FreshDir(std::string("unreplayable_") + c.name);
+    std::filesystem::create_directories(dir);
+    const std::string segment = dir + "/" + WalShardFileName(0);
+    const auto append = [&](const std::vector<WalRecord>& records) {
+      StatusOr<std::unique_ptr<WalShardWriter>> writer =
+          WalShardWriter::Open(segment, /*truncate=*/false);
+      ASSERT_TRUE(writer.ok()) << writer.status().ToString();
+      for (const WalRecord& r : records) {
+        ASSERT_TRUE((*writer)->Append(r).ok()) << c.name;
+      }
+    };
+    append(prefix);
+    std::ofstream(segment, std::ios::binary | std::ios::app) << c.bad_frame;
+    append(later);
+
+    RecoveryReport report;
+    StatusOr<std::unique_ptr<VersionedObjectStore>> recovered =
+        RecoverStore(dir, BaseOptions(), &report);
+    ASSERT_TRUE(recovered.ok())
+        << c.name << ": " << recovered.status().ToString();
+    EXPECT_TRUE(report.data_loss) << c.name;
+    EXPECT_EQ(report.replayed_mutations, 4u) << c.name;
+    EXPECT_EQ(report.replayed_publishes, 1u) << c.name;
+    ASSERT_FALSE(report.warnings.empty()) << c.name;
+    if (c.decoder_rejects) {
+      // The WAL decoder shares dataset_io's existence check, so replay
+      // stops at the frame itself: it and every later frame are dropped
+      // as a rejected tail.
+      EXPECT_EQ(report.dropped_records, 0u);
+      EXPECT_EQ(report.truncated_bytes,
+                std::filesystem::file_size(segment) -
+                    FrameOffsets(segment).back());
+      EXPECT_NE(report.warnings.back().find("insert payload rejected"),
+                std::string::npos)
+          << report.warnings.back();
+      // Handed to the store directly, the same record fails to apply.
+      VersionedObjectStore direct(BaseOptions());
+      const WalRecord zero =
+          mutation(WalRecordKind::kInsert, 1, 0, box(0.2), 0.0);
+      EXPECT_EQ(direct.ApplyForRecovery(zero).code(), StatusCode::kDataLoss);
+    } else {
+      EXPECT_EQ(report.truncated_bytes, 0u) << c.name;
+      EXPECT_EQ(report.dropped_records, 3u) << c.name;
+      EXPECT_NE(report.warnings.back().find("sequence 6 cannot replay"),
+                std::string::npos)
+          << c.name << ": " << report.warnings.back();
+    }
+    ExpectStoresEquivalent(**recovered, reference, c.name);
+  }
+}
+
 TEST(RecoveryTest, StatusCodesOnBadInputs) {
   EXPECT_EQ(RecoverStore("/nonexistent/updb-wal", BaseOptions()).status()
                 .code(),
@@ -587,6 +713,24 @@ TEST(RecoveryTest, RecoverCommandReportShape) {
   EXPECT_NE(json.find("\"truncated_bytes\":17"), std::string::npos);
   EXPECT_NE(json.find("\"data_loss\":true"), std::string::npos);
   EXPECT_NE(json.find("\\\"quoted\\\""), std::string::npos);
+}
+
+/// Warnings quote file paths and status texts verbatim, so both reports
+/// must escape control bytes to stay valid JSON.
+TEST(RecoveryTest, JsonReportsEscapeControlBytes) {
+  const std::string raw = "wal\tdir\x01" "end";
+  const std::string escaped = "wal\\tdir\\u0001end";
+  RecoveryReport report;
+  report.warnings.push_back(raw);
+  const std::string recovery_json = report.ToJson();
+  EXPECT_NE(recovery_json.find(escaped), std::string::npos) << recovery_json;
+  const std::string wal_json = WalStats().ToJson(Status::DataLoss(raw));
+  EXPECT_NE(wal_json.find(escaped), std::string::npos) << wal_json;
+  for (const std::string& json : {recovery_json, wal_json}) {
+    for (const char c : json) {
+      EXPECT_GE(static_cast<unsigned char>(c), 0x20) << json;
+    }
+  }
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 #include <bit>
 #include <cstdint>
 #include <cstdlib>
+#include <filesystem>
 #include <limits>
 #include <memory>
 #include <numeric>
@@ -17,6 +18,7 @@
 #include "queries/queries.h"
 #include "service/query_service.h"
 #include "service/trace.h"
+#include "store/recovery.h"
 #include "test_shards.h"
 #include "workload/churn.h"
 #include "workload/generators.h"
@@ -137,12 +139,12 @@ TEST(VersionedObjectStoreTest, InsertUpdateRemoveAndWal) {
   EXPECT_EQ(s.pending_mutations(), 2u);
 
   // The write-ahead window records application order and assigned ids.
-  const std::vector<LogRecord> wal = s.PendingLog();
+  const std::vector<WalRecord> wal = s.PendingLog();
   ASSERT_EQ(wal.size(), 2u);
   EXPECT_EQ(wal[0].sequence, 1u);
-  EXPECT_EQ(wal[0].assigned_id, 0u);
+  EXPECT_EQ(wal[0].id, 0u);
   EXPECT_EQ(wal[1].sequence, 2u);
-  EXPECT_EQ(wal[1].mutation.kind, Mutation::Kind::kInsert);
+  EXPECT_EQ(wal[1].kind, WalRecordKind::kInsert);
 
   EXPECT_TRUE(s.Update(*a, MakePdf(0.3, 0.3, 0.02)).ok());
   EXPECT_TRUE(s.Remove(*b).ok());
@@ -170,6 +172,41 @@ TEST(VersionedObjectStoreTest, InsertUpdateRemoveAndWal) {
   const StatusOr<ObjectId> c = s.Insert(MakePdf(0.6, 0.6, 0.02));
   ASSERT_TRUE(c.ok());
   EXPECT_EQ(*c, 2u);
+}
+
+/// A NaN existence fails every comparison, so a range check written as
+/// `e <= 0 || e > 1` lets it through — and the next Publish() aborts when
+/// it materializes the object. Live writes reject it as InvalidArgument
+/// and replay as DataLoss, both through the one mutation check.
+TEST(VersionedObjectStoreTest, NanExistenceIsRejected) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  VersionedObjectStore s(TestOptions());
+  const StatusOr<ObjectId> a = s.Insert(MakePdf(0.2, 0.2, 0.02));
+  ASSERT_TRUE(a.ok());
+  EXPECT_EQ(s.Insert(MakePdf(0.4, 0.4, 0.02), nan).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(s.Update(*a, MakePdf(0.3, 0.3, 0.02), nan).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(s.pending_mutations(), 1u);
+  const auto snap = s.Publish();
+  ASSERT_EQ(snap->size(), 1u);
+  EXPECT_EQ(snap->db()->objects()[0].existence(), 1.0);
+
+  VersionedObjectStore replay(TestOptions());
+  WalRecord record;
+  record.kind = WalRecordKind::kInsert;
+  record.sequence = 1;
+  record.id = 0;
+  record.pdf = MakePdf(0.2, 0.2, 0.02);
+  record.existence = nan;
+  EXPECT_EQ(replay.ApplyForRecovery(record).code(), StatusCode::kDataLoss);
+  record.existence = 0.5;
+  ASSERT_TRUE(replay.ApplyForRecovery(record).ok());
+  record.kind = WalRecordKind::kUpdate;
+  record.sequence = 2;
+  record.existence = nan;
+  EXPECT_EQ(replay.ApplyForRecovery(record).code(), StatusCode::kDataLoss);
+  EXPECT_EQ(replay.pending_mutations(), 1u);
 }
 
 TEST(VersionedObjectStoreTest, DenseStableTranslation) {
@@ -549,6 +586,65 @@ TEST(VersionedObjectStoreTest, CowPublishOverlapsConcurrentReaders) {
   writer.join();
   EXPECT_EQ(snapshots_checked.load(), kReaders * 40);
   EXPECT_GT(store->version(), 1u);
+}
+
+/// TSan surface of the durable path: WAL appends, made under the writer
+/// mutex, race Publish()'s fsync of the same segments, made outside it.
+/// Recovering the directory afterwards must rebuild exactly the state the
+/// store last published.
+TEST(VersionedObjectStoreTest, DurableAppendsRacePublishFsync) {
+  const std::string dir =
+      std::string(::testing::TempDir()) + "/updb_store_durable_race";
+  std::filesystem::remove_all(dir);
+  StoreOptions opts = TestOptions();
+  opts.durability.wal_dir = dir;
+  opts.durability.fsync = FsyncPolicy::kEveryPublish;
+  opts.durability.checkpoint_every = 4;
+  StatusOr<std::unique_ptr<VersionedObjectStore>> opened =
+      VersionedObjectStore::Open(MakeDb(30, 0.05), opts);
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  VersionedObjectStore& store = **opened;
+
+  std::atomic<bool> done{false};
+  std::thread writer([&] {
+    Rng rng(29);
+    workload::ChurnConfig ccfg;
+    ccfg.mutations_per_batch = 6;
+    ccfg.max_extent = 0.05;
+    for (int batch = 0; batch < 40; ++batch) {
+      const std::vector<Mutation> mutations =
+          workload::MakeMutationBatch(store.LiveIds(), 2, ccfg, rng);
+      EXPECT_TRUE(workload::ApplyMutationBatch(store, mutations).ok());
+    }
+    done.store(true);
+  });
+  size_t publishes = 0;
+  while (!done.load()) {
+    store.Publish();
+    ++publishes;
+  }
+  writer.join();
+  const auto published = store.Publish();
+  ASSERT_TRUE(store.wal_status().ok()) << store.wal_status().ToString();
+  EXPECT_GT(publishes, 0u);
+
+  RecoveryReport report;
+  StatusOr<std::unique_ptr<VersionedObjectStore>> recovered =
+      RecoverStore(dir, TestOptions(), &report);
+  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+  EXPECT_FALSE(report.data_loss) << report.ToJson();
+  EXPECT_EQ((*recovered)->version(), published->version());
+  EXPECT_EQ((*recovered)->pending_mutations(), 0u);
+  EXPECT_EQ((*recovered)->LiveIds(), store.LiveIds());
+
+  service::TraceConfig tcfg;
+  tcfg.num_requests = 8;
+  tcfg.budget.max_iterations = 3;
+  tcfg.seed = 61;
+  const std::vector<service::QueryRequest> trace =
+      service::MakeTrace(*published->db(), tcfg);
+  EXPECT_EQ(PinnedDigest((*recovered)->latest(), trace),
+            PinnedDigest(published, trace));
 }
 
 TEST(VersionedObjectStoreTest, EmptyStoreComesUpAndServes) {
