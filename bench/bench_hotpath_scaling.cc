@@ -22,9 +22,12 @@
 //                     both dispatch tables.
 //   thread_scaling    the same computation at 1/2/4/8 threads.
 //   domination        nanoseconds per optimal-criterion classification
-//                     at L1/L2 and d = 2/3: the flat-box kernel
-//                     (domination/kernel.h, one PairTerms per (B, R) pair)
-//                     vs an in-bench copy of the per-call Rect loop it
+//                     at L1/L2, d = 2/3 and runs of 8/32/64 boxes per
+//                     (B, R) pair: the flat-box kernel box by box
+//                     (domination/kernel.h, one PairTerms per pair), the
+//                     lane kernel over the pair's run (ClassifyRun, four
+//                     boxes per step, active dispatch table), and an
+//                     in-bench copy of the per-call Rect loop the kernel
 //                     replaced (out-of-line Pow, branching MinDist).
 //                     Median/min/max over repeats.
 //   engine_run        nanoseconds per short engine run on the same
@@ -42,7 +45,8 @@
 // must agree within 1e-9 (different accumulation orders), the scalar- and
 // vector-dispatch engine bounds must be IDENTICAL BITS (same blocked
 // accumulation order, gf/kernels.h), the kernel's domination verdicts
-// must equal the Rect loop's on every test, every engine_run result
+// (box by box, and the lane kernel under both tables) must equal the
+// Rect loop's on every test, every engine_run result
 // must equal bit for bit the same run made on a fresh thread (whose
 // workspace is new), and every rknn_filter candidate list must equal an
 // in-bench unindexed dominator count — any deviation exits 2.
@@ -289,18 +293,23 @@ DominationClass RectLoopClassify(const Rect& a, const Rect& b, const Rect& r,
 struct DominationSeries {
   int p = 2;
   size_t dim = 2;
+  size_t run = 32;            // A boxes per (B, R) pair
   size_t tests = 0;           // classifications per repeat
   double decided = 0.0;       // share of kDominates/kDominated verdicts
   Spread rect_ns;     // per classification, Rect loop
-  Spread kernel_ns;   // per classification, flat-box kernel
+  Spread kernel_ns;   // per classification, flat-box kernel, box by box
+  Spread lane_ns;     // per classification, ClassifyRun over the pair's run
   bool agree = true;
 };
 
-/// Refinement-shaped workload: per (B', R') pair, kAPerPair candidate
-/// boxes are classified, each pair's terms built once on the kernel side.
-DominationSeries BenchDomination(int p, size_t dim, int repeats) {
-  constexpr size_t kPairs = 256;
-  constexpr size_t kAPerPair = 32;
+/// Refinement-shaped workload: per (B', R') pair, a run of `run` candidate
+/// boxes is classified, each pair's terms built once on the kernel side.
+/// The lane column gathers the run's box pointers and calls ClassifyRun,
+/// as the engine's pair loop does; its verdicts are also taken once under
+/// the scalar table, and all four verdict sets must be equal.
+DominationSeries BenchDomination(int p, size_t dim, size_t run, int repeats) {
+  constexpr size_t kTests = 8192;
+  const size_t pairs = kTests / run;
   Rng rng(808 + static_cast<uint64_t>(10 * p) + dim);
   const auto random_box = [&rng, dim](double max_extent) {
     std::vector<Interval> sides;
@@ -311,12 +320,12 @@ DominationSeries BenchDomination(int p, size_t dim, int repeats) {
     return Rect(std::move(sides));
   };
   std::vector<Rect> b_boxes, r_boxes, a_boxes;
-  for (size_t i = 0; i < kPairs; ++i) {
+  for (size_t i = 0; i < pairs; ++i) {
     b_boxes.push_back(random_box(0.05));
     r_boxes.push_back(random_box(0.05));
   }
   std::vector<Interval> a_flat;  // the kernel reads A boxes flat
-  for (size_t i = 0; i < kPairs * kAPerPair; ++i) {
+  for (size_t i = 0; i < kTests; ++i) {
     a_boxes.push_back(random_box(0.05));
     const std::span<const Interval> sides = a_boxes.back().sides();
     a_flat.insert(a_flat.end(), sides.begin(), sides.end());
@@ -326,43 +335,68 @@ DominationSeries BenchDomination(int p, size_t dim, int repeats) {
   DominationSeries out;
   out.p = p;
   out.dim = dim;
-  out.tests = kPairs * kAPerPair;
-  std::vector<DominationClass> rect_verdicts(out.tests);
-  std::vector<DominationClass> kernel_verdicts(out.tests);
-  std::vector<double> rect_ns, kernel_ns;
+  out.run = run;
+  out.tests = kTests;
+  std::vector<DominationClass> rect_verdicts(kTests);
+  std::vector<DominationClass> kernel_verdicts(kTests);
+  std::vector<DominationClass> lane_verdicts(kTests);
+  std::vector<const Interval*> boxes(run);
+  std::vector<double> rect_ns, kernel_ns, lane_ns;
   Stopwatch timer;
-  for (int rep = 0; rep < repeats; ++rep) {
-    timer.Reset();
-    for (size_t pr = 0; pr < kPairs; ++pr) {
-      for (size_t j = pr * kAPerPair; j < (pr + 1) * kAPerPair; ++j) {
-        rect_verdicts[j] =
-            RectLoopClassify(a_boxes[j], b_boxes[pr], r_boxes[pr], norm);
-      }
-    }
-    rect_ns.push_back(timer.ElapsedSeconds() * 1e9 /
-                      static_cast<double>(out.tests));
-
-    WithPairTerms(DominationCriterion::kOptimal, norm, [&](auto terms) {
-      timer.Reset();
-      for (size_t pr = 0; pr < kPairs; ++pr) {
+  WithPairTerms(DominationCriterion::kOptimal, norm, [&](auto terms) {
+    const auto lanes = [&] {
+      for (size_t pr = 0; pr < pairs; ++pr) {
         terms.Reset(b_boxes[pr].sides(), r_boxes[pr].sides());
-        for (size_t j = pr * kAPerPair; j < (pr + 1) * kAPerPair; ++j) {
+        for (size_t j = 0; j < run; ++j) {
+          boxes[j] = a_flat.data() + (pr * run + j) * dim;
+        }
+        ClassifyRun(terms, boxes, lane_verdicts.data() + pr * run);
+      }
+    };
+    for (int rep = 0; rep < repeats; ++rep) {
+      timer.Reset();
+      for (size_t pr = 0; pr < pairs; ++pr) {
+        for (size_t j = pr * run; j < (pr + 1) * run; ++j) {
+          rect_verdicts[j] =
+              RectLoopClassify(a_boxes[j], b_boxes[pr], r_boxes[pr], norm);
+        }
+      }
+      rect_ns.push_back(timer.ElapsedSeconds() * 1e9 /
+                        static_cast<double>(kTests));
+
+      timer.Reset();
+      for (size_t pr = 0; pr < pairs; ++pr) {
+        terms.Reset(b_boxes[pr].sides(), r_boxes[pr].sides());
+        for (size_t j = pr * run; j < (pr + 1) * run; ++j) {
           kernel_verdicts[j] = Classify(
               terms, std::span<const Interval>(a_flat.data() + j * dim, dim));
         }
       }
       kernel_ns.push_back(timer.ElapsedSeconds() * 1e9 /
-                          static_cast<double>(out.tests));
-    });
-    out.agree = out.agree && rect_verdicts == kernel_verdicts;
-  }
+                          static_cast<double>(kTests));
+
+      timer.Reset();
+      lanes();
+      lane_ns.push_back(timer.ElapsedSeconds() * 1e9 /
+                        static_cast<double>(kTests));
+      out.agree = out.agree && rect_verdicts == kernel_verdicts &&
+                  lane_verdicts == kernel_verdicts;
+    }
+    // The scalar table's copy of the lane body, untimed.
+    const bool was_scalar = &gf::ActiveKernels() == &gf::ScalarKernels();
+    gf::ForceScalarKernels(true);
+    lanes();
+    gf::ForceScalarKernels(was_scalar);
+    out.agree = out.agree && lane_verdicts == kernel_verdicts;
+  });
   size_t decided = 0;
   for (DominationClass v : kernel_verdicts) {
     decided += v != DominationClass::kUndecided;
   }
-  out.decided = static_cast<double>(decided) / static_cast<double>(out.tests);
+  out.decided = static_cast<double>(decided) / static_cast<double>(kTests);
   out.rect_ns = SpreadOf(rect_ns);
   out.kernel_ns = SpreadOf(kernel_ns);
+  out.lane_ns = SpreadOf(lane_ns);
   return out;
 }
 
@@ -563,6 +597,7 @@ int main(int argc, char** argv) {
   std::printf("# host_cpu=%s\n", HostCpu().c_str());
   std::printf("# hardware_threads=%u\n", hw);
   std::printf("# kernel_dispatch=%s\n", gf::ActiveKernelName());
+  const bool was_scalar = &gf::ActiveKernels() == &gf::ScalarKernels();
 
   // ---- UGF multiplication series.
   std::printf(
@@ -608,6 +643,9 @@ int main(int argc, char** argv) {
   const IdcaResult fast_result =
       IdcaEngine(db, fast).ComputeDomCount(target, *query);
   const double fast_seconds = fast_result.seconds;
+  // The rows below run on the table this process selected (scalar under
+  // UPDB_FORCE_SCALAR=1), which the JSON's kernel_dispatch names.
+  gf::ForceScalarKernels(was_scalar);
 
   // Oracle 1: seed-style and engine bounds agree within tolerance (the two
   // loops accumulate in different orders, so 1e-9, not equality).
@@ -664,22 +702,27 @@ int main(int argc, char** argv) {
 
   // ---- Domination kernel vs the per-call Rect loop.
   std::printf(
-      "series,p,d,tests,decided,rect_ns_median,rect_ns_min,rect_ns_max,"
-      "kernel_ns_median,kernel_ns_min,kernel_ns_max,speedup,agree\n");
+      "series,p,d,run,tests,decided,rect_ns_median,rect_ns_min,rect_ns_max,"
+      "kernel_ns_median,kernel_ns_min,kernel_ns_max,lane_ns_median,"
+      "lane_ns_min,lane_ns_max,speedup,lane_speedup,agree\n");
   std::vector<DominationSeries> domination;
   bool domination_agree = true;
   for (int p : {1, 2}) {
     for (size_t d : {size_t{2}, size_t{3}}) {
-      domination.push_back(BenchDomination(p, d, /*repeats=*/7));
-      const DominationSeries& s = domination.back();
-      domination_agree = domination_agree && s.agree;
-      std::printf(
-          "domination,%d,%zu,%zu,%.3f,%.2f,%.2f,%.2f,%.2f,%.2f,%.2f,%.2fx,"
-          "%s\n",
-          s.p, s.dim, s.tests, s.decided, s.rect_ns.median, s.rect_ns.min,
-          s.rect_ns.max, s.kernel_ns.median, s.kernel_ns.min,
-          s.kernel_ns.max, s.rect_ns.median / s.kernel_ns.median,
-          s.agree ? "yes" : "NO");
+      for (size_t run : {size_t{8}, size_t{32}, size_t{64}}) {
+        domination.push_back(BenchDomination(p, d, run, /*repeats=*/7));
+        const DominationSeries& s = domination.back();
+        domination_agree = domination_agree && s.agree;
+        std::printf(
+            "domination,%d,%zu,%zu,%zu,%.3f,%.2f,%.2f,%.2f,%.2f,%.2f,%.2f,"
+            "%.2f,%.2f,%.2f,%.2fx,%.2fx,%s\n",
+            s.p, s.dim, s.run, s.tests, s.decided, s.rect_ns.median,
+            s.rect_ns.min, s.rect_ns.max, s.kernel_ns.median,
+            s.kernel_ns.min, s.kernel_ns.max, s.lane_ns.median,
+            s.lane_ns.min, s.lane_ns.max,
+            s.rect_ns.median / s.kernel_ns.median,
+            s.kernel_ns.median / s.lane_ns.median, s.agree ? "yes" : "NO");
+      }
     }
   }
 
@@ -798,15 +841,19 @@ int main(int argc, char** argv) {
       std::fprintf(
           f,
           "    {\"criterion\": \"optimal\", \"p\": %d, \"d\": %zu, "
-          "\"tests\": %zu, \"repeats\": 7, \"decided_fraction\": %.3f, "
+          "\"run\": %zu, \"tests\": %zu, \"repeats\": 7, "
+          "\"decided_fraction\": %.3f, "
           "\"rect_loop_ns\": {\"median\": %.2f, \"min\": %.2f, "
           "\"max\": %.2f}, \"kernel_ns\": {\"median\": %.2f, "
-          "\"min\": %.2f, \"max\": %.2f}, \"speedup\": %.2f, "
-          "\"agree\": %s}%s\n",
-          s.p, s.dim, s.tests, s.decided, s.rect_ns.median, s.rect_ns.min,
-          s.rect_ns.max, s.kernel_ns.median, s.kernel_ns.min,
-          s.kernel_ns.max, s.rect_ns.median / s.kernel_ns.median,
-          s.agree ? "true" : "false", i + 1 < domination.size() ? "," : "");
+          "\"min\": %.2f, \"max\": %.2f}, \"lane_ns\": {\"median\": "
+          "%.2f, \"min\": %.2f, \"max\": %.2f}, \"speedup\": %.2f, "
+          "\"lane_speedup\": %.2f, \"agree\": %s}%s\n",
+          s.p, s.dim, s.run, s.tests, s.decided, s.rect_ns.median,
+          s.rect_ns.min, s.rect_ns.max, s.kernel_ns.median, s.kernel_ns.min,
+          s.kernel_ns.max, s.lane_ns.median, s.lane_ns.min, s.lane_ns.max,
+          s.rect_ns.median / s.kernel_ns.median,
+          s.kernel_ns.median / s.lane_ns.median, s.agree ? "true" : "false",
+          i + 1 < domination.size() ? "," : "");
     }
     std::fprintf(f, "  ],\n");
     std::fprintf(f, "  \"engine_run\": [\n");

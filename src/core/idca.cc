@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <utility>
 
 #include "cache/verdict_memo.h"
@@ -137,7 +138,33 @@ struct WorkerScratch {
   CountDistributionBounds lane_bounds{0};  // reused EmitBounds target
   std::vector<double> pair_pdom_lb;    // [C] scratch for the current pair
   std::vector<double> pair_pdom_ub;
+  /// The domination tests of the current old pair's children: one per
+  /// child of an undecided candidate node, in (candidate, node, child)
+  /// order, candidate i's at [test_off[i], test_off[i+1]). Every child pair
+  /// (B', R') of one old pair tests the same nodes, so each test's box,
+  /// mass and frontier index are gathered once per old pair, and
+  /// `verdicts` holds one child pair's verdicts. Sized per iteration to
+  /// the live candidates' frontier total, which bounds the tests of a pair.
+  std::vector<uint32_t> test_off;  // [C + 1]
+  std::vector<const Interval*> test_box;
+  std::vector<double> test_mass;
+  std::vector<uint32_t> test_node;
+  std::vector<DominationClass> verdicts;
+  /// With a verdict memo attached: one child pair's memo misses, which
+  /// alone are classified — each one's box, test index, memo key and
+  /// verdict.
+  std::vector<const Interval*> miss_box;
+  std::vector<uint32_t> miss_test;
+  std::vector<cache::VerdictMemo::Key> miss_key;
+  std::vector<DominationClass> miss_verdict;
 };
+
+/// Grows `v` to at least `n` elements (it never shrinks, so a replay of a
+/// size reached before does not allocate).
+template <class T>
+void GrowTo(std::vector<T>& v, size_t n) {
+  if (v.size() < n) v.resize(n);
+}
 
 /// Everything an engine run needs besides its result, kept per thread and
 /// reused by the thread's next run: after one warm-up run of a given size,
@@ -417,6 +444,7 @@ IdcaResult IdcaEngine::RunWith(Terms terms, const Pdf& target,
     sc.stage_ub.assign(C * UgfBatch::kLanes, 0.0);
     sc.pair_pdom_lb.assign(C, 0.0);
     sc.pair_pdom_ub.assign(C, 0.0);
+    GrowTo(sc.test_off, C + 1);
     if (!predicate) sc.lane_bounds.Assign(C + 1, 0.0, 0.0);
   }
 
@@ -461,6 +489,26 @@ IdcaResult IdcaEngine::RunWith(Terms terms, const Pdf& target,
     size_t splits = target_tree.Deepen() + ref_tree.Deepen();
     for (size_t i = 0; i < C; ++i) {
       if (cand_live[i]) splits += cand_trees[i].Deepen();
+    }
+
+    // Tests per child pair are bounded by the live candidates' frontier
+    // sizes: one per child of a distinct undecided node.
+    size_t max_tests = 0;
+    for (size_t i = 0; i < C; ++i) {
+      if (cand_live[i]) max_tests += cand_trees[i].size();
+    }
+    for (size_t w = 0; w < threads; ++w) {
+      WorkerScratch& sc = ws.workers[w];
+      GrowTo(sc.test_box, max_tests);
+      GrowTo(sc.test_mass, max_tests);
+      GrowTo(sc.test_node, max_tests);
+      GrowTo(sc.verdicts, max_tests);
+      if (memo != nullptr) {
+        GrowTo(sc.miss_box, max_tests);
+        GrowTo(sc.miss_test, max_tests);
+        GrowTo(sc.miss_key, max_tests);
+        GrowTo(sc.miss_verdict, max_tests);
+      }
     }
 
     const std::vector<double>& target_mass = target_tree.masses();
@@ -541,12 +589,36 @@ IdcaResult IdcaEngine::RunWith(Terms terms, const Pdf& target,
         const uint32_t old_r = level.r_node[p];
         const double* old_res = level.resolved.data() + p * 2 * C;
         const uint32_t* old_off = level.und_off.data() + p * (C + 1);
+        // Gather the pair's tests: the children of every candidate's
+        // undecided nodes (a node's children are adjacent in the
+        // candidate's flat frontier).
+        uint32_t tests = 0;
+        for (size_t i = 0; i < C; ++i) {
+          sc.test_off[i] = tests;
+          if (old_off[i] == old_off[i + 1]) continue;
+          const DecompositionTree& cand = cand_trees[i];
+          const std::vector<double>& cand_mass = cand.masses();
+          const std::vector<uint32_t>& a_off = cand.child_offsets();
+          for (uint32_t u = old_off[i]; u < old_off[i + 1]; ++u) {
+            const uint32_t node = level.undecided[u];
+            for (uint32_t a = a_off[node]; a < a_off[node + 1]; ++a) {
+              sc.test_box[tests] = cand.box(a).data();
+              sc.test_mass[tests] = cand_mass[a];
+              sc.test_node[tests] = a;
+              ++tests;
+            }
+          }
+        }
+        sc.test_off[C] = tests;
+        const std::span<const Interval* const> test_boxes(sc.test_box.data(),
+                                                          tests);
         for (uint32_t bi = b_off[old_b]; bi < b_off[old_b + 1]; ++bi) {
           for (uint32_t ri = r_off[old_r]; ri < r_off[old_r + 1]; ++ri) {
             const double w = target_mass[bi] * ref_mass[ri];
             // The (B', R') half of every test of this pair, computed once.
             pair_terms.Reset(target_tree.box(bi), ref_tree.box(ri));
             ++st.pairs;
+            st.tests += tests;
             PairBlock& out = st.out;
             out.b_node.push_back(bi);
             out.r_node.push_back(ri);
@@ -554,10 +626,56 @@ IdcaResult IdcaEngine::RunWith(Terms terms, const Pdf& target,
             const size_t und_off_base = out.und_off.size();
             const size_t und_base = out.undecided.size();
             out.resolved.resize(res_base + 2 * C);
+
+            // Classify the tests four boxes at a time. With a memo
+            // attached, a hit replays the decided verdict an identical
+            // Classify call produced earlier (possibly in another request
+            // against this snapshot), only the misses are classified, and
+            // a decided miss is recorded for later runs; undecided stays
+            // unrecorded — it is re-tested one level deeper either way.
+            if (memo == nullptr) {
+              ClassifyRun(pair_terms, test_boxes, sc.verdicts.data());
+            } else {
+              size_t misses = 0;
+              for (size_t i = 0; i < C; ++i) {
+                for (uint32_t t = sc.test_off[i]; t < sc.test_off[i + 1];
+                     ++t) {
+                  const cache::VerdictMemo::Key key = memo->MakeKey(
+                      memo_run_ctx, influence[i]->id(),
+                      static_cast<uint32_t>(iter), bi, ri, sc.test_node[t]);
+                  const int found = memo->Lookup(key, st.memo_tally);
+                  if (found != 0) {
+                    sc.verdicts[t] = found == cache::VerdictMemo::kDominates
+                                         ? DominationClass::kDominates
+                                         : DominationClass::kDominated;
+                    continue;
+                  }
+                  sc.miss_box[misses] = sc.test_box[t];
+                  sc.miss_test[misses] = t;
+                  sc.miss_key[misses] = key;
+                  ++misses;
+                }
+              }
+              ClassifyRun(pair_terms,
+                          std::span<const Interval* const>(sc.miss_box.data(),
+                                                           misses),
+                          sc.miss_verdict.data());
+              for (size_t j = 0; j < misses; ++j) {
+                const DominationClass verdict = sc.miss_verdict[j];
+                sc.verdicts[sc.miss_test[j]] = verdict;
+                if (verdict != DominationClass::kUndecided) {
+                  memo->Insert(sc.miss_key[j],
+                               verdict == DominationClass::kDominates
+                                   ? cache::VerdictMemo::kDominates
+                                   : cache::VerdictMemo::kDominated,
+                               st.memo_tally);
+                }
+              }
+            }
+
+            // Apply the verdicts in test order, so every accumulation runs
+            // in the (candidate, node, child) order of one test at a time.
             for (size_t i = 0; i < C; ++i) {
-              const DecompositionTree& cand = cand_trees[i];
-              const std::vector<double>& cand_mass = cand.masses();
-              const std::vector<uint32_t>& a_off = cand.child_offsets();
               double dom = old_res[i];
               double ndom = old_res[C + i];
               // Any inherited resolved mass means a prior iteration's
@@ -567,53 +685,18 @@ IdcaResult IdcaEngine::RunWith(Terms terms, const Pdf& target,
               }
               out.und_off.push_back(
                   static_cast<uint32_t>(out.undecided.size()));
-              const uint64_t cand_id = influence[i]->id();
-              for (uint32_t u = old_off[i]; u < old_off[i + 1]; ++u) {
-                // The node's children are adjacent in the candidate's flat
-                // frontier.
-                const uint32_t node = level.undecided[u];
-                for (uint32_t a = a_off[node]; a < a_off[node + 1]; ++a) {
-                  ++st.tests;
-                  // Resolve the triple through the cross-request memo when
-                  // one is attached: a hit replays the decided verdict an
-                  // identical Classify call produced earlier (possibly in
-                  // another request against this snapshot); a decided miss
-                  // is recorded for later runs. Undecided stays unrecorded
-                  // — it is re-tested one level deeper either way.
-                  DominationClass verdict;
-                  if (memo == nullptr) {
-                    verdict = Classify(pair_terms, cand.box(a));
-                  } else {
-                    const cache::VerdictMemo::Key key =
-                        memo->MakeKey(memo_run_ctx, cand_id,
-                                      static_cast<uint32_t>(iter), bi, ri, a);
-                    const int found = memo->Lookup(key, st.memo_tally);
-                    if (found != 0) {
-                      verdict = found == cache::VerdictMemo::kDominates
-                                    ? DominationClass::kDominates
-                                    : DominationClass::kDominated;
-                    } else {
-                      verdict = Classify(pair_terms, cand.box(a));
-                      if (verdict != DominationClass::kUndecided) {
-                        memo->Insert(key,
-                                     verdict == DominationClass::kDominates
-                                         ? cache::VerdictMemo::kDominates
-                                         : cache::VerdictMemo::kDominated,
-                                     st.memo_tally);
-                      }
-                    }
-                  }
-                  switch (verdict) {
-                    case DominationClass::kDominates:
-                      dom += cand_mass[a];
-                      break;
-                    case DominationClass::kDominated:
-                      ndom += cand_mass[a];
-                      break;
-                    case DominationClass::kUndecided:
-                      out.undecided.push_back(a);
-                      break;
-                  }
+              for (uint32_t t = sc.test_off[i]; t < sc.test_off[i + 1]; ++t) {
+                // Masses are positive and a mass sum is never -0.0, so
+                // adding +0.0 for the other verdicts changes no bit; the
+                // sums need no branch on the verdict.
+                const DominationClass verdict = sc.verdicts[t];
+                dom += verdict == DominationClass::kDominates ? sc.test_mass[t]
+                                                              : 0.0;
+                ndom += verdict == DominationClass::kDominated
+                            ? sc.test_mass[t]
+                            : 0.0;
+                if (verdict == DominationClass::kUndecided) {
+                  out.undecided.push_back(sc.test_node[t]);
                 }
               }
               // Decided mass is inherited by every child pair: a decided

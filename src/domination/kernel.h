@@ -18,6 +18,14 @@
 // -ffp-contract=off). Only the B/R operands are hoisted, so every verdict
 // is bit-identical to the per-call computation, except that a NaN term
 // never fires a test (EndpointSum).
+//
+// ClassifyRun classifies a run of boxes against one pair, four boxes per
+// step, for p = 1 and 2 (other p call Classify per box). Its body
+// (domination/lane_body.h) repeats Classify's operations lane by lane and
+// is written once over a 4-lane type; both gf::GfKernels tables
+// instantiate it, so the cpuid dispatch of gf/kernels.h (UPDB_FORCE_SCALAR
+// pins scalar) picks the AVX2 or the scalar copy, and either returns
+// Classify's verdicts bit for bit.
 
 #ifndef UPDB_DOMINATION_KERNEL_H_
 #define UPDB_DOMINATION_KERNEL_H_
@@ -29,8 +37,19 @@
 #include <vector>
 
 #include "domination/criteria.h"
+#include "gf/kernels.h"
 
 namespace updb {
+
+/// One dimension of a PairTerms: R's side and, for the optimal criterion,
+/// B's powered distances at R's two endpoints. Plain doubles, so the lane
+/// body reads it without calling into Interval.
+struct PairDim {
+  double r_lo;
+  double r_hi;
+  double b_min[2];  // Pow(MinDist(B_i, r)) at r = lo, hi
+  double b_max[2];  // Pow(MaxDist(B_i, r)) at r = lo, hi
+};
 
 /// Corollary 1's sum over dimensions of the larger of two endpoint terms
 /// (R's lower and upper endpoint), and the sign test on it. A NaN endpoint
@@ -73,12 +92,13 @@ class PairTerms {
     UPDB_DCHECK(b.size() == r.size());
     dim_ = b.size();
     if (dim_ > kInlineDims) spill_.resize(dim_);
-    Dim* dims = this->dims();
+    PairDim* dims = this->dims();
     double min_sum = 0.0;
     double max_sum = 0.0;
     for (size_t i = 0; i < dim_; ++i) {
-      Dim& t = dims[i];
-      t.r = r[i];
+      PairDim& t = dims[i];
+      t.r_lo = r[i].lo();
+      t.r_hi = r[i].hi();
       if constexpr (C == DominationCriterion::kOptimal) {
         t.b_min[0] = power_.Pow(b[i].MinDist(r[i].lo()));
         t.b_min[1] = power_.Pow(b[i].MinDist(r[i].hi()));
@@ -98,7 +118,7 @@ class PairTerms {
   /// True iff box A completely dominates B w.r.t. R (PDom(A, B, R) = 1).
   friend bool Dominates(const PairTerms& t, std::span<const Interval> a) {
     UPDB_DCHECK(a.size() == t.dim_);
-    const Dim* dims = t.dims();
+    const PairDim* dims = t.dims();
     if constexpr (C == DominationCriterion::kOptimal) {
       EndpointSum fwd;
       for (size_t i = 0; i < t.dim_; ++i) t.AddForward(a[i], dims[i], fwd);
@@ -106,7 +126,7 @@ class PairTerms {
     } else {
       double max_sum = 0.0;
       for (size_t i = 0; i < t.dim_; ++i) {
-        max_sum += t.power_.Pow(a[i].MaxDist(dims[i].r));
+        max_sum += t.power_.Pow(a[i].MaxDist(Side(dims[i])));
       }
       return t.power_.Root(max_sum) < t.b_min_dist_;
     }
@@ -118,15 +138,15 @@ class PairTerms {
   friend DominationClass Classify(const PairTerms& t,
                                   std::span<const Interval> a) {
     UPDB_DCHECK(a.size() == t.dim_);
-    const Dim* dims = t.dims();
+    const PairDim* dims = t.dims();
     if constexpr (C == DominationCriterion::kOptimal) {
       EndpointSum fwd;
       EndpointSum rev;
       for (size_t i = 0; i < t.dim_; ++i) {
-        const Dim& d = dims[i];
+        const PairDim& d = dims[i];
         t.AddForward(a[i], d, fwd);
-        rev.Add(d.b_max[0] - t.power_.Pow(a[i].MinDist(d.r.lo())),
-                d.b_max[1] - t.power_.Pow(a[i].MinDist(d.r.hi())));
+        rev.Add(d.b_max[0] - t.power_.Pow(a[i].MinDist(d.r_lo)),
+                d.b_max[1] - t.power_.Pow(a[i].MinDist(d.r_hi)));
       }
       if (fwd.Negative()) return DominationClass::kDominates;
       if (rev.Negative()) return DominationClass::kDominated;
@@ -134,8 +154,9 @@ class PairTerms {
       double max_sum = 0.0;
       double min_sum = 0.0;
       for (size_t i = 0; i < t.dim_; ++i) {
-        max_sum += t.power_.Pow(a[i].MaxDist(dims[i].r));
-        min_sum += t.power_.Pow(a[i].MinDist(dims[i].r));
+        const Interval r = Side(dims[i]);
+        max_sum += t.power_.Pow(a[i].MaxDist(r));
+        min_sum += t.power_.Pow(a[i].MinDist(r));
       }
       if (t.power_.Root(max_sum) < t.b_min_dist_) {
         return DominationClass::kDominates;
@@ -147,32 +168,50 @@ class PairTerms {
     return DominationClass::kUndecided;
   }
 
+  /// out[j] = Classify(t, box j) for every box of the run, each box
+  /// pointing at t's dimension count of Intervals. Four boxes per step
+  /// through the active gf::GfKernels table for p = 1 and 2 (the tail is
+  /// padded with the run's last box), Classify per box otherwise.
+  friend void ClassifyRun(const PairTerms& t,
+                          std::span<const Interval* const> boxes,
+                          DominationClass* out) {
+    if constexpr (P == 0) {
+      for (size_t j = 0; j < boxes.size(); ++j) {
+        out[j] = Classify(t, std::span<const Interval>(boxes[j], t.dim_));
+      }
+    } else {
+      const gf::GfKernels& k = gf::ActiveKernels();
+      const gf::ClassifyRunFn run = C == DominationCriterion::kOptimal
+                                        ? k.classify_optimal[P - 1]
+                                        : k.classify_minmax[P - 1];
+      run(t.dims(), t.dim_, t.b_min_dist_, t.b_max_dist_, boxes.data(),
+          boxes.size(), out);
+    }
+  }
+
  private:
-  /// One dimension of R plus, for the optimal criterion, B's powered
-  /// distances at R's two endpoints.
-  struct Dim {
-    Interval r;
-    double b_min[2];  // Pow(MinDist(B_i, r)) at r = lo, hi
-    double b_max[2];  // Pow(MaxDist(B_i, r)) at r = lo, hi
-  };
+  static Interval Side(const PairDim& d) { return Interval(d.r_lo, d.r_hi); }
 
   /// Adds dimension i's optimal-criterion term of "A dominates B".
-  void AddForward(const Interval& a, const Dim& t, EndpointSum& sum) const {
-    sum.Add(power_.Pow(a.MaxDist(t.r.lo())) - t.b_min[0],
-            power_.Pow(a.MaxDist(t.r.hi())) - t.b_min[1]);
+  void AddForward(const Interval& a, const PairDim& t,
+                  EndpointSum& sum) const {
+    sum.Add(power_.Pow(a.MaxDist(t.r_lo)) - t.b_min[0],
+            power_.Pow(a.MaxDist(t.r_hi)) - t.b_min[1]);
   }
 
   static constexpr size_t kInlineDims = 4;
 
-  Dim* dims() { return dim_ <= kInlineDims ? inline_.data() : spill_.data(); }
-  const Dim* dims() const {
+  PairDim* dims() {
+    return dim_ <= kInlineDims ? inline_.data() : spill_.data();
+  }
+  const PairDim* dims() const {
     return dim_ <= kInlineDims ? inline_.data() : spill_.data();
   }
 
   LpPower<P> power_;
   size_t dim_ = 0;
-  std::array<Dim, kInlineDims> inline_{};
-  std::vector<Dim> spill_;   // dim_ > kInlineDims
+  std::array<PairDim, kInlineDims> inline_{};
+  std::vector<PairDim> spill_;  // dim_ > kInlineDims
   double b_min_dist_ = 0.0;  // MinMax: MinDist(B, R)
   double b_max_dist_ = 0.0;  // MinMax: MaxDist(B, R)
 };

@@ -1,6 +1,7 @@
 // Copyright 2026 The updb Authors.
 // The one body of every GfKernels entry, written as a function template
-// over a 4-lane type V. gf/kernels.cc instantiates these with a plain
+// over a 4-lane type V (the domination entries' body is in
+// domination/lane_body.h). gf/kernels.cc instantiates these with a plain
 // 4-double struct (the scalar table) and gf/kernels_avx2.cc with an
 // __m256d wrapper (the AVX2+FMA table); nothing else includes this header.
 // The blocked accumulation order of gf/kernels.h therefore exists here
@@ -24,6 +25,7 @@
 #include <cmath>
 #include <cstddef>
 
+#include "domination/lane_body.h"
 #include "gf/kernels.h"
 
 namespace updb::gf {
@@ -157,6 +159,11 @@ constexpr GfKernels MakeKernels(const char* name) {
       .block_sum4 = BlockSum4<V>,
       .sub_cells4 = SubCells4<V>,
       .bucket_cells4 = BucketCells4<V>,
+      .classify_minmax = {ClassifyRunLanes<V, DominationCriterion::kMinMax, 1>,
+                          ClassifyRunLanes<V, DominationCriterion::kMinMax, 2>},
+      .classify_optimal = {
+          ClassifyRunLanes<V, DominationCriterion::kOptimal, 1>,
+          ClassifyRunLanes<V, DominationCriterion::kOptimal, 2>},
   };
 }
 

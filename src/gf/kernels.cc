@@ -43,6 +43,44 @@ struct ScalarLanes {
     }
     return c;
   }
+
+  // Domination lanes (domination/lane_body.h).
+  static void LoadSides(const Interval* const* boxes, size_t i,
+                        ScalarLanes& lo, ScalarLanes& hi) {
+    for (size_t l = 0; l < kSoaLanes; ++l) {
+      lo.v[l] = boxes[l][i].lo();
+      hi.v[l] = boxes[l][i].hi();
+    }
+  }
+  /// std::max(a, b) per lane.
+  friend ScalarLanes Max(ScalarLanes a, ScalarLanes b) {
+    for (size_t l = 0; l < kSoaLanes; ++l) {
+      if (a.v[l] < b.v[l]) a.v[l] = b.v[l];
+    }
+    return a;
+  }
+  friend ScalarLanes Abs(ScalarLanes a) {
+    for (size_t l = 0; l < kSoaLanes; ++l) a.v[l] = std::fabs(a.v[l]);
+    return a;
+  }
+  friend ScalarLanes Sqrt(ScalarLanes a) {
+    for (size_t l = 0; l < kSoaLanes; ++l) a.v[l] = std::sqrt(a.v[l]);
+    return a;
+  }
+  friend unsigned LessBits(ScalarLanes a, ScalarLanes b) {
+    unsigned bits = 0;
+    for (size_t l = 0; l < kSoaLanes; ++l) {
+      bits |= static_cast<unsigned>(a.v[l] < b.v[l]) << l;
+    }
+    return bits;
+  }
+  friend unsigned UnorderedBits(ScalarLanes a, ScalarLanes b) {
+    unsigned bits = 0;
+    for (size_t l = 0; l < kSoaLanes; ++l) {
+      bits |= static_cast<unsigned>(std::isunordered(a.v[l], b.v[l])) << l;
+    }
+    return bits;
+  }
 };
 
 constexpr GfKernels kScalarTable = MakeKernels<ScalarLanes>("scalar");

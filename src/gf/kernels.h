@@ -44,17 +44,38 @@
 // never changes an accumulator bit — which is what makes the degenerate
 // (0,0)/(1,1) fast paths and the batch's materialized zero rows bit-exact
 // shortcuts of the general path rather than waived special cases.
+//
+// The table also carries the lane copy of the domination kernel's Classify
+// (classify_minmax / classify_optimal, body in domination/lane_body.h):
+// four boxes per step, the same operations as the per-box Classify in the
+// same order, so both tables return its verdicts bit for bit
+// (domination/kernel.h).
 
 #ifndef UPDB_GF_KERNELS_H_
 #define UPDB_GF_KERNELS_H_
 
 #include <cstddef>
 
+namespace updb {
+class Interval;
+struct PairDim;
+enum class DominationClass;
+}  // namespace updb
+
 namespace updb::gf {
 
 /// Lane count of the batched (structure-of-arrays) kernels; one AVX2
 /// vector of doubles. SoA buffers store cell c of lane l at [c*4 + l].
 inline constexpr size_t kSoaLanes = 4;
+
+/// Classifies boxes[0..n) against one (B', R') pair, writing out[j] =
+/// Classify(terms, box j): `dims`/`dim` are the pair's per-dimension terms,
+/// min_dist/max_dist MinMax's MinDist/MaxDist(B, R), and every box points
+/// at `dim` Intervals (domination/kernel.h, PairTerms::ClassifyRun).
+using ClassifyRunFn = void (*)(const PairDim* dims, size_t dim,
+                               double min_dist, double max_dist,
+                               const Interval* const* boxes, size_t n,
+                               DominationClass* out);
 
 /// The dispatch table. Every entry implements the blocked accumulation
 /// order above; tables differ only in instruction selection.
@@ -99,6 +120,13 @@ struct GfKernels {
                         const double* below1, const double* left,
                         const double* self, const double* w_x4,
                         const double* w_y4, const double* w_14);
+
+  // ---- domination kernel, indexed by p - 1 for p = 1, 2.
+  /// MinMax criterion: Root(sum of MaxDist powers) < min_dist dominates,
+  /// max_dist < Root(sum of MinDist powers) is dominated.
+  ClassifyRunFn classify_minmax[2];
+  /// Optimal criterion (Corollary 1), both directions in one pass.
+  ClassifyRunFn classify_optimal[2];
 };
 
 /// The portable scalar table — the bit-exact oracle for every other table.

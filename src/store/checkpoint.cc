@@ -9,6 +9,7 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <limits>
 
 #include "io/dataset_io.h"
 #include "store/wal.h"
@@ -108,6 +109,12 @@ StatusOr<CheckpointState> ParseCheckpoint(const std::string& data) {
                   &version, &next_id, &next_sequence, &dim, &entries) != 5) {
     return Status::DataLoss("unparseable checkpoint metadata line");
   }
+  // Ids are ObjectIds on disk too: a wider value is damage, not an id to
+  // truncate.
+  constexpr unsigned long long kMaxId = std::numeric_limits<ObjectId>::max();
+  if (next_id > kMaxId) {
+    return Status::DataLoss("checkpoint next_id exceeds the object id range");
+  }
   state.version = version;
   state.next_id = static_cast<ObjectId>(next_id);
   state.next_sequence = next_sequence;
@@ -124,11 +131,16 @@ StatusOr<CheckpointState> ParseCheckpoint(const std::string& data) {
     if (comma == std::string::npos) {
       return Status::DataLoss("checkpoint entry without stable id");
     }
+    // Digits only: strtoull would also take a sign or leading space.
     char* end = nullptr;
     const unsigned long long stable =
         std::strtoull(line.c_str(), &end, 10);
-    if (end != line.c_str() + comma) {
+    if (line[0] < '0' || line[0] > '9' || end != line.c_str() + comma) {
       return Status::DataLoss("unparseable stable id in checkpoint entry");
+    }
+    if (stable > kMaxId) {
+      return Status::DataLoss(
+          "checkpoint stable id exceeds the object id range");
     }
     const StatusOr<io::ParsedObject> parsed =
         io::ParseObject(line.substr(comma + 1));

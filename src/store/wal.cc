@@ -6,6 +6,8 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
+#include <limits>
+#include <string>
 
 #include "io/dataset_io.h"
 #include "uncertain/object.h"
@@ -76,6 +78,16 @@ StatusOr<std::string> EncodeObjectMutation(const WalRecord& record) {
   return out;
 }
 
+/// A record's 64-bit id field must name an ObjectId: a wider value is
+/// damage, not an id to truncate (2^32 + 3 would otherwise name object 3).
+Status CheckObjectId(uint64_t id64) {
+  if (id64 > std::numeric_limits<ObjectId>::max()) {
+    return Status::DataLoss("WAL record id " + std::to_string(id64) +
+                            " exceeds the object id range");
+  }
+  return Status::OK();
+}
+
 StatusOr<WalRecord> DecodeObjectMutation(std::string_view payload,
                                          WalRecordKind kind) {
   WalRecord record;
@@ -96,6 +108,7 @@ StatusOr<WalRecord> DecodeObjectMutation(std::string_view payload,
     return Status::DataLoss("undecodable object line in WAL record: " +
                             parsed.status().ToString());
   }
+  UPDB_RETURN_IF_ERROR(CheckObjectId(id64));
   record.id = static_cast<ObjectId>(id64);
   record.pdf = parsed->pdf;
   record.existence = parsed->existence;
@@ -119,6 +132,7 @@ StatusOr<WalRecord> DecodeRemove(std::string_view payload) {
   if (!reader.exhausted()) {
     return Status::DataLoss("trailing bytes after remove payload");
   }
+  UPDB_RETURN_IF_ERROR(CheckObjectId(id64));
   record.id = static_cast<ObjectId>(id64);
   return record;
 }

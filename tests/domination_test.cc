@@ -4,11 +4,15 @@
 
 #include <cmath>
 #include <limits>
+#include <span>
+#include <string>
 #include <tuple>
+#include <vector>
 
 #include "common/random.h"
 #include "domination/kernel.h"
 #include "domination_oracle.h"
+#include "gf/kernels.h"
 
 namespace updb {
 namespace {
@@ -269,8 +273,9 @@ TEST(DominationOverflowTest, OneSidedOverflowStillDecides) {
 }
 
 // ------------------------------------------------------------------
-// Kernel == oracle, bit for bit: PairTerms' Classify/Dominates and the Rect
-// wrappers against the per-call Rect loops of domination_oracle.h.
+// Kernel == oracle, bit for bit: PairTerms' Classify/Dominates/ClassifyRun
+// and the Rect wrappers against the per-call Rect loops of
+// domination_oracle.h.
 
 /// Where a sweep draws its box coordinates from.
 enum class BoxPool {
@@ -356,6 +361,61 @@ TEST_P(KernelOracleTest, ClassifyAndDominatesMatchOracle) {
                 seen[static_cast<int>(DominationClass::kDominated)],
             0u);
   EXPECT_GT(seen[static_cast<int>(DominationClass::kUndecided)], 0u);
+}
+
+TEST_P(KernelOracleTest, ClassifyRunMatchesOracleUnderBothTables) {
+  // The run entry point classifies four boxes per step and pads the last
+  // step with the run's last box: run lengths 1..9 reach every padding
+  // shape (0-3 repeated lanes) after zero, one and two full steps. Each
+  // dispatch table's copy of the lane body must return, box by box, the
+  // oracle's verdict and per-box Classify's.
+  const auto [dim, p, criterion, pool] = GetParam();
+  const LpNorm norm(p);
+  constexpr size_t kMaxRun = 9;
+  std::vector<bool> scalar_modes = {true};
+  if (gf::VectorKernelsAvailable()) scalar_modes.push_back(false);
+  const bool was_scalar = &gf::ActiveKernels() == &gf::ScalarKernels();
+  for (const bool scalar : scalar_modes) {
+    gf::ForceScalarKernels(scalar);
+    Rng rng(9500 + 100 * dim + 10 * p + static_cast<int>(pool));
+    size_t seen[3] = {0, 0, 0};
+    WithPairTerms(criterion, norm, [&](auto terms) {
+      for (int pair = 0; pair < 60; ++pair) {
+        const Rect b = RandomBox(rng, dim, pool, p);
+        const Rect r = RandomBox(rng, dim, pool, p);
+        terms.Reset(b.sides(), r.sides());
+        std::vector<Rect> a;
+        std::vector<const Interval*> boxes;
+        for (size_t j = 0; j < kMaxRun; ++j) {
+          a.push_back(RandomBox(rng, dim, pool, p));
+        }
+        for (const Rect& box : a) boxes.push_back(box.sides().data());
+        for (size_t n = 1; n <= kMaxRun; ++n) {
+          DominationClass out[kMaxRun];
+          ClassifyRun(terms, std::span<const Interval* const>(boxes.data(), n),
+                      out);
+          for (size_t j = 0; j < n; ++j) {
+            const DominationClass expect =
+                test_util::OracleClassify(a[j], b, r, criterion, norm);
+            ++seen[static_cast<int>(expect)];
+            const auto where = [&] {
+              return std::string(scalar ? "scalar" : "vector") +
+                     " run=" + std::to_string(n) + " j=" + std::to_string(j) +
+                     " A=" + a[j].ToString() + " B=" + b.ToString() +
+                     " R=" + r.ToString();
+            };
+            EXPECT_EQ(out[j], expect) << where();
+            EXPECT_EQ(out[j], Classify(terms, a[j].sides())) << where();
+          }
+        }
+      }
+    });
+    EXPECT_GT(seen[static_cast<int>(DominationClass::kDominates)] +
+                  seen[static_cast<int>(DominationClass::kDominated)],
+              0u);
+    EXPECT_GT(seen[static_cast<int>(DominationClass::kUndecided)], 0u);
+  }
+  gf::ForceScalarKernels(was_scalar);
 }
 
 INSTANTIATE_TEST_SUITE_P(

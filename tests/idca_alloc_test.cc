@@ -7,8 +7,8 @@
 // else. Covered: predicate runs in both directions (ComputeDomCount,
 // ComputeDomCountOfQuery) and full-distribution runs, both domination
 // criteria, L1/L2/L3, serial and 4-thread pair loops, uniform,
-// truncated-Gaussian and discrete objects, and a smaller run after a
-// larger one.
+// truncated-Gaussian and discrete objects, runs with a verdict memo
+// attached, and a smaller run after a larger one.
 //
 // counting_allocator.h counts every allocation in the process, so this
 // test lives in its own binary.
@@ -19,6 +19,7 @@
 #include <memory>
 #include <string>
 
+#include "cache/verdict_memo.h"
 #include "core/idca.h"
 #include "counting_allocator.h"
 #include "workload/generators.h"
@@ -118,6 +119,47 @@ TEST(IdcaAllocTest, WarmRunsAllocateOnlyTheirResult) {
           EXPECT_GE(full.iterations_run, 2u) << label;
         }
       }
+    }
+  }
+}
+
+TEST(IdcaAllocTest, WarmRunsWithAVerdictMemoAllocateOnlyTheirResult) {
+  // With a cross-request verdict memo attached, the pair loop probes the
+  // memo per test while it gathers the run of boxes to classify and
+  // inserts decided misses after classifying; its key and verdict buffers
+  // are per-worker scratch like the rest. The second run of each shape
+  // mostly hits the memo, the first mostly misses: both paths stay off
+  // the heap once warm.
+  const Fixture f = MakeFixture(ObjectModel::kUniform, 80, 0.12);
+  cache::VerdictMemo memo(1 << 14);
+  for (DominationCriterion criterion :
+       {DominationCriterion::kOptimal, DominationCriterion::kMinMax}) {
+    for (int threads : {1, 4}) {
+      IdcaConfig config;
+      config.criterion = criterion;
+      config.num_threads = threads;
+      config.max_iterations = 4;
+      config.verdict_memo = &memo;
+      config.memo_context = 71 + static_cast<uint64_t>(threads);
+      const IdcaEngine engine(f.db, config);
+      const std::string label =
+          std::string(criterion == DominationCriterion::kOptimal
+                          ? "optimal"
+                          : "minmax") +
+          " threads=" + std::to_string(threads);
+      const uint64_t hits_before = memo.hits();
+      const IdcaResult knn = ExpectOnlyResultAllocations(
+          [&] {
+            return engine.ComputeDomCount(17, *f.query, IdcaPredicate{6, 0.5});
+          },
+          label + " ComputeDomCount+predicate");
+      const IdcaResult full = ExpectOnlyResultAllocations(
+          [&] { return engine.ComputeDomCount(17, *f.query); },
+          label + " full distribution");
+      EXPECT_GT(knn.influence_count, 0u) << label;
+      EXPECT_GE(full.iterations_run, 2u) << label;
+      // The repeated runs replayed verdicts from the memo.
+      EXPECT_GT(memo.hits(), hits_before) << label;
     }
   }
 }

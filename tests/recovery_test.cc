@@ -349,6 +349,65 @@ TEST(RecoveryTest, CorruptNewestCheckpointFallsBackToOlder) {
   ExpectStoresEquivalent(**recovered, *reference, "all checkpoints corrupt");
 }
 
+/// Replaces the first `from` in the checkpoint file at `path` by `to` and
+/// re-seals its CRC trailer, so the edit reaches the parser.
+void RewriteCheckpoint(const std::string& path, const std::string& from,
+                       const std::string& to) {
+  std::string content;
+  {
+    std::ifstream in(path, std::ios::binary);
+    content.assign(std::istreambuf_iterator<char>(in),
+                   std::istreambuf_iterator<char>());
+  }
+  const size_t at = content.find(from);
+  ASSERT_NE(at, std::string::npos) << from;
+  content.replace(at, from.size(), to);
+  content.resize(content.rfind("# crc32c="));
+  char trailer[32];
+  std::snprintf(trailer, sizeof(trailer), "# crc32c=%08x\n",
+                Crc32c(content.data(), content.size()));
+  content += trailer;
+  std::ofstream(path, std::ios::binary | std::ios::trunc) << content;
+}
+
+/// Writes checkpoints 3 and 4 of the same two objects (ids 0 and 1,
+/// next_id 2) into a fresh `dir`.
+void WriteTwoCheckpoints(const std::string& dir) {
+  std::filesystem::create_directories(dir);
+  const Rect box(Point{0.1, 0.1}, Point{0.2, 0.2});
+  CheckpointState older;
+  older.version = 3;
+  older.next_id = 2;
+  older.next_sequence = 5;
+  older.dim = 2;
+  for (ObjectId id = 0; id < 2; ++id) {
+    CheckpointEntry entry;
+    entry.stable_id = id;
+    entry.pdf = std::make_shared<UniformPdf>(box);
+    older.entries.push_back(entry);
+  }
+  ASSERT_TRUE(WriteCheckpoint(dir, older).ok());
+  CheckpointState newer = older;
+  newer.version = 4;
+  newer.next_sequence = 6;
+  ASSERT_TRUE(WriteCheckpoint(dir, newer).ok());
+}
+
+/// Expects checkpoint 4 in `dir` to be rejected for `reason` and
+/// checkpoint 3 to load in its place.
+void ExpectOlderCheckpointLoads(const std::string& dir,
+                                const std::string& reason,
+                                const std::string& label) {
+  const StatusOr<LoadedCheckpoint> loaded = LoadNewestCheckpoint(dir);
+  ASSERT_TRUE(loaded.ok()) << label << ": " << loaded.status().ToString();
+  EXPECT_EQ(loaded->state.version, 3u) << label;
+  EXPECT_EQ(loaded->state.next_id, 2u) << label;
+  EXPECT_EQ(loaded->state.entries.size(), 2u) << label;
+  ASSERT_EQ(loaded->warnings.size(), 1u) << label;
+  EXPECT_NE(loaded->warnings[0].find(reason), std::string::npos)
+      << label << ": " << loaded->warnings[0];
+}
+
 /// A checkpoint with a valid CRC whose entry count exceeds its content
 /// is damaged data, not a reason to die: loading rejects it with a
 /// warning and falls back to the next-older checkpoint — for a count no
@@ -357,52 +416,38 @@ TEST(RecoveryTest, CorruptNewestCheckpointFallsBackToOlder) {
 TEST(RecoveryTest, LyingCheckpointEntryCountFallsBackToOlder) {
   for (const std::string lie : {"18446744073709551615", "100000000000"}) {
     const std::string dir = FreshDir("ck_lying_count");
-    std::filesystem::create_directories(dir);
-    const Rect box(Point{0.1, 0.1}, Point{0.2, 0.2});
-    CheckpointState older;
-    older.version = 3;
-    older.next_id = 2;
-    older.next_sequence = 5;
-    older.dim = 2;
-    for (ObjectId id = 0; id < 2; ++id) {
-      CheckpointEntry entry;
-      entry.stable_id = id;
-      entry.pdf = std::make_shared<UniformPdf>(box);
-      older.entries.push_back(entry);
-    }
-    ASSERT_TRUE(WriteCheckpoint(dir, older).ok());
-    CheckpointState newer = older;
-    newer.version = 4;
-    newer.next_sequence = 6;
-    ASSERT_TRUE(WriteCheckpoint(dir, newer).ok());
-
+    WriteTwoCheckpoints(dir);
     // Rewrite the newer file's entry count and re-seal its CRC trailer.
-    const std::string path = dir + "/" + CheckpointFileName(4);
-    std::string content;
-    {
-      std::ifstream in(path, std::ios::binary);
-      content.assign(std::istreambuf_iterator<char>(in),
-                     std::istreambuf_iterator<char>());
-    }
-    const std::string count = "entries=2\n";
-    const size_t at = content.find(count);
-    ASSERT_NE(at, std::string::npos);
-    content.replace(at, count.size(), "entries=" + lie + "\n");
-    content.resize(content.rfind("# crc32c="));
-    char trailer[32];
-    std::snprintf(trailer, sizeof(trailer), "# crc32c=%08x\n",
-                  Crc32c(content.data(), content.size()));
-    content += trailer;
-    std::ofstream(path, std::ios::binary | std::ios::trunc) << content;
+    RewriteCheckpoint(dir + "/" + CheckpointFileName(4), "entries=2\n",
+                      "entries=" + lie + "\n");
+    ExpectOlderCheckpointLoads(dir, "entry count exceeds content", lie);
+  }
+}
 
-    const StatusOr<LoadedCheckpoint> loaded = LoadNewestCheckpoint(dir);
-    ASSERT_TRUE(loaded.ok()) << lie << ": " << loaded.status().ToString();
-    EXPECT_EQ(loaded->state.version, 3u) << lie;
-    EXPECT_EQ(loaded->state.entries.size(), 2u) << lie;
-    ASSERT_EQ(loaded->warnings.size(), 1u) << lie;
-    EXPECT_NE(loaded->warnings[0].find("entry count exceeds content"),
-              std::string::npos)
-        << loaded->warnings[0];
+/// Checkpoint ids are ObjectIds (32 bits). A CRC-valid file whose next_id
+/// or entry id is wider (truncated, next_id 2^32 + 5 would read as 5), or
+/// whose entry id starts with a sign or space (strtoull accepts both), is
+/// damage, and loading falls back to the older checkpoint.
+TEST(RecoveryTest, OutOfRangeCheckpointIdsFallBackToOlder) {
+  struct Case {
+    const char* from;
+    const char* to;
+    const char* reason;
+  };
+  const Case cases[] = {
+      {"next_id=2 ", "next_id=4294967301 ", "next_id exceeds"},
+      {"next_id=2 ", "next_id=4294967296 ", "next_id exceeds"},
+      {"\n1,", "\n4294967297,", "stable id exceeds"},
+      {"\n1,", "\n+1,", "unparseable stable id"},
+      {"\n1,", "\n 1,", "unparseable stable id"},
+      {"\n1,", "\n-1,", "unparseable stable id"},
+      {"\n1,", "\n,", "unparseable stable id"},
+  };
+  for (const Case& c : cases) {
+    const std::string dir = FreshDir("ck_id_range");
+    WriteTwoCheckpoints(dir);
+    RewriteCheckpoint(dir + "/" + CheckpointFileName(4), c.from, c.to);
+    ExpectOlderCheckpointLoads(dir, c.reason, c.to);
   }
 }
 

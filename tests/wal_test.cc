@@ -4,6 +4,7 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <limits>
@@ -301,6 +302,49 @@ TEST(WalReadTest, UnknownKindAndZeroLengthFramesStopReplay) {
   ASSERT_TRUE(read.ok());
   EXPECT_EQ(read->records.size(), 1u);
   EXPECT_NE(read->truncation_reason.find("zero-length"), std::string::npos);
+}
+
+/// `frame` (a valid EncodeWalFrame output of a mutation or remove) with
+/// its 64-bit id field set to `id` and its CRC re-sealed.
+std::string WithId(std::string frame, uint64_t id) {
+  constexpr size_t kIdAt = 8 + 1 + sizeof(uint64_t);  // header, kind, seq
+  std::memcpy(frame.data() + kIdAt, &id, sizeof(id));
+  const uint32_t crc = Crc32c(frame.data() + 8, frame.size() - 8);
+  std::memcpy(frame.data() + 4, &crc, sizeof(crc));
+  return frame;
+}
+
+TEST(WalReadTest, IdsBeyondObjectIdStopReplay) {
+  // Ids are ObjectIds (32 bits) but travel as 64-bit fields. A wider id
+  // is damage, not an id to truncate (removing 2^32 + 3 would remove
+  // object 3): every record kind that carries an id stops replay there.
+  const std::string path = TempPath("wal_wide_ids.log");
+  const StatusOr<std::string> good = EncodeWalFrame(InsertRecord(1, 0));
+  ASSERT_TRUE(good.ok());
+  const uint64_t wide = (uint64_t{1} << 32) + 3;
+  for (WalRecordKind kind : {WalRecordKind::kInsert, WalRecordKind::kUpdate,
+                             WalRecordKind::kRemove}) {
+    WalRecord r = InsertRecord(2, 3);
+    r.kind = kind;
+    const StatusOr<std::string> frame = EncodeWalFrame(r);
+    ASSERT_TRUE(frame.ok());
+    // The largest ObjectId still reads back.
+    const uint64_t max_id = std::numeric_limits<ObjectId>::max();
+    WriteBytes(path, *good + WithId(*frame, max_id));
+    StatusOr<WalReadResult> read = ReadWalFile(path);
+    ASSERT_TRUE(read.ok());
+    ASSERT_EQ(read->records.size(), 2u);
+    EXPECT_EQ(read->records[1].id, max_id);
+
+    WriteBytes(path, *good + WithId(*frame, wide));
+    read = ReadWalFile(path);
+    ASSERT_TRUE(read.ok());
+    EXPECT_EQ(read->records.size(), 1u);
+    EXPECT_EQ(read->truncated_bytes, frame->size());
+    EXPECT_NE(read->truncation_reason.find("exceeds the object id range"),
+              std::string::npos)
+        << read->truncation_reason;
+  }
 }
 
 TEST(WalFrameTest, EncodeRejectsMutationWithoutPdf) {
