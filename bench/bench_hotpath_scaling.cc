@@ -73,6 +73,8 @@
 namespace updb {
 namespace {
 
+using bench::Spread;
+using bench::SpreadOf;
 using workload::MakeQueryObject;
 using workload::MakeSyntheticDatabase;
 using workload::ObjectModel;
@@ -226,21 +228,6 @@ CountDistributionBounds SeedStyleRefine(const UncertainDatabase& db,
 }
 
 // ---------------------------------------------------- domination kernel
-
-/// Median, minimum and maximum of repeated measurements.
-struct Spread {
-  double median = 0.0;
-  double min = 0.0;
-  double max = 0.0;
-};
-
-Spread SpreadOf(std::vector<double> v) {
-  std::sort(v.begin(), v.end());
-  const size_t n = v.size();
-  const double median =
-      n % 2 == 1 ? v[n / 2] : 0.5 * (v[n / 2 - 1] + v[n / 2]);
-  return Spread{median, v.front(), v.back()};
-}
 
 /// LpNorm::Pow as the library compiled it before the kernel: out of line,
 /// switching on p per call.

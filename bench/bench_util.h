@@ -12,9 +12,11 @@
 #ifndef UPDB_BENCH_BENCH_UTIL_H_
 #define UPDB_BENCH_BENCH_UTIL_H_
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <vector>
 
 namespace updb {
 namespace bench {
@@ -38,6 +40,22 @@ inline size_t Scaled(size_t base, size_t min_value = 1) {
 inline void PrintBanner(const char* experiment_id, const char* description) {
   std::printf("# %s — %s\n", experiment_id, description);
   std::printf("# UPDB_BENCH_SCALE=%.3g\n", ScaleEnv());
+}
+
+/// Median, minimum and maximum of repeated measurements.
+struct Spread {
+  double median = 0.0;
+  double min = 0.0;
+  double max = 0.0;
+};
+
+/// The Spread of `v` (which must not be empty).
+inline Spread SpreadOf(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  const size_t n = v.size();
+  const double median =
+      n % 2 == 1 ? v[n / 2] : 0.5 * (v[n / 2 - 1] + v[n / 2]);
+  return Spread{median, v.front(), v.back()};
 }
 
 }  // namespace bench

@@ -54,11 +54,10 @@ void ThreadPool::ParallelFor(size_t n, size_t parallelism, const Body& body) {
     return;
   }
 
-  // Serialize concurrent top-level callers: a second caller waits here
-  // rather than corrupting the single job slot. (Nested calls never reach
-  // this point.)
-  static std::mutex caller_mu;
-  std::lock_guard<std::mutex> caller_lock(caller_mu);
+  // Serialize concurrent top-level callers of this pool: a second caller
+  // waits here rather than corrupting the single job slot. Other pools
+  // have their own slot and lock. (Nested calls never reach this point.)
+  std::lock_guard<std::mutex> caller_lock(caller_mu_);
 
   const size_t extra_workers =
       std::min(parallelism - 1, workers_.size());

@@ -39,9 +39,9 @@
 namespace updb {
 
 /// Persistent worker pool. One pool can serve many ParallelFor calls (from
-/// one caller at a time; concurrent top-level calls from distinct threads
-/// are serialized internally per job slot and simply see fewer idle
-/// workers).
+/// one caller at a time; concurrent top-level calls on one pool are
+/// serialized by that pool's own lock, while distinct pools never wait on
+/// each other).
 class ThreadPool {
  public:
   /// Body of a parallel loop: called once per index with the index and the
@@ -96,6 +96,7 @@ class ThreadPool {
   /// Serial fallback shared by ParallelFor and SharedParallelFor.
   static void RunInline(size_t n, const Body& body);
 
+  std::mutex caller_mu_;  // one top-level ParallelFor at a time
   std::mutex mu_;
   std::condition_variable work_cv_;   // workers: a job opened
   std::condition_variable done_cv_;   // caller: all participants finished

@@ -28,17 +28,6 @@ QueryStats RunStats(const IdcaResult& r) {
   return QueryStats{1, r.iterations_run, r.counters};
 }
 
-/// Per-run stats summed in run order; `seconds` is left to the caller.
-QueryStats SumRunStats(std::span<const QueryStats> runs) {
-  QueryStats sum;
-  for (const QueryStats& run : runs) {
-    sum.candidates += run.candidates;
-    sum.idca_iterations += run.idca_iterations;
-    sum.counters += run.counters;
-  }
-  return sum;
-}
-
 /// Both threshold queries over a whole R-tree: the direct-path caller of
 /// the pipeline the serving layer runs per shard.
 std::vector<ThresholdQueryResult> ThresholdQuery(
@@ -329,6 +318,27 @@ std::vector<std::vector<ObjectId>> RknnCandidates(
   return candidates;
 }
 
+QueryStats SumRunStats(std::span<const QueryStats> runs) {
+  QueryStats sum;
+  for (const QueryStats& run : runs) {
+    sum.candidates += run.candidates;
+    sum.idca_iterations += run.idca_iterations;
+    sum.counters += run.counters;
+  }
+  return sum;
+}
+
+ThresholdQueryResult RefineThresholdCandidate(const IdcaEngine& engine,
+                                              const Pdf& q, ObjectId candidate,
+                                              IdcaPredicate predicate,
+                                              bool reverse, QueryStats* run) {
+  const IdcaResult r =
+      reverse ? engine.ComputeDomCountOfQuery(q, candidate, predicate)
+              : engine.ComputeDomCount(candidate, q, predicate);
+  *run = RunStats(r);
+  return ThresholdQueryResult{candidate, r.predicate_prob, r.decision};
+}
+
 std::vector<ThresholdQueryResult> RefineThresholdCandidates(
     const IdcaEngine& engine, const Pdf& q,
     std::span<const ObjectId> candidates, IdcaPredicate predicate,
@@ -342,12 +352,8 @@ std::vector<ThresholdQueryResult> RefineThresholdCandidates(
   ThreadPool::SharedParallelFor(
       candidates.size(), ThreadPool::EffectiveParallelism(num_threads),
       [&](size_t c, size_t /*worker*/) {
-        const ObjectId id = candidates[c];
-        const IdcaResult r =
-            reverse ? engine.ComputeDomCountOfQuery(q, id, predicate)
-                    : engine.ComputeDomCount(id, q, predicate);
-        runs[c] = RunStats(r);
-        results[c] = ThresholdQueryResult{id, r.predicate_prob, r.decision};
+        results[c] = RefineThresholdCandidate(engine, q, candidates[c],
+                                              predicate, reverse, &runs[c]);
       });
   if (stats != nullptr) *stats = SumRunStats(runs);
   return results;

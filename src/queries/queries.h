@@ -165,13 +165,26 @@ std::vector<std::vector<ObjectId>> RknnCandidates(
     std::span<const MinDistScan> scans, DominationCriterion criterion,
     const LpNorm& norm);
 
-/// The per-candidate refinement loop: one IDCA run per candidate under
-/// `predicate` — DomCount(B, Q) for kNN, DomCount(Q, B) for RkNN
-/// (`reverse`) — reported in the order of `candidates`. Candidates are
+/// One candidate's refinement: a single IDCA run under `predicate` —
+/// DomCount(B, Q) for kNN, DomCount(Q, B) for RkNN (`reverse`) — with
+/// B = `candidate`. `run` receives the run's stats (one candidate, its
+/// iterations and engine counters). RefineThresholdCandidates and the
+/// serving layer's per-candidate jobs both call this, so their payloads
+/// and stats cannot drift apart.
+ThresholdQueryResult RefineThresholdCandidate(const IdcaEngine& engine,
+                                              const Pdf& q, ObjectId candidate,
+                                              IdcaPredicate predicate,
+                                              bool reverse, QueryStats* run);
+
+/// Per-run stats summed in run order (candidates, iterations, engine
+/// counters); `seconds` is left to the caller.
+QueryStats SumRunStats(std::span<const QueryStats> runs);
+
+/// The per-candidate refinement loop: RefineThresholdCandidate for every
+/// candidate, reported in the order of `candidates`. Candidates are
 /// independent problems spread over `num_threads` (IdcaConfig
 /// semantics); the results are the same for every thread count. `stats`
-/// (optional) receives the candidate count and the summed iterations and
-/// engine counters; its `seconds` is left to the caller.
+/// (optional) receives SumRunStats of the runs in candidate order.
 std::vector<ThresholdQueryResult> RefineThresholdCandidates(
     const IdcaEngine& engine, const Pdf& q,
     std::span<const ObjectId> candidates, IdcaPredicate predicate,

@@ -25,25 +25,6 @@ std::vector<MinDistScan> ShardScans(const store::ShardedSnapshotIndex& index,
   return scans;
 }
 
-/// Fills a finished request's deterministic stats and exec time, and its
-/// terminal status: kExpired when the deadline cut the iteration grant
-/// below the requested budget and the answer is still `unresolved`, kOk
-/// otherwise.
-void FinishResponse(const QueryBudget& budget, int granted,
-                    const QueryStats& stats, bool unresolved,
-                    const Stopwatch& exec, QueryResponse& response) {
-  response.stats.iterations_granted = granted;
-  response.stats.candidates = stats.candidates;
-  response.stats.idca_iterations = stats.idca_iterations;
-  response.stats.ugf_multiplies = stats.counters.ugf_multiplies;
-  response.stats.verdict_cache_hits = stats.counters.verdict_cache_hits;
-  response.stats.verdict_cache_misses = stats.counters.verdict_cache_misses;
-  response.status = granted < budget.max_iterations && unresolved
-                        ? ResponseStatus::kExpired
-                        : ResponseStatus::kOk;
-  response.stats.exec_seconds = exec.ElapsedSeconds();
-}
-
 size_t CheckedPoolSize(size_t num_workers) {
   UPDB_CHECK(num_workers >= 1);
   return num_workers - 1;
@@ -144,7 +125,7 @@ std::shared_ptr<const store::StoreSnapshot> QueryService::CurrentSnapshot()
 StatusOr<uint64_t> QueryService::Submit(QueryRequest request) {
   // Admission-time validation runs against the current snapshot; under
   // live updates execution may see a newer version, which re-validates
-  // whatever can drift (see RunBatch).
+  // whatever can drift (see FilterBatch).
   const std::shared_ptr<const store::StoreSnapshot> snap = CurrentSnapshot();
   const Status valid = ValidateRequest(request, *snap);
   if (!valid.ok()) {
@@ -276,6 +257,11 @@ void QueryService::Shutdown() {
 }
 
 void QueryService::DispatcherMain() {
+  // Per-round storage, reused across rounds: the flat job list, and one
+  // stats slot and one wall-clock window per job.
+  std::vector<Job> jobs;
+  std::vector<QueryStats> runs;
+  std::vector<JobWindow> windows;
   for (;;) {
     std::vector<Pending> round;
     uint64_t batch_seq_base = 0;
@@ -309,15 +295,49 @@ void QueryService::DispatcherMain() {
     const std::shared_ptr<const store::StoreSnapshot> snap =
         CurrentSnapshot();
 
+    // Filter phase: per batch, in parallel across batches.
     const size_t bs = options_.batch_size;
     const size_t num_batches = (round.size() + bs - 1) / bs;
     pool_.ParallelFor(
         num_batches, options_.num_workers, [&](size_t b, size_t /*worker*/) {
           const size_t begin = b * bs;
           const size_t count = std::min(bs, round.size() - begin);
-          RunBatch(*snap, round.data() + begin, count, batch_seq_base + b);
+          FilterBatch(*snap, round.data() + begin, count,
+                      batch_seq_base + b);
           metrics_.RecordBatch(count);
         });
+
+    // Job phase: every engine run of the round is one job, in request
+    // then candidate order.
+    jobs.clear();
+    for (size_t r = 0; r < round.size(); ++r) {
+      Pending& p = round[r];
+      p.first_job = jobs.size();
+      for (size_t c = 0; c < p.num_jobs; ++c) jobs.push_back(Job{r, c});
+    }
+    runs.assign(jobs.size(), QueryStats{});
+    windows.assign(jobs.size(), JobWindow{});
+    const Stopwatch phase_clock;
+    const uint64_t phase_start_ns =
+        options_.trace != nullptr ? options_.trace->NowNs() : 0;
+    pool_.ParallelFor(
+        jobs.size(), options_.num_workers, [&](size_t j, size_t /*worker*/) {
+          const Job& job = jobs[j];
+          windows[j].start = phase_clock.ElapsedSeconds();
+          RunJob(*snap, round[job.request], job.candidate, runs[j]);
+          windows[j].end = phase_clock.ElapsedSeconds();
+        });
+
+    // Finish phase, in request order.
+    for (size_t r = 0; r < round.size(); ++r) {
+      Pending& p = round[r];
+      if (!p.engine.has_value()) continue;
+      FinishRequest(
+          p, std::span<const QueryStats>(runs).subspan(p.first_job, p.num_jobs),
+          std::span<const JobWindow>(windows).subspan(p.first_job,
+                                                      p.num_jobs),
+          phase_start_ns);
+    }
 
     // Record completed responses for later identical requests before
     // handing them out (outside mu_: inserts copy payloads and only take
@@ -397,8 +417,16 @@ void QueryService::AttachMemo(IdcaConfig* cfg, const Pending& p,
       cache::VerdictMemo::MixContext(snapshot_version, p.query_token);
 }
 
-void QueryService::RunBatch(const store::StoreSnapshot& snap, Pending* batch,
-                            size_t count, uint64_t batch_seq) const {
+void QueryService::CompileEngine(const store::StoreSnapshot& snap,
+                                 Pending& p) const {
+  IdcaConfig cfg = CompileBudget(p.request.budget, &p.iterations_granted);
+  AttachMemo(&cfg, p, snap.version());
+  p.engine.emplace(*snap.db(), cfg);
+}
+
+void QueryService::FilterBatch(const store::StoreSnapshot& snap,
+                               Pending* batch, size_t count,
+                               uint64_t batch_seq) const {
   const UncertainDatabase& db = *snap.db();
   obs::TraceSpan batch_span(options_.trace, "batch", "service");
   batch_span.AddArg("batch_seq", batch_seq);
@@ -446,44 +474,46 @@ void QueryService::RunBatch(const store::StoreSnapshot& snap, Pending* batch,
         if (!dense.ok()) {
           p.response.status = ResponseStatus::kInvalid;
         } else {
-          ExecInverseRanking(snap, p, *dense);
+          p.dense_target = *dense;
+          p.num_jobs = 1;
+          CompileEngine(snap, p);
         }
         break;
       }
       case QueryKind::kExpectedRank:
-        if (!db.empty()) ExecExpectedRank(snap, p);
+        if (!db.empty()) {
+          p.num_jobs = 1;
+          CompileEngine(snap, p);
+        }
         break;
     }
   }
-  if (!knn.empty()) {
-    ExecThresholdBatch(snap, knn.data(), knn.size(), /*reverse=*/false);
-  }
-  if (!rknn.empty()) {
-    ExecThresholdBatch(snap, rknn.data(), rknn.size(), /*reverse=*/true);
-  }
+  if (!knn.empty()) FilterThreshold(snap, knn, /*reverse=*/false);
+  if (!rknn.empty()) FilterThreshold(snap, rknn, /*reverse=*/true);
 }
 
-void QueryService::ExecThresholdBatch(const store::StoreSnapshot& snap,
-                                      Pending** requests, size_t count,
-                                      bool reverse) const {
+void QueryService::FilterThreshold(const store::StoreSnapshot& snap,
+                                   std::span<Pending* const> requests,
+                                   bool reverse) const {
   const LpNorm& norm = options_.base_config.norm;
   const UncertainDatabase& db = *snap.db();
   const std::vector<MinDistScan> scans = ShardScans(snap.index(), norm);
 
-  // Phase 1 — the direct query path's candidate filters (queries.h) over
-  // the snapshot's shards: one KnnCandidates per kNN request, one
-  // RknnCandidates pass with the whole RkNN batch as probes. Each scans
-  // every shard and reduces in fixed shard order, and returns exactly the
-  // candidates a solo run would, in ascending id order — for every
-  // num_shards and every batch.
+  // The direct query path's candidate filters (queries.h) over the
+  // snapshot's shards: one KnnCandidates per kNN request, one
+  // RknnCandidates pass with the batch's RkNN requests as probes. Each
+  // scans every shard and reduces in fixed shard order, and returns
+  // exactly the candidates a solo run would, in ascending id order — for
+  // every num_shards and every batch.
   const uint64_t filter_start_ns =
       options_.trace != nullptr ? options_.trace->NowNs() : 0;
+  const size_t count = requests.size();
   std::vector<std::vector<ObjectId>> candidates;
   if (reverse) {
     std::vector<DominatorProbe> probes(count);
     for (size_t r = 0; r < count; ++r) {
-      probes[r] = DominatorProbe{&requests[r]->request.query->bounds(),
-                                 requests[r]->request.k};
+      const QueryRequest& req = requests[r]->request;
+      probes[r] = DominatorProbe{&req.query->bounds(), req.k};
     }
     candidates = RknnCandidates(db, probes, scans,
                                 options_.base_config.criterion, norm);
@@ -504,77 +534,106 @@ void QueryService::ExecThresholdBatch(const store::StoreSnapshot& snap,
                                args, 1);
   }
 
-  // Phase 2 — per-request IDCA refinement under the compiled budget,
-  // serial inside the worker.
+  // One refinement job per candidate, each writing its own payload slot.
   for (size_t r = 0; r < count; ++r) {
     Pending& p = *requests[r];
-    obs::TraceSpan req_span(options_.trace, QueryKindName(p.request.kind),
-                            "exec");
-    req_span.AddArg("ticket", p.ticket);
-    req_span.AddArg("candidates", candidates[r].size());
-    Stopwatch exec;
-    int granted = 0;
-    IdcaConfig cfg = CompileBudget(p.request.budget, &granted);
-    AttachMemo(&cfg, p, snap.version());
-    const IdcaEngine engine(db, cfg);
-    QueryStats stats;
-    p.response.threshold = RefineThresholdCandidates(
-        engine, *p.request.query, candidates[r],
-        IdcaPredicate{p.request.k, p.request.tau}, reverse, /*num_threads=*/1,
-        &stats);
-    const bool undecided = std::any_of(
-        p.response.threshold.begin(), p.response.threshold.end(),
-        [](const ThresholdQueryResult& t) {
-          return t.decision == PredicateDecision::kUndecided;
-        });
-    FinishResponse(p.request.budget, granted, stats, undecided, exec,
-                   p.response);
+    p.candidates = std::move(candidates[r]);
+    p.num_jobs = p.candidates.size();
+    p.response.threshold.resize(p.candidates.size());
+    CompileEngine(snap, p);
   }
 }
 
-void QueryService::ExecInverseRanking(const store::StoreSnapshot& snap,
-                                      Pending& p, ObjectId dense_target)
-    const {
-  obs::TraceSpan req_span(options_.trace, QueryKindName(p.request.kind),
-                          "exec");
-  req_span.AddArg("ticket", p.ticket);
-  Stopwatch exec;
-  int granted = 0;
-  IdcaConfig cfg = CompileBudget(p.request.budget, &granted);
-  AttachMemo(&cfg, p, snap.version());
-  const IdcaEngine engine(*snap.db(), cfg);
-  const IdcaResult result =
-      engine.ComputeDomCount(dense_target, *p.request.query);
-  p.response.rank_bounds = result.bounds;
-  const QueryStats stats{result.influence_count, result.iterations_run,
-                        result.counters};
-  const bool unresolved =
-      result.bounds.TotalUncertainty() > p.request.budget.uncertainty_epsilon;
-  FinishResponse(p.request.budget, granted, stats, unresolved, exec,
-                 p.response);
+void QueryService::RunJob(const store::StoreSnapshot& snap, Pending& p,
+                          size_t candidate, QueryStats& run) const {
+  const QueryRequest& req = p.request;
+  switch (req.kind) {
+    case QueryKind::kThresholdKnn:
+    case QueryKind::kThresholdRknn:
+      p.response.threshold[candidate] = RefineThresholdCandidate(
+          *p.engine, *req.query, p.candidates[candidate],
+          IdcaPredicate{req.k, req.tau},
+          /*reverse=*/req.kind == QueryKind::kThresholdRknn, &run);
+      break;
+    case QueryKind::kInverseRanking: {
+      const IdcaResult result =
+          p.engine->ComputeDomCount(p.dense_target, *req.query);
+      p.response.rank_bounds = result.bounds;
+      run = QueryStats{result.influence_count, result.iterations_run,
+                       result.counters};
+      break;
+    }
+    case QueryKind::kExpectedRank:
+      // Delegate to the direct query path (serial here: the compiled
+      // num_threads is 1) so the payload cannot diverge from
+      // ExpectedRankOrder.
+      p.response.expected =
+          ExpectedRankOrder(*snap.db(), *req.query, p.engine->config(), &run);
+      break;
+  }
 }
 
-void QueryService::ExecExpectedRank(const store::StoreSnapshot& snap,
-                                    Pending& p) const {
-  obs::TraceSpan req_span(options_.trace, QueryKindName(p.request.kind),
-                          "exec");
-  req_span.AddArg("ticket", p.ticket);
-  Stopwatch exec;
-  int granted = 0;
-  IdcaConfig cfg = CompileBudget(p.request.budget, &granted);
-  AttachMemo(&cfg, p, snap.version());
-  // Delegate to the direct query path (serial here: cfg.num_threads == 1)
-  // so the service payload cannot diverge from ExpectedRankOrder.
-  QueryStats stats;
-  p.response.expected =
-      ExpectedRankOrder(*snap.db(), *p.request.query, cfg, &stats);
-  double total_width = 0.0;
-  for (const ExpectedRankEntry& e : p.response.expected) {
-    total_width += e.expected_rank.width();
+void QueryService::FinishRequest(Pending& p,
+                                 std::span<const QueryStats> runs,
+                                 std::span<const JobWindow> windows,
+                                 uint64_t phase_start_ns) const {
+  const QueryStats stats = SumRunStats(runs);
+  // The request's execution window: its first job's start to its last
+  // job's end (empty when it had no jobs).
+  JobWindow exec = windows.empty() ? JobWindow{} : windows.front();
+  for (const JobWindow& w : windows) {
+    exec.start = std::min(exec.start, w.start);
+    exec.end = std::max(exec.end, w.end);
   }
-  FinishResponse(p.request.budget, granted, stats,
-                 total_width > p.request.budget.uncertainty_epsilon, exec,
-                 p.response);
+  const QueryBudget& budget = p.request.budget;
+  QueryResponse& response = p.response;
+  bool unresolved = false;
+  switch (p.request.kind) {
+    case QueryKind::kThresholdKnn:
+    case QueryKind::kThresholdRknn:
+      unresolved = std::any_of(
+          response.threshold.begin(), response.threshold.end(),
+          [](const ThresholdQueryResult& t) {
+            return t.decision == PredicateDecision::kUndecided;
+          });
+      break;
+    case QueryKind::kInverseRanking:
+      unresolved = response.rank_bounds.TotalUncertainty() >
+                   budget.uncertainty_epsilon;
+      break;
+    case QueryKind::kExpectedRank: {
+      double total_width = 0.0;
+      for (const ExpectedRankEntry& entry : response.expected) {
+        total_width += entry.expected_rank.width();
+      }
+      unresolved = total_width > budget.uncertainty_epsilon;
+      break;
+    }
+  }
+  // kExpired when the deadline cut the iteration grant below the
+  // requested budget and the answer is still unresolved.
+  const int granted = p.iterations_granted;
+  response.status = granted < budget.max_iterations && unresolved
+                        ? ResponseStatus::kExpired
+                        : ResponseStatus::kOk;
+  response.stats.iterations_granted = granted;
+  response.stats.candidates = stats.candidates;
+  response.stats.idca_iterations = stats.idca_iterations;
+  response.stats.ugf_multiplies = stats.counters.ugf_multiplies;
+  response.stats.verdict_cache_hits = stats.counters.verdict_cache_hits;
+  response.stats.verdict_cache_misses = stats.counters.verdict_cache_misses;
+  response.stats.exec_seconds = exec.end - exec.start;
+
+  if (options_.trace != nullptr) {
+    const obs::TraceArg args[3] = {
+        {"ticket", p.ticket},
+        {"candidates", stats.candidates},
+        {"jobs", runs.size()}};
+    options_.trace->RecordSpan(
+        QueryKindName(p.request.kind), "exec",
+        phase_start_ns + static_cast<uint64_t>(exec.start * 1e9),
+        static_cast<uint64_t>((exec.end - exec.start) * 1e9), args, 3);
+  }
 }
 
 }  // namespace service

@@ -3,9 +3,10 @@
 // (ROADMAP north star: accept many heterogeneous requests, schedule them,
 // bound their cost, report tail latency). Architecture:
 //
-//   Submit() -> bounded admission queue -> dispatcher thread -> rounds of
-//   consecutive batches executed by N workers (ThreadPool::ParallelFor)
-//   against one store snapshot per round -> response table.
+//   Submit() -> bounded admission queue -> dispatcher thread -> rounds
+//   (filter per batch, then one job per engine run) executed by N workers
+//   (ThreadPool::ParallelFor) against one store snapshot per round ->
+//   response table.
 //
 // Snapshots: the service serves a VersionedObjectStore (store/). In live
 // mode the dispatcher acquires the latest published snapshot once per
@@ -18,28 +19,37 @@
 //
 // Scheduling/batching: the dispatcher pops up to num_workers * batch_size
 // queued requests per round, partitions them into consecutive
-// submission-order chunks of batch_size, and runs the chunks in parallel
-// on its own ThreadPool (the dispatcher participates as worker 0). Within
-// a batch, threshold kNN and RkNN requests run the direct query path's
-// pipeline (queries/queries.h) over one scan per store shard: a
-// KnnCandidates call per kNN request, one RknnCandidates pass per batch
-// for RkNN (one nearest-first dominator scan per spatial group of 16
-// objects counts every request at once for every member), then
-// RefineThresholdCandidates per request under its compiled budget. The filters fan out per shard
-// (ThreadPool::SharedParallelFor) and reduce in fixed shard order — a
-// distance cutoff and a capped dominator count are partition-invariant,
-// so candidate sets are identical for every num_shards. The shard
-// fan-out runs genuinely parallel in single-batch rounds (ParallelFor(n
-// == 1) keeps the nested loop's parallelism); in multi-batch rounds the
-// nested call runs inline and batch-level parallelism dominates — either
-// way the reduction order, and with it the payload, is fixed. Rounds are
-// a barrier: a worker that finishes its batch idles until the round's
-// slowest batch completes (ThreadPool exposes
-// ParallelFor, not task handoff). That costs tail latency when one
-// expensive request (e.g. expected-rank) shares a round with cheap ones —
-// an accepted tradeoff here; continuous per-batch handoff would need a
-// task-queue pool and changes no response payload, so it can land later
-// without breaking the determinism contract.
+// submission-order chunks of batch_size, and runs the round in three
+// phases on its own ThreadPool (the dispatcher participates as worker 0):
+//
+//  1. Filter phase — one ParallelFor over the batches. Each batch
+//     validates its requests against the round's snapshot, groups them by
+//     kind and runs the direct query path's candidate filters
+//     (queries/queries.h) over one scan per store shard: a KnnCandidates
+//     call per kNN request and one RknnCandidates pass per batch for RkNN
+//     (one nearest-first dominator scan per spatial group of 16 objects
+//     counts every request at once for every member). It then compiles
+//     each request's budget into its engine. The filters fan out per shard
+//     (ThreadPool::SharedParallelFor) and reduce in fixed shard order — a
+//     distance cutoff and a capped dominator count are
+//     partition-invariant, so candidate sets are identical for every
+//     num_shards. The shard fan-out runs genuinely parallel in
+//     single-batch rounds (ParallelFor(n == 1) keeps the nested loop's
+//     parallelism); in multi-batch rounds it runs inline.
+//  2. Job phase — one ParallelFor over a flat list of the round's engine
+//     runs: one job per (threshold request, candidate), one per
+//     inverse-ranking request and one per expected-rank request. Indices
+//     are handed out dynamically, so a lone request's candidates spread
+//     over every worker and no worker idles while the round has jobs
+//     left. Each job writes only its own result slot. With num_workers ==
+//     1 the jobs run inline in list order.
+//  3. Finish phase — in request order, each request's run stats are
+//     summed in candidate order (SumRunStats, as the direct path does) and
+//     its status is set.
+//
+// Rounds are still a barrier — the next round starts once the current
+// one's last job finishes — but a worker only idles during a round's last
+// jobs, not while another worker refines a whole batch alone.
 //
 // Determinism: batch *composition* may depend on timing (a drained queue
 // dispatches partial batches), and so may the version a round serves
@@ -78,6 +88,8 @@
 #include <deque>
 #include <memory>
 #include <mutex>
+#include <optional>
+#include <span>
 #include <thread>
 #include <unordered_map>
 #include <vector>
@@ -87,6 +99,7 @@
 #include "obs/audit_log.h"
 #include "common/thread_pool.h"
 #include "core/idca.h"
+#include "queries/queries.h"
 #include "service/metrics.h"
 #include "service/request.h"
 #include "store/object_store.h"
@@ -100,8 +113,10 @@ struct QueryServiceOptions {
   /// Workers executing batches in parallel (the dispatcher thread is
   /// worker 0; num_workers - 1 pool threads are spawned). Must be >= 1.
   size_t num_workers = 1;
-  /// Admitted requests grouped into one batch (>= 1). Larger batches share
-  /// more RkNN filter work per index pass but coarsen the parallel grain.
+  /// Admitted requests grouped into one batch (>= 1). Sets only how many
+  /// RkNN requests share one filter pass (and how many batches a round
+  /// holds); engine runs are spread over the workers one job per run
+  /// whatever the batch size.
   size_t batch_size = 8;
   /// Bound of the admission queue; Submit rejects (ResourceExhausted) when
   /// this many requests are queued and not yet dispatched. Must be >= 1.
@@ -242,18 +257,62 @@ class QueryService {
     /// Query-PDF identity token for the verdict memo (0 iff cache_key is
     /// empty).
     uint64_t query_token = 0;
+
+    // Engine work in the dispatch round, set up by the filter phase.
+    int iterations_granted = 0;
+    /// The compiled engine (budget, memo context). Empty when the filter
+    /// phase already finished the request (kInvalid, or an empty
+    /// snapshot's empty payload): no jobs, no finish.
+    std::optional<IdcaEngine> engine;
+    /// Threshold kinds: the filter's candidates, one job each.
+    std::vector<ObjectId> candidates;
+    /// Inverse ranking: the round snapshot's translation of the request's
+    /// stable target id.
+    ObjectId dense_target = kInvalidObjectId;
+    /// The request's jobs in the round's job list.
+    size_t first_job = 0;
+    size_t num_jobs = 0;
   };
 
   QueryService(std::shared_ptr<store::VersionedObjectStore> db_store,
                std::shared_ptr<const store::StoreSnapshot> pinned,
                QueryServiceOptions options);
 
+  /// One engine run of the job phase: round request `request` and, for
+  /// threshold kinds, its candidate `candidate`.
+  struct Job {
+    size_t request = 0;
+    size_t candidate = 0;
+  };
+  /// A job's wall-clock interval, in seconds since its job phase began.
+  struct JobWindow {
+    double start = 0.0;
+    double end = 0.0;
+  };
+
   void DispatcherMain();
-  /// Executes one batch (consecutive slice of a round) serially against
-  /// `snap`, RkNN requests sharing one filter pass; fills each Pending's
-  /// response.
-  void RunBatch(const store::StoreSnapshot& snap, Pending* batch,
-                size_t count, uint64_t batch_seq) const;
+  /// Filter phase of one batch (consecutive slice of a round) against
+  /// `snap`: validation, candidate filters (RkNN requests sharing one
+  /// pass) and compiled engines.
+  void FilterBatch(const store::StoreSnapshot& snap, Pending* batch,
+                   size_t count, uint64_t batch_seq) const;
+  /// FilterBatch's candidate filter for the batch's kNN (`reverse` false)
+  /// or RkNN requests.
+  void FilterThreshold(const store::StoreSnapshot& snap,
+                       std::span<Pending* const> requests, bool reverse) const;
+  /// Compiles a request's budget (and memo context) into its engine.
+  void CompileEngine(const store::StoreSnapshot& snap, Pending& p) const;
+  /// Job phase: one engine run; writes only its candidate's payload slot
+  /// (or the request's payload for one-job kinds) and `run`.
+  void RunJob(const store::StoreSnapshot& snap, Pending& p, size_t candidate,
+              QueryStats& run) const;
+  /// Finish phase: sums the request's job stats in candidate order, sets
+  /// its status and stats (exec_seconds spans its jobs' `windows`) and,
+  /// when tracing, records its exec span; `phase_start_ns` is the job
+  /// phase's start on the trace clock.
+  void FinishRequest(Pending& p, std::span<const QueryStats> runs,
+                     std::span<const JobWindow> windows,
+                     uint64_t phase_start_ns) const;
 
   /// Deadline-compiled engine configuration for one request.
   IdcaConfig CompileBudget(const QueryBudget& budget,
@@ -264,15 +323,6 @@ class QueryService {
   /// the request has no canonical serialization).
   void AttachMemo(IdcaConfig* cfg, const Pending& p,
                   uint64_t snapshot_version) const;
-
-  void ExecThresholdBatch(const store::StoreSnapshot& snap,
-                          Pending** requests, size_t count, bool reverse)
-      const;
-  /// `dense_target` is the round snapshot's translation of the request's
-  /// stable target id.
-  void ExecInverseRanking(const store::StoreSnapshot& snap, Pending& p,
-                          ObjectId dense_target) const;
-  void ExecExpectedRank(const store::StoreSnapshot& snap, Pending& p) const;
 
   const std::shared_ptr<store::VersionedObjectStore> store_;  // live mode
   const std::shared_ptr<const store::StoreSnapshot> pinned_;  // pinned mode

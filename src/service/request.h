@@ -136,7 +136,10 @@ struct RequestStats {
   /// Wall-clock admission -> batch start. NOT covered by the determinism
   /// contract; excluded from ResponseDigest.
   double queue_seconds = 0.0;
-  /// Wall-clock execution time of this request within its batch. NOT
+  /// Wall-clock time from the start of this request's first engine-run
+  /// job (one per threshold candidate, one for the other kinds) to the end
+  /// of its last; its jobs may run on several workers at once, so this is
+  /// at most their summed time and never more than the round trip. NOT
   /// covered by the determinism contract; excluded from ResponseDigest.
   double exec_seconds = 0.0;
 };

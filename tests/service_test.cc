@@ -76,6 +76,15 @@ QueryResponse RunOne(std::shared_ptr<const UncertainDatabase> db,
   return service.Take(*ticket);
 }
 
+/// Worker counts the direct-path parity tests run the service with.
+constexpr size_t kWorkerCounts[] = {1, 2, 4};
+
+QueryServiceOptions WithWorkers(size_t workers) {
+  QueryServiceOptions options;
+  options.num_workers = workers;
+  return options;
+}
+
 /// The service and the direct query path run one pipeline: the same
 /// results in the same (ascending-id) order, and the same deterministic
 /// stats.
@@ -110,9 +119,15 @@ TEST(QueryServiceTest, KnnMatchesDirectQuery) {
   const std::vector<ThresholdQueryResult> direct =
       ProbabilisticThresholdKnn(*db, index, *q, 3, 0.5, direct_cfg, &stats);
 
-  const QueryResponse response = RunOne(db, KnnRequest(q, 3, 0.5, 4));
-  EXPECT_EQ(response.status, ResponseStatus::kOk);
-  ExpectSameAsDirect(response, direct, stats);
+  // A lone request's candidates are one job each, spread over every
+  // worker; the payload and stats must not depend on how many.
+  for (size_t workers : kWorkerCounts) {
+    SCOPED_TRACE(testing::Message() << "workers=" << workers);
+    const QueryResponse response =
+        RunOne(db, KnnRequest(q, 3, 0.5, 4), WithWorkers(workers));
+    EXPECT_EQ(response.status, ResponseStatus::kOk);
+    ExpectSameAsDirect(response, direct, stats);
+  }
 }
 
 TEST(QueryServiceTest, RknnMatchesDirectQuery) {
@@ -126,8 +141,11 @@ TEST(QueryServiceTest, RknnMatchesDirectQuery) {
       ProbabilisticThresholdRknn(*db, index, *q, 2, 0.5, direct_cfg, &stats);
   QueryRequest req = KnnRequest(q, 2, 0.5, 3);
   req.kind = QueryKind::kThresholdRknn;
-  const QueryResponse response = RunOne(db, std::move(req));
-  ExpectSameAsDirect(response, direct, stats);
+  for (size_t workers : kWorkerCounts) {
+    SCOPED_TRACE(testing::Message() << "workers=" << workers);
+    const QueryResponse response = RunOne(db, req, WithWorkers(workers));
+    ExpectSameAsDirect(response, direct, stats);
+  }
 }
 
 TEST(QueryServiceTest, InverseRankingAndExpectedRankMatchDirect) {
@@ -141,30 +159,36 @@ TEST(QueryServiceTest, InverseRankingAndExpectedRankMatchDirect) {
   inv.query = q;
   inv.target = 7;
   inv.budget.max_iterations = 3;
-  const QueryResponse inv_response = RunOne(db, std::move(inv));
   const CountDistributionBounds direct_bounds =
       ProbabilisticInverseRanking(*db, 7, *q, direct_cfg);
-  ASSERT_EQ(inv_response.rank_bounds.num_ranks(), direct_bounds.num_ranks());
-  for (size_t k = 0; k < direct_bounds.num_ranks(); ++k) {
-    EXPECT_EQ(inv_response.rank_bounds.lb(k), direct_bounds.lb(k));
-    EXPECT_EQ(inv_response.rank_bounds.ub(k), direct_bounds.ub(k));
-  }
 
   QueryRequest er;
   er.kind = QueryKind::kExpectedRank;
   er.query = q;
   er.budget.max_iterations = 2;
   direct_cfg.max_iterations = 2;
-  const QueryResponse er_response = RunOne(db, std::move(er));
   const std::vector<ExpectedRankEntry> direct_order =
       ExpectedRankOrder(*db, *q, direct_cfg);
-  ASSERT_EQ(er_response.expected.size(), direct_order.size());
-  for (size_t i = 0; i < direct_order.size(); ++i) {
-    EXPECT_EQ(er_response.expected[i].id, direct_order[i].id);
-    EXPECT_EQ(er_response.expected[i].expected_rank.lb,
-              direct_order[i].expected_rank.lb);
-    EXPECT_EQ(er_response.expected[i].expected_rank.ub,
-              direct_order[i].expected_rank.ub);
+
+  for (size_t workers : kWorkerCounts) {
+    SCOPED_TRACE(testing::Message() << "workers=" << workers);
+    const QueryResponse inv_response = RunOne(db, inv, WithWorkers(workers));
+    ASSERT_EQ(inv_response.rank_bounds.num_ranks(),
+              direct_bounds.num_ranks());
+    for (size_t k = 0; k < direct_bounds.num_ranks(); ++k) {
+      EXPECT_EQ(inv_response.rank_bounds.lb(k), direct_bounds.lb(k));
+      EXPECT_EQ(inv_response.rank_bounds.ub(k), direct_bounds.ub(k));
+    }
+
+    const QueryResponse er_response = RunOne(db, er, WithWorkers(workers));
+    ASSERT_EQ(er_response.expected.size(), direct_order.size());
+    for (size_t i = 0; i < direct_order.size(); ++i) {
+      EXPECT_EQ(er_response.expected[i].id, direct_order[i].id);
+      EXPECT_EQ(er_response.expected[i].expected_rank.lb,
+                direct_order[i].expected_rank.lb);
+      EXPECT_EQ(er_response.expected[i].expected_rank.ub,
+                direct_order[i].expected_rank.ub);
+    }
   }
 }
 
@@ -236,17 +260,20 @@ TEST(QueryServiceTest, TracingOnOffDigestsAreIdentical) {
   EXPECT_EQ(on, off);
 
   // The enabled run recorded the whole span tree: submit instants, queue
-  // waits, batches, per-request execution, engine iterations.
-  size_t submits = 0, queue_waits = 0, batches = 0, iters = 0;
+  // waits, batches, per-request execution (one span per request, however
+  // many jobs it ran), engine iterations.
+  size_t submits = 0, queue_waits = 0, batches = 0, execs = 0, iters = 0;
   for (const obs::TraceEvent& e : recorder.Events()) {
     if (std::string_view(e.name) == "submit") ++submits;
     if (std::string_view(e.name) == "queue_wait") ++queue_waits;
     if (std::string_view(e.name) == "batch") ++batches;
+    if (std::string_view(e.category) == "exec") ++execs;
     if (std::string_view(e.name) == "idca_iter") ++iters;
   }
   EXPECT_EQ(submits, trace.size());
   EXPECT_EQ(queue_waits, trace.size());
   EXPECT_GT(batches, 0u);
+  EXPECT_EQ(execs, trace.size());
   EXPECT_GT(iters, 0u);
 
   // And the registry's counters agree with the service's own snapshot.

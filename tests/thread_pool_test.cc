@@ -3,6 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
+#include <mutex>
+#include <thread>
 #include <vector>
 
 namespace updb {
@@ -111,6 +115,34 @@ TEST(ThreadPoolTest, SingleIndexLoopIsNotAParallelRegion) {
   int total = 0;
   for (auto& u : inner_workers) total += u.load();
   EXPECT_EQ(total, 256);
+}
+
+TEST(ThreadPoolTest, DistinctPoolsRunTopLevelLoopsConcurrently) {
+  // Each pool has its own job slot, so top-level loops on two pools must
+  // not wait on each other. Every body waits until all four bodies (two
+  // per pool) have arrived; a lock shared by all pools would hold the
+  // second caller back, and the first pool's bodies would time out.
+  ThreadPool pool_a(1);
+  ThreadPool pool_b(1);
+  std::mutex mu;
+  std::condition_variable cv;
+  size_t arrived = 0;
+  std::atomic<size_t> met{0};
+  const ThreadPool::Body body = [&](size_t /*i*/, size_t /*worker*/) {
+    std::unique_lock<std::mutex> lock(mu);
+    ++arrived;
+    cv.notify_all();
+    if (cv.wait_for(lock, std::chrono::seconds(5),
+                    [&] { return arrived == 4; })) {
+      met.fetch_add(1, std::memory_order_relaxed);
+    }
+  };
+  std::thread caller_a([&] { pool_a.ParallelFor(2, 2, body); });
+  std::thread caller_b([&] { pool_b.ParallelFor(2, 2, body); });
+  caller_a.join();
+  caller_b.join();
+  EXPECT_EQ(arrived, 4u);
+  EXPECT_EQ(met.load(), 4u);
 }
 
 }  // namespace
